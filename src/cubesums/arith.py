@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterator
 
 import numpy as np
 
@@ -231,10 +229,6 @@ def in_square_full_family(a: int, bound: int) -> bool:
     return a != 0 and sq_cub_parts(abs(a)).square_full <= bound
 
 
-def in_cube_full_family(a: int, bound: int) -> bool:
-    return a != 0 and sq_cub_parts(abs(a)).cube_full <= bound
-
-
 def crt_combine(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine residue constraints x = r_i (mod m_i) for pairwise coprime m_i.
 
@@ -267,13 +261,3 @@ def lcm(*ns: int) -> int:
 def admissible(a: int) -> bool:
     """No congruence obstruction mod 9: a is not +-4 mod 9."""
     return a % 9 not in (4, 5)
-
-
-def fraction_pow(base: Fraction, k: int) -> Fraction:
-    return Fraction(base.numerator**k, base.denominator**k)
-
-
-def iter_range_admissible(lo: int, hi: int) -> Iterator[int]:
-    for a in range(lo, hi + 1):
-        if a % 9 not in (4, 5):
-            yield a

@@ -6,7 +6,7 @@ scan-primes), the variance pipeline (variance, sieved, scan-exceptional), and
 an exact-identity verifier (verify).
 
 Exit codes: 0 on success, 1 on a validation error (bad flag, parameter out of
-range), 2 on an assertion failure inside `verify`.
+range), 2 when a verify check failed (any CheckFailed).
 
 Flags are the primary interface; an optional key=value config file supplies
 defaults that flags override.  The CUBESUMS_CACHE_DIR environment variable
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import expsums, lattice, series, variance
+from . import CheckFailed, expsums, lattice, series, variance
 from .densities import density_table
 from .weights import nu_star
 
@@ -81,6 +81,13 @@ def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _record_csv(rep, drop=()) -> str:
+    """One-row CSV of a report dataclass, columns in sorted key order."""
+    d = {k: v for k, v in _plain(rep).items() if k not in drop}
+    keys = sorted(d)
+    return _csv_text(keys, [tuple(d[k] for k in keys)])
 
 
 def _write(text: str, output: str | None) -> None:
@@ -196,10 +203,7 @@ def _cmd_gamma(args, cfg, fmt):
     else:
         rep = series.gamma_product(a, _pick(args, cfg, "p_max", int, default=1000))
     if fmt == "csv":
-        d = _plain(rep)
-        d.pop("factors", None)
-        keys = sorted(d)
-        return _csv_text(keys, [tuple(d[k] for k in keys)])
+        return _record_csv(rep, drop=("factors",))
     return _json_text(rep)
 
 
@@ -236,9 +240,7 @@ def _cmd_variance(args, cfg, fmt):
     rep = variance.variance(X, K, d, nu_star(R),
                             with_special=not args.no_special)
     if fmt == "csv":
-        d_ = _plain(rep)
-        keys = sorted(d_)
-        return _csv_text(keys, [tuple(d_[k] for k in keys)])
+        return _record_csv(rep)
     return _json_text(rep)
 
 
@@ -254,9 +256,7 @@ def _cmd_sieved(args, cfg, fmt):
     R = _pick(args, cfg, "R", float, default=2.0)
     rep = variance.sieved_variance(X, K, hp, nu_star(R))
     if fmt == "csv":
-        d_ = _plain(rep)
-        keys = sorted(d_)
-        return _csv_text(keys, [tuple(d_[k] for k in keys)])
+        return _record_csv(rep)
     return _json_text(rep)
 
 
@@ -265,9 +265,7 @@ def _cmd_moments(args, cfg, fmt):
     d = _pick(args, cfg, "d", int, default=1)
     rep = variance.nonarch_moment_check(K, d)
     if fmt == "csv":
-        d_ = _plain(rep)
-        keys = sorted(d_)
-        return _csv_text(keys, [tuple(d_[k] for k in keys)])
+        return _record_csv(rep)
     return _json_text(rep)
 
 
@@ -288,9 +286,7 @@ def _cmd_scan_primes(args, cfg, fmt):
     A = _pick(args, cfg, "A", int, required=True)
     rep = lattice.prime_demo(A)
     if fmt == "csv":
-        d_ = _plain(rep)
-        keys = sorted(d_)
-        return _csv_text(keys, [tuple(d_[k] for k in keys)])
+        return _record_csv(rep)
     return _json_text(rep)
 
 
@@ -298,15 +294,20 @@ def _cmd_scan_primes(args, cfg, fmt):
 # verify suites
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CheckFailed(message)
+
+
 def _verify_modulus(m: int) -> str:
     n_vec = expsums.point_count_vector(m)
-    assert int(n_vec.sum()) == m**3, f"sum N_a({m}) != {m}^3"
+    _require(int(n_vec.sum()) == m**3, f"sum N_a({m}) != {m}^3")
     if m <= 64:
         brute = expsums.point_counts_bruteforce(m)
-        assert np.array_equal(n_vec, brute), f"N_a({m}) convolution != brute"
+        _require(np.array_equal(n_vec, brute), f"N_a({m}) convolution != brute")
     t = expsums.t_full(m)
     expect = 1 if m == 1 else 0  # T_a(1) = 1; the sum telescopes for m > 1
-    assert int(np.asarray(t, dtype=object).sum()) == expect, f"sum_a T_a({m})"
+    _require(int(np.asarray(t, dtype=object).sum()) == expect, f"sum_a T_a({m})")
     return f"ok modulus {m}"
 
 
@@ -321,12 +322,12 @@ def _verify_local(max_modulus: int, threads: int, rng) -> list[str]:
         a = int(rng.integers(0, n1 * n2))
         lhs = int(expsums.t_single(a, n1 * n2))
         rhs = int(expsums.t_single(a % n1, n1)) * int(expsums.t_single(a % n2, n2))
-        assert lhs == rhs, f"T_{a}({n1}*{n2}) not multiplicative"
+        _require(lhs == rhs, f"T_{a}({n1}*{n2}) not multiplicative")
     lines.append("ok multiplicativity spot checks")
     # the cube map is a bijection mod 2 and mod 3, so T_a vanishes there
     for m in (2, 3):
         if m <= max_modulus:
-            assert not np.any(expsums.t_full(m)), f"T_a({m}) != 0"
+            _require(not np.any(expsums.t_full(m)), f"T_a({m}) != 0")
     lines.append("ok vanishing at 2 and 3")
     return lines
 
@@ -336,8 +337,8 @@ def _verify_moments(max_k: int, threads: int) -> list[str]:
     def one(kd):
         K, d = kd
         rep = variance.nonarch_moment_check(K, d)
-        assert abs(rep.tail_pure) <= rep.tail_bound
-        assert abs(rep.tail_mixed) <= rep.tail_bound
+        _require(abs(rep.tail_pure) <= rep.tail_bound, f"pure tail at K={K} d={d}")
+        _require(abs(rep.tail_mixed) <= rep.tail_bound, f"mixed tail at K={K} d={d}")
         return f"ok moments K={K} d={d}"
     return _parallel_map(one, grid, threads)
 
@@ -348,11 +349,12 @@ def _verify_lattice(threads: int) -> list[str]:
     def one(d):
         exact = lattice.pair_count_exact(table, d)
         brute = lattice.pair_count_bruteforce(10, d, w)
-        assert exact == brute, f"pair count mismatch at d={d}"
+        _require(exact == brute, f"pair count mismatch at d={d}")
         return f"ok pair count d={d}"
     lines = _parallel_map(one, (1, 2, 3), threads)
     sp = lattice.special_count(10, 1, w)
-    assert sp.diag + sp.correction == sp.formula_value
+    _require(sp.diag + sp.correction == sp.formula_value,
+             "special-count identity")
     lines.append("ok special-count identity")
     return lines
 
@@ -511,7 +513,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"cubesums: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except CheckFailed as exc:
         print(f"cubesums: FAIL {exc}", file=sys.stderr)
         return 2
     _write(text, _pick(args, cfg, "output", str))

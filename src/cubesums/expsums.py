@@ -3,7 +3,10 @@ F0(y) = y1^3 + y2^3 + y3^3.
 
 Everything here is exact.  The vector of point counts N_a(m) = #{y in
 (Z/m)^3 : F0(y) = a} is the triple cyclic self-convolution of the cube-count
-histogram, and the unit-twisted sums
+histogram, computed for every m by Kronecker substitution: each sequence is
+packed into one Python integer, one big-integer product gives the linear
+convolution, and the slots are folded mod m.  Counts sum to m^3 < 2^63, so
+the result is always int64.  The unit-twisted sums
 
     T_a(n) = sum_{u in (Z/n)*} sum_{y in (Z/n)^3} e_n(u (F0(y) - a))
 
@@ -11,13 +14,13 @@ come out of point counts at consecutive prime-power levels:
 
     T_a(p^l) = p^l N_a(p^l) - p^{l-1} p^3 N_a(p^{l-1}),   N_a(p^0) := 1.
 
-T_a(n) is multiplicative in n (for fixed a, via CRT), integer valued, and
-|T_a(n)| <= n^4 always, so vectors occasionally leave int64 for very rough n;
-those escalate to Python integers and are simply not disk-cached.
+T_a(n) is multiplicative in n (for fixed a, by the Chinese remainder
+theorem), integer valued, and |T_a(n)| <= n^4 always, so vectors occasionally
+leave int64 for very rough n; those escalate to Python integers and are simply
+not disk-cached.
 """
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -26,21 +29,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import MAX_N, divisors, factor, lcm, v_p
+from . import CheckFailed
+from .arith import divisors, factor, lcm, v_p
 from .cache import INT64_MAX, TVectorCache
 
-log = logging.getLogger("cubesums.expsums")
-
-# modulus above which triple convolution switches from direct O(m^2) numpy
-# to the exact number-theoretic transform; both paths agree bit for bit
-DIRECT_CONV_LIMIT = 4096
+# prime powers above this are left out of the Euler factors of _sigma_p_of_d
+# (and above twice it, out of the re-check in sigma_p_a); kept at 4096 because
+# the Euler products that variance prints depend on this truncation
+LOCAL_MODULUS_CAP = 4096
 
 # largest supported modulus: y^3 must stay inside int64 during the histogram
 MAX_MODULUS = (1 << 21) - 1
-
-# NTT-friendly primes just under 2^63 with a primitive root each; the CRT
-# reconstruction range p1*p2 > 2^122 dominates any attainable entry size
-_NTT_PRIMES = ((4179340454199820289, 3), (1945555039024054273, 5))
 
 
 def _check_modulus(m: int) -> int:
@@ -60,75 +59,27 @@ def cube_counts(m: int) -> np.ndarray:
     return counts
 
 
-def _ntt(vec: list[int], prime: int, root: int, invert: bool) -> list[int]:
-    n = len(vec)
-    v = list(vec)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            v[i], v[j] = v[j], v[i]
-    length = 2
-    while length <= n:
-        w = pow(root, (prime - 1) // length, prime)
-        if invert:
-            w = pow(w, prime - 2, prime)
-        half = length // 2
-        for i in range(0, n, length):
-            wn = 1
-            for k in range(i, i + half):
-                u = v[k]
-                t = v[k + half] * wn % prime
-                v[k] = (u + t) % prime
-                v[k + half] = (u - t) % prime
-                wn = wn * w % prime
-        length <<= 1
-    if invert:
-        n_inv = pow(n, prime - 2, prime)
-        v = [x * n_inv % prime for x in v]
-    return v
-
-
-def _cyclic_conv_ntt(a: np.ndarray, b: np.ndarray, m: int) -> list[int]:
-    size = 1
-    while size < 2 * m - 1:
-        size <<= 1
-    pa = [int(x) for x in a] + [0] * (size - m)
-    pb = [int(x) for x in b] + [0] * (size - m)
-    per_prime = []
-    for prime, root in _NTT_PRIMES:
-        fa = _ntt(pa, prime, root, False)
-        fb = _ntt(pb, prime, root, False)
-        per_prime.append(_ntt([x * y % prime for x, y in zip(fa, fb)], prime, root, True))
-    p1, p2 = _NTT_PRIMES[0][0], _NTT_PRIMES[1][0]
-    inv1 = pow(p1, -1, p2)
-    out = [0] * m
-    for i, (r1, r2) in enumerate(zip(*per_prime)):
-        out[i % m] += r1 + ((r2 - r1) * inv1 % p2) * p1
-    return out
-
-
 def _cyclic_conv(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Exact cyclic convolution of nonnegative int64 sequences of length m."""
-    if m == 1:
-        return np.array([int(a[0]) * int(b[0])], dtype=np.int64)
-    if m <= DIRECT_CONV_LIMIT:
-        # direct linear convolution folded back; intermediates bounded by
-        # max(a) * max(b) * m which stays inside int64 for every m here
-        assert int(a.max()) * int(b.max()) * m <= INT64_MAX
-        lin = np.convolve(a, b)
-        out = lin[:m].copy()
-        out[: m - 1] += lin[m:]
-        return out
-    vals = _cyclic_conv_ntt(a, b, m)
-    hi = max(vals)
-    if hi <= INT64_MAX:
-        return np.array(vals, dtype=np.int64)
-    return np.array(vals, dtype=object)
+    """Exact cyclic convolution of nonnegative int64 sequences of length m.
+
+    Kronecker substitution with a w-byte slot per entry: no entry of the
+    linear convolution exceeds sum(a) * sum(b) < 2^(8w), so slots never
+    carry into each other and w <= 8 while that bound stays inside int64.
+    """
+    bound = int(a.sum()) * int(b.sum())
+    if bound > INT64_MAX:
+        raise CheckFailed(f"cyclic convolution at m={m} would leave int64")
+    w = bound.bit_length() // 8 + 1
+
+    def pack(v: np.ndarray) -> int:
+        raw = v.astype("<i8").view(np.uint8).reshape(m, 8)[:, :w]
+        return int.from_bytes(raw.tobytes(), "little")
+
+    slots = np.zeros((2 * m, 8), dtype=np.uint8)
+    product = (pack(a) * pack(b)).to_bytes(2 * m * w, "little")
+    slots[:, :w] = np.frombuffer(product, dtype=np.uint8).reshape(2 * m, w)
+    lin = slots.view("<i8").ravel()
+    return lin[:m] + lin[m:]
 
 
 @lru_cache(maxsize=512)
@@ -141,15 +92,20 @@ def point_count_vector(m: int) -> np.ndarray:
     return n
 
 
+def _cube_sum_histogram(n: int) -> np.ndarray:
+    """Oracle histogram of F0 over (Z/n)^3 by full O(n^3) enumeration."""
+    y = np.arange(n, dtype=np.int64)
+    cubes = (y * y % n) * y % n
+    s = (cubes[:, None, None] + cubes[None, :, None] + cubes[None, None, :]) % n
+    return np.bincount(s.ravel(), minlength=n)
+
+
 def point_counts_bruteforce(m: int) -> np.ndarray:
     """Independent O(m^3) enumeration of N_a(m); only for small m."""
     m = _check_modulus(m)
     if m > 256:
         raise ValueError("brute-force point counts limited to m <= 256")
-    y = np.arange(m, dtype=np.int64)
-    cubes = (y * y % m) * y % m
-    s = (cubes[:, None, None] + cubes[None, :, None] + cubes[None, None, :]) % m
-    return np.bincount(s.ravel(), minlength=m)
+    return _cube_sum_histogram(m)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +191,7 @@ def t_direct(n: int, a_values: np.ndarray | None = None) -> np.ndarray:
     n = _check_modulus(n)
     if n > 128:
         raise ValueError("direct evaluation limited to n <= 128")
-    y = np.arange(n, dtype=np.int64)
-    cubes = (y * y % n) * y % n
-    s = (cubes[:, None, None] + cubes[None, :, None] + cubes[None, None, :]) % n
-    hist = np.bincount(s.ravel(), minlength=n).astype(float)
+    hist = _cube_sum_histogram(n).astype(float)
     units = np.array([u for u in range(n) if math.gcd(u, n) == 1]) if n > 1 else np.array([0])
     if a_values is None:
         a_values = np.arange(n)
@@ -263,7 +216,8 @@ def _s_plus_prime_power(p: int, e: int, f: int) -> int:
     b = np.arange(0, m, d)
     total = sum(int(x) * int(x) for x in t[b])
     q, r = divmod(total, m)
-    assert r == 0, "sum of T_b^2 over b in dZ/mZ must be divisible by m"
+    if r:
+        raise CheckFailed(f"sum of T_b^2 over b in {d}Z/{m}Z is not divisible by {m}")
     return q
 
 
@@ -297,10 +251,7 @@ def s_plus_zero_bruteforce(n: int, d: int) -> tuple[int, float]:
         return 0, 0.0
     if n * d > 200:
         raise ValueError("brute force limited to n * d <= 200")
-    y = np.arange(n, dtype=np.int64)
-    cubes = (y * y % n) * y % n
-    s = (cubes[:, None, None] + cubes[None, :, None] + cubes[None, None, :]) % n
-    hist = np.bincount(s.ravel(), minlength=n).astype(float)
+    hist = _cube_sum_histogram(n).astype(float)
     keep = np.arange(n) % d == 0
     total = 0.0
     for m in divisors(n):
@@ -350,7 +301,7 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
             raise ValueError(f"level {level} at p={p} exceeds the convolution limit")
         count = int(point_count_vector(p**level)[a % p**level])
         here = Fraction(count, p ** (2 * level))
-        if p ** (level + 1) > 2 * DIRECT_CONV_LIMIT:
+        if p ** (level + 1) > 2 * LOCAL_MODULUS_CAP:
             return LocalDensity(p, a, here, level, count)
         nxt = Fraction(
             int(point_count_vector(p ** (level + 1))[a % p ** (level + 1)]),
@@ -410,7 +361,7 @@ def _sigma_p_of_d(p: int, e: int, rel_cut: float = 1e-12) -> float:
     small_run = 0
     while True:
         q = p**j
-        if q > DIRECT_CONV_LIMIT:
+        if q > LOCAL_MODULUS_CAP:
             break
         term = (_s_plus_prime_power(p, e, j) if j else 1) / q**6
         total += term

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CheckFailed
 from .arith import primes_below
 from .weights import Weight
 
@@ -286,7 +287,8 @@ def special_count(X: int, d: int, weight: Weight) -> SpecialCount:
             diag_i += oi * sq
             formula_i += 6 * sq
             corr_i += (6 - oi) * sq
-    assert diag_i + corr_i == formula_i  # exact integer identity
+    if diag_i + corr_i != formula_i:  # exact integer identity
+        raise CheckFailed(f"special count: diag + correction != formula at X={X}")
     return SpecialCount(
         X=X, d=d, weight_name=weight.name,
         diag=exact_to_float(diag_i, 2 * EXACT_SHIFT),

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CheckFailed
 from .arith import admissible, factor, mobius, primes_below, sq_cub_parts, v_p
 from .expsums import sigma_p_a, t_full, t_prime_power, t_single
 
@@ -147,7 +148,8 @@ def gamma_factor(a: int, p: int) -> GammaFactor:
     if p >= 7:
         mollifier -= Fraction(t_single(a, p), p**3)
     # |T~_a(p)| < 0.99 p for p >= 7 keeps the mollifier inside (0.01, 1.99)
-    assert Fraction(1, 100) < mollifier < Fraction(199, 100), (a, p, mollifier)
+    if not Fraction(1, 100) < mollifier < Fraction(199, 100):
+        raise CheckFailed(f"mollifier {mollifier} out of range at a={a}, p={p}")
     return GammaFactor(p, a, sigma, mollifier, sigma * mollifier)
 
 

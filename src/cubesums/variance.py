@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CheckFailed
 from .arith import factor, mobius, primes_below
 from .densities import density_table, pure_l2_moment, sigma_inf, weight_l2_norm_sq
 from .expsums import (
@@ -175,7 +176,7 @@ def singular_series_positive_scan(d_max: int = 50) -> float:
             for d in range(1, d_max + 1)]
     low = min(vals)
     if low <= 0.0:
-        raise AssertionError(f"nonpositive singular series in d <= {d_max}")
+        raise CheckFailed(f"nonpositive singular series in d <= {d_max}")
     return low
 
 
@@ -231,10 +232,10 @@ def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
             bb = np.arange(0, m12, d, dtype=np.int64)
             S_m = int(np.sum(t_vecs[n1][bb % n1] * t_vecs[n2][bb % n2]))
             if Fraction(S, n1 * n2 * d) != Fraction(S_m, m12):
-                raise AssertionError(f"modulus collapse failed at {(n1, n2, d)}")
+                raise CheckFailed(f"modulus collapse failed at {(n1, n2, d)}")
             if m1 != m2:
                 if S != 0:
-                    raise AssertionError(
+                    raise CheckFailed(
                         f"unbalanced pair ({n1}, {n2}) did not vanish")
                 n_vanished += 1
                 continue
@@ -259,20 +260,20 @@ def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
         for label, groups in (("pure", pure_groups), ("mixed", mixed_groups)):
             got = groups.get(m, Fraction(0))
             if got != ref:
-                raise AssertionError(
+                raise CheckFailed(
                     f"{label} group m={m} is {got}, expected {ref}")
         groups_checked += 1
     pure_lhs = sum(pure_groups.values(), Fraction(0))
     mixed_lhs = sum(mixed_groups.values(), Fraction(0))
     top = max(list(pure_groups) + list(mixed_groups), default=1)
     if top > K * d:
-        raise AssertionError("found a regrouped modulus beyond K*d")
+        raise CheckFailed("found a regrouped modulus beyond K*d")
     tail_bound = sum((abs(_s_plus_over_m6(m, d))
                       for m in range(K + 1, K * d + 1) if m % d == 0),
                      Fraction(0))
     for label, tail in (("pure", pure_lhs - head), ("mixed", mixed_lhs - head)):
         if abs(tail) > tail_bound:
-            raise AssertionError(
+            raise CheckFailed(
                 f"{label} truncation tail {tail} exceeds the S+ bound")
     return MomentCheckReport(
         K=K, d=d, pure_lhs=pure_lhs, mixed_lhs=mixed_lhs, head=head,
@@ -413,7 +414,7 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
             lhs = n_exc * (eta * sigma_min) ** 2
             ok = lhs <= rep.var_direct * (1.0 + 1e-12)
             if not ok:
-                raise AssertionError(
+                raise CheckFailed(
                     f"Chebyshev inequality failed at X={X}, R={R}")
             rows.append(PipelineRow(
                 X=X, R=R, A=A, K=K, eta=eta,

@@ -1,9 +1,14 @@
 """CLI plumbing: exit codes, formats, config merge, cache dir, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubesums
 from cubesums import expsums
 from cubesums.cli import load_config, main
 
@@ -164,3 +169,49 @@ def test_scan_exceptional_csv_header(capsys):
                    "--eta", "0.2", "--format", "csv"], capsys)
     assert rc == 0
     assert out.out.splitlines()[0] == "s_lo,s_hi,count"
+
+
+# record -> CSV output of three handlers, frozen byte for byte
+_FROZEN_CSV = {
+    ("gamma", "--a", "2", "--p", "7"):
+        "a,mollifier,p,sigma,value\n2,71/49,7,27/49,1917/2401\n",
+    ("moments", "--K", "4", "--d", "2"):
+        "K,d,groups_checked,head,mixed_lhs,n_pairs_vanished,pure_lhs,"
+        "tail_bound,tail_mixed,tail_pure\n4,2,2,17/32,17/32,10,17/32,1/16,0,0\n",
+    ("scan-primes", "--A", "1000"):
+        "A,fitted_constant,n_admissible_represented,n_primes,sum_r3,"
+        "sum_r3_sq\n1000,0.98090124961546343,31,168,142,748\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_FROZEN_CSV))
+def test_record_csv_frozen(argv, capsys):
+    rc, out = run(list(argv) + ["--format", "csv"], capsys)
+    assert rc == 0
+    assert out.out == _FROZEN_CSV[argv]
+
+
+_BROKEN_COUNTS = """
+import sys
+import cubesums.expsums as E
+from cubesums.cli import main
+good = E.point_count_vector
+def broken(m):
+    v = good(m).copy()
+    v[0] += 1
+    return v
+E.point_count_vector = broken
+sys.exit(main(["verify", "--suite", "local", "--max-modulus", "8"]))
+"""
+
+
+def test_verify_fails_under_optimize_flag():
+    # python -O strips assert statements; verify checks must still fire
+    src = str(Path(cubesums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("CUBESUMS_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_COUNTS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "FAIL" in proc.stderr

@@ -45,19 +45,30 @@ def test_point_counts_total_mass():
         assert int(E.point_count_vector(m).sum()) == m**3
 
 
-def test_ntt_matches_direct_convolution():
+def _folded_convolve(a, b, m):
+    # oracle: numpy's direct linear convolution folded back mod m
+    lin = np.convolve(a, b)
+    folded = lin[:m].copy()
+    folded[: m - 1] += lin[m:]
+    return folded
+
+
+def test_cyclic_conv_matches_numpy_convolve():
     rng = np.random.default_rng(5)
-    for m in [2, 3, 17, 360, 1000]:
-        a = rng.integers(0, m + 1, size=m)
-        b = rng.integers(0, m + 1, size=m)
-        lin = np.convolve(a, b)
-        folded = lin[:m].copy()
-        folded[: m - 1] += lin[m:]
-        assert list(map(int, folded)) == E._cyclic_conv_ntt(a, b, m)
+    cases = [(rng.integers(0, m + 1, size=m), rng.integers(0, m + 1, size=m), m)
+             for m in [1, 2, 3, 17, 360, 1000, 4099, 8191]]
+    # both stages of the point-count convolution on cube histograms
+    for m in [4096, 4489, 7919, 8192]:
+        c = E.cube_counts(m)
+        cases += [(c, c, m), (_folded_convolve(c, c, m), c, m)]
+    for a, b, m in cases:
+        got = E._cyclic_conv(a, b, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _folded_convolve(a, b, m)), m
 
 
-def test_point_counts_beyond_direct_limit_use_exact_ntt():
-    # 4100 = 2^2 * 5^2 * 41 exceeds the direct-convolution cutoff; the
+def test_point_counts_divisor_identity_at_4100():
+    # 4100 = 2^2 * 5^2 * 41 is past the old direct-convolution cutoff; the
     # divisor identity N_a(q)/q^2 = sum_{n | q} T_a(n)/n^3 must still hold
     q = 4100
     nv = E.point_count_vector(q)
