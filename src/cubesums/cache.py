@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CheckFailed
-
 log = logging.getLogger("cubesums.cache")
 
 MAGIC = b"CBT1"
@@ -34,8 +32,6 @@ class TVectorCache:
         self.directory = Path(directory) if directory else None
 
     def _path(self, p: int, l: int) -> Path:
-        if self.directory is None:
-            raise CheckFailed("the vector cache is disabled")
         return self.directory / f"t_{p}_{l}.cbt"
 
     def load(self, p: int, l: int) -> np.ndarray | None:

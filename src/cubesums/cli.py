@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
@@ -142,16 +141,6 @@ def _resolve_cache_dir(args, cfg) -> str | None:
     if args.cache_dir is not None:
         return args.cache_dir
     return cfg.get("cache_dir")
-
-
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map; results are merged in input order regardless of
-    the worker count, so numerics match threads=1 exactly."""
-    items = list(items)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +300,8 @@ def _verify_modulus(m: int) -> str:
     return f"ok modulus {m}"
 
 
-def _verify_local(max_modulus: int, threads: int, rng) -> list[str]:
-    lines = _parallel_map(_verify_modulus, range(1, max_modulus + 1), threads)
+def _verify_local(max_modulus: int, rng) -> list[str]:
+    lines = [_verify_modulus(m) for m in range(1, max_modulus + 1)]
     # multiplicativity spot checks on random coprime factorizations
     for _ in range(20):
         n1 = int(rng.integers(2, max(3, max_modulus // 2)))
@@ -332,26 +321,25 @@ def _verify_local(max_modulus: int, threads: int, rng) -> list[str]:
     return lines
 
 
-def _verify_moments(max_k: int, threads: int) -> list[str]:
-    grid = [(K, d) for d in range(1, 5) for K in range(1, min(max_k, 48) + 1)]
-    def one(kd):
-        K, d = kd
-        rep = variance.nonarch_moment_check(K, d)
-        _require(abs(rep.tail_pure) <= rep.tail_bound, f"pure tail at K={K} d={d}")
-        _require(abs(rep.tail_mixed) <= rep.tail_bound, f"mixed tail at K={K} d={d}")
-        return f"ok moments K={K} d={d}"
-    return _parallel_map(one, grid, threads)
+def _verify_moments(max_k: int) -> list[str]:
+    lines = []
+    for d in range(1, 5):
+        for K in range(1, min(max_k, 48) + 1):
+            # raises CheckFailed when a regrouping identity or tail bound fails
+            variance.nonarch_moment_check(K, d)
+            lines.append(f"ok moments K={K} d={d}")
+    return lines
 
 
-def _verify_lattice(threads: int) -> list[str]:
+def _verify_lattice() -> list[str]:
     w = nu_star(2.0)
     table = lattice.count_weighted(10, w)
-    def one(d):
+    lines = []
+    for d in (1, 2, 3):
         exact = lattice.pair_count_exact(table, d)
         brute = lattice.pair_count_bruteforce(10, d, w)
         _require(exact == brute, f"pair count mismatch at d={d}")
-        return f"ok pair count d={d}"
-    lines = _parallel_map(one, (1, 2, 3), threads)
+        lines.append(f"ok pair count d={d}")
     sp = lattice.special_count(10, 1, w)
     _require(sp.diag + sp.correction == sp.formula_value,
              "special-count identity")
@@ -364,15 +352,14 @@ def _cmd_verify(args, cfg, fmt):
     if suite not in ("local", "moments", "lattice", "all"):
         raise CLIError(f"unknown suite {suite!r}")
     max_modulus = _pick(args, cfg, "max_modulus", int, default=50)
-    threads = args.resolved_threads
     rng = np.random.default_rng(args.resolved_seed)
     lines: list[str] = []
     if suite in ("local", "all"):
-        lines += _verify_local(max_modulus, threads, rng)
+        lines += _verify_local(max_modulus, rng)
     if suite in ("moments", "all"):
-        lines += _verify_moments(min(max_modulus, 12), threads)
+        lines += _verify_moments(min(max_modulus, 12))
     if suite in ("lattice", "all"):
-        lines += _verify_lattice(threads)
+        lines += _verify_lattice()
     lines.append(f"verify {suite}: {len(lines)} checks passed")
     return "\n".join(lines) + "\n"
 
@@ -411,7 +398,9 @@ def _build_parser() -> _Parser:
                         help="output path, default stdout")
     common.add_argument("--format", choices=("csv", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+                        help="accepted and validated (>= 1); every command "
+                             "runs in one thread")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     ap = _Parser(prog="cubesums", parents=[common],
@@ -498,9 +487,9 @@ def main(argv=None) -> int:
         cache_dir = _resolve_cache_dir(args, cfg)
         if cache_dir is not None:
             expsums.configure_cache(cache_dir)
-        args.resolved_threads = _pick(args, cfg, "threads", int, default=1)
+        threads = _pick(args, cfg, "threads", int, default=1)
         args.resolved_seed = _pick(args, cfg, "seed", int, default=0)
-        if args.resolved_threads < 1:
+        if threads < 1:
             raise CLIError("--threads must be >= 1")
         handler, default_fmt = _HANDLERS[args.subcommand]
         fmt = _pick(args, cfg, "format", str, default=default_fmt)

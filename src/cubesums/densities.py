@@ -8,11 +8,12 @@ Two routes compute it:
 
 * "direct": the literal 2-d adaptive quadrature over (y2, y3) in [-B, B]^2,
   evaluating nu (and its inner r-integral) at every node.
-* "fast" (nu_star only): Fubini plus the scaling y -> r y turn sigma into
-  w0(a-tilde) * int_1^R S1(a-tilde / r^3) dr/r, where S1(b) is the
-  R-independent surface integral of the plain six-form w2-product chi.
-  S1 is tabulated once on a fine grid (validated off-grid against direct
-  quadrature of chi); every sigma for every R is then a cheap 1-d rule.
+* the fast route, which "auto" takes for nu_star: Fubini plus the scaling
+  y -> r y turn sigma into w0(a-tilde) * int_1^R S1(a-tilde / r^3) dr/r,
+  where S1(b) is the R-independent surface integral of the plain six-form
+  w2-product chi.  S1 is tabulated once on a fine grid (validated off-grid
+  against direct quadrature of chi); every sigma for every R is then a
+  cheap 1-d rule.
 
 Integrals over the full 3-d support (mixed moment, L^2 norm) decompose as an
 outer 2-d adaptive integral over (y2, y3) and an inner Gauss rule over the
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import Weight, bump, f0, _six_forms
+from .weights import Weight, bump, f0, _six_forms, sobolev_estimate
 
 __all__ = [
     "DensityTable",
@@ -167,12 +168,12 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
     _require_very_clean(weight)
     if X <= 0:
         raise ValueError("X must be positive")
-    if method not in ("auto", "fast", "direct"):
+    if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
-    if method == "direct" or (method == "auto" and weight.name != "nu_star"):
+    if method == "direct" or weight.name != "nu_star":
         return _sigma_direct(atil, weight, rel_tol, abs_floor)
     return float(_sigma_fast(atil, weight.R)[0])
 
@@ -240,10 +241,7 @@ class DensityTable:
                 fh.write(f"{g:.17g},{v:.17g}\n")
 
 
-_TABLE_MEMO: dict = {}
-
-
-def density_table(weight: Weight, X: float = 1.0, grid_size: int = 256,
+def density_table(weight: Weight, grid_size: int = 256,
                   rel_tol: float = 1e-6, seed: int = 0,
                   validation_points: int = 32) -> DensityTable:
     """Sample sigma_inf on a grid of a-tilde in [-a_support, a_support].
@@ -251,15 +249,18 @@ def density_table(weight: Weight, X: float = 1.0, grid_size: int = 256,
     Interpolation is validated at random off-grid points against direct
     (non-interpolated) sigma_inf; if the max relative error reaches 1e-3 the
     grid is refined once, and a second failure raises with the worst
-    offending a-tilde.  Tables are memoized per (weight, grid_size, rel_tol).
+    offending a-tilde.  One table is built per weight object and argument
+    tuple, however the arguments are spelled at the call site.
     """
     _require_very_clean(weight)
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
-    key = (weight.name, weight.R, grid_size, rel_tol)
-    if key in _TABLE_MEMO:
-        return _TABLE_MEMO[key]
+    return _density_table(weight, grid_size, rel_tol, seed, validation_points)
 
+
+@lru_cache(maxsize=None)
+def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
+                   validation_points: int) -> DensityTable:
     rng = np.random.default_rng(seed)
     probes = rng.uniform(-weight.a_support, weight.a_support,
                          size=validation_points)
@@ -283,7 +284,6 @@ def density_table(weight: Weight, X: float = 1.0, grid_size: int = 256,
                 worst, worst_at = err, p
         table.max_validation_error = worst
         if worst < 1e-3:
-            _TABLE_MEMO[key] = table
             return table
         size *= 2
     raise RuntimeError(
@@ -338,20 +338,19 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
     return 2.0 * res.value
 
 
-def pure_l2_moment(weight: Weight, X: float = 1.0,
-                   grid_size: int = 256) -> float:
+def pure_l2_moment(weight: Weight, grid_size: int = 256) -> float:
     """Integral over a-tilde of sigma_inf(a-tilde)^2 (X-independent)."""
-    return density_table(weight, X, grid_size).integrate_square()
+    return density_table(weight, grid_size).integrate_square()
 
 
-def mixed_l1_moment(weight: Weight, X: float = 1.0, grid_size: int = 256,
+def mixed_l1_moment(weight: Weight, grid_size: int = 256,
                     rel_tol: float = 1e-5) -> float:
     """Integral of nu(z) * sigma_inf(F0(z)) over z (X-independent).
 
     Evaluates nu pointwise over its 3-d support; agreement with the pure
     moment is a genuine cross-check of the surface quadrature.
     """
-    table = density_table(weight, X, grid_size)
+    table = density_table(weight, grid_size)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         vals = weight.evaluate(pts)
@@ -364,6 +363,7 @@ def mixed_l1_moment(weight: Weight, X: float = 1.0, grid_size: int = 256,
     return _slab_integral(weight, fn, rel_tol=rel_tol)
 
 
+@lru_cache(maxsize=None)
 def weight_l2_norm_sq(weight: Weight, rel_tol: float = 3e-6) -> float:
     """Integral of nu(y)^2 over R^3."""
 
@@ -396,7 +396,7 @@ def poisson_check(weight: Weight, X: int, N: int, b: int,
     X^3/N times the integral of sigma^2 (both from the same table)."""
     if X < 1 or N < 1:
         raise ValueError("X and N must be integers >= 1")
-    table = density_table(weight, 1.0, grid_size)
+    table = density_table(weight, grid_size)
     bound = int(math.floor(weight.a_support * X**3))
     start = -bound + ((b - (-bound)) % N)
     a_vals = np.arange(start, bound + 1, N, dtype=float)
@@ -435,11 +435,11 @@ def derivative_probe(weight: Weight, k: int, grid_size: int = 256) -> Derivative
     sampled Sobolev norm times B^(10+4k); report only."""
     if not 0 <= k <= 3:
         raise ValueError("k must be in 0..3")
-    table = density_table(weight, 1.0, grid_size)
+    table = density_table(weight, grid_size)
     dense = np.linspace(table.grid[0], table.grid[-1], 4097)
     deriv = table.derivative(k)(dense) if k else table(dense)
     max_abs = float(np.max(np.abs(deriv)))
-    sob = weight.sobolev_est(k)
+    sob = sobolev_estimate(weight, k)
     bound_scale = sob * float(weight.B) ** (10 + 4 * k)
     # consistency of two first-derivative estimators at the steepest point
     d1 = table.derivative(1)(dense)

@@ -33,9 +33,9 @@ from . import CheckFailed
 from .arith import divisors, factor, lcm, v_p
 from .cache import INT64_MAX, TVectorCache
 
-# prime powers above this are left out of the Euler factors of _sigma_p_of_d
-# (and above twice it, out of the re-check in sigma_p_a); kept at 4096 because
-# the Euler products that variance prints depend on this truncation
+# prime powers above this are left out of the Euler factors of _sigma_p_of_d;
+# kept at 4096 because the Euler products that variance prints depend on this
+# truncation
 LOCAL_MODULUS_CAP = 4096
 
 # largest supported modulus: y^3 must stay inside int64 during the histogram
@@ -288,30 +288,15 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
 
     The level value p^{-2l} N_a(p^l) is constant from l = v_p(3a) + 1 on:
     past that level every solution lifts (the higher twisted sums vanish), so
-    that level certifies the limit.  When the next level is still cheap the
-    code recomputes it and checks equality anyway; disagreement past
-    v_p(3a) + 3 would be an internal error.
+    that level certifies the limit.
     """
     if a == 0:
         raise ValueError("sigma_p_a needs a != 0; use sigma_p_zero_levels")
-    certified = v_p(3 * a, p) + 1
-    level = certified
-    while True:
-        if p**level > MAX_MODULUS:
-            raise ValueError(f"level {level} at p={p} exceeds the convolution limit")
-        count = int(point_count_vector(p**level)[a % p**level])
-        here = Fraction(count, p ** (2 * level))
-        if p ** (level + 1) > 2 * LOCAL_MODULUS_CAP:
-            return LocalDensity(p, a, here, level, count)
-        nxt = Fraction(
-            int(point_count_vector(p ** (level + 1))[a % p ** (level + 1)]),
-            p ** (2 * (level + 1)),
-        )
-        if here == nxt:
-            return LocalDensity(p, a, here, level, count)
-        level += 1
-        if level > certified + 2:
-            raise RuntimeError(f"local density failed to stabilize at p={p}, a={a}")
+    level = v_p(3 * a, p) + 1
+    if p**level > MAX_MODULUS:
+        raise ValueError(f"level {level} at p={p} exceeds the convolution limit")
+    count = int(point_count_vector(p**level)[a % p**level])
+    return LocalDensity(p, a, Fraction(count, p ** (2 * level)), level, count)
 
 
 def sigma_p_zero_levels(p: int, l_max: int) -> list[tuple[int, Fraction]]:

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import admissible, factor, mobius, primes_below, sq_cub_parts, v_p
-from .expsums import sigma_p_a, t_full, t_prime_power, t_single
+from .arith import factor, mobius, primes_below, sq_cub_parts
+from .expsums import sigma_p_a, t_full, t_single
 
 
 @dataclass(frozen=True)

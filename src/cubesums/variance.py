@@ -46,7 +46,6 @@ __all__ = [
     "SievedReport",
     "VarianceReport",
     "hl_error",
-    "hl_error_trend",
     "nonarch_moment_check",
     "pipeline_demo",
     "sieved_variance",
@@ -162,12 +161,6 @@ def hl_error(X: int, d: int, weight: Weight,
     E = pair - main - diag
     return HLErrorReport(X=X, d=d, pair=pair, main_term=main,
                          special_diag=diag, E=E, E_over_X3=E / float(X) ** 3)
-
-
-def hl_error_trend(d: int, weight: Weight,
-                   Xs: tuple[int, ...] = (20, 30, 40, 60)) -> list[HLErrorReport]:
-    """|E|/X^3 across growing X; reported, never asserted (conjectural)."""
-    return [hl_error(X, d, weight) for X in Xs]
 
 
 def singular_series_positive_scan(d_max: int = 50) -> float:
@@ -287,16 +280,6 @@ def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
 # sieved variance and the pipeline demo
 
 
-_L2_MEMO: dict = {}
-
-
-def _weight_l2(weight: Weight) -> float:
-    key = (weight.name, weight.R)
-    if key not in _L2_MEMO:
-        _L2_MEMO[key] = weight_l2_norm_sq(weight, rel_tol=1e-4)
-    return _L2_MEMO[key]
-
-
 @dataclass(frozen=True)
 class SievedReport:
     X: int
@@ -333,7 +316,8 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
     for p in sieve_primes:
         mask &= a_vec % p != 0
     filtered = float(np.sum(sq[mask]))
-    comparison = float(X) ** 3 * _weight_l2(weight) / math.log(X)
+    comparison = (float(X) ** 3 * weight_l2_norm_sq(weight, rel_tol=1e-4)
+                  / math.log(X))
     # every p | dd with dd < X^hbar is itself below the threshold
     H = Fraction(0)
     for dd in range(1, math.ceil(threshold)):

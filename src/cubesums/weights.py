@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -128,13 +128,14 @@ def bump(kind: str, t):
     return float(out[0]) if scalar else out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Weight:
     """A smooth weight nu: R^3 -> R_{>=0} with its support metadata.
 
     evaluate maps an (N, 3) float array to an (N,) array.  a_support bounds
     |F0| on the support (the w0 factor); B bounds ||y||_inf from above and
-    1/B from below when very_clean.
+    1/B from below when very_clean.  A weight hashes by identity, so the
+    lru_caches keyed on it never confuse two weights that share a name.
     """
 
     name: str
@@ -145,19 +146,12 @@ class Weight:
     symmetric: bool
     a_support: float
     evaluate: Callable[[np.ndarray], np.ndarray]
-    _sobolev: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=float)
         if arr.ndim == 1:
             return float(self.evaluate(arr[None, :])[0])
         return self.evaluate(arr)
-
-    def sobolev_est(self, k: int) -> float:
-        """Sampled sup-norm estimate of all partials of order <= k (k <= 4)."""
-        if k not in self._sobolev:
-            self._sobolev[k] = sobolev_estimate(self, k)
-        return self._sobolev[k]
 
 
 def _six_forms(y: np.ndarray) -> np.ndarray:
@@ -213,11 +207,17 @@ def _r_rule_params(R: float) -> tuple[int, int]:
 
 def nu_star(R: float) -> Weight:
     """The cusp-parameter weight: w0(F0) times the dr/r average of the six
-    w2-cutoff linear forms over r in [1, R]."""
+    w2-cutoff linear forms over r in [1, R].
+
+    One object per value of R, so nu_star(2) is nu_star(2.0) and every
+    caller shares the memo entries keyed on it."""
     if R < 2:
         raise ValueError(f"R must be >= 2, got {R}")
-    R = float(R)
+    return _nu_star(float(R))
 
+
+@lru_cache(maxsize=None)
+def _nu_star(R: float) -> Weight:
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(len(pts))
@@ -309,6 +309,7 @@ _STENCILS = {
 }
 
 
+@lru_cache(maxsize=None)
 def sobolev_estimate(weight: Weight, k: int, n_points: int = 500,
                      h: float = 0.02, seed: int = 7) -> float:
     """Sampled max over |alpha| <= k of sup |partial^alpha nu|.

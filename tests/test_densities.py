@@ -61,6 +61,21 @@ def test_table_validation_and_symmetry(nu2, table2):
 
 def test_table_memoized(nu2):
     assert density_table(nu2) is density_table(nu2)
+    assert density_table(nu2) is density_table(nu2, grid_size=256)
+
+
+def test_table_memo_keys_on_seed_and_probe_count():
+    z = _zero_weight()
+    t1 = density_table(z, grid_size=64, validation_points=4, seed=1)
+    assert t1 is not density_table(z, grid_size=64, validation_points=4, seed=0)
+    assert t1 is not density_table(z, grid_size=64, validation_points=2, seed=1)
+
+
+def test_table_memo_keys_on_weight_object():
+    # same name and R, separately built: two weights, two tables
+    z1, z2 = _zero_weight(), _zero_weight()
+    assert density_table(z1, grid_size=64, validation_points=4) is not \
+        density_table(z2, grid_size=64, validation_points=4)
 
 
 def test_table_export_csv(table2, tmp_path):
@@ -98,6 +113,12 @@ def test_sigma_inf_log_R_lower_bound(nu2):
     c = sigma_inf(0.0, 1.0, nu2) / math.log(2.0)
     for R in (4.0, 8.0, 16.0):
         assert sigma_inf(0.0, 1.0, nu_star(R)) / math.log(R) >= 0.9 * c
+
+
+def test_sigma_inf_rejects_fast_method():
+    # the fast route reads only weight.R; "auto" takes it for nu_star alone
+    with pytest.raises(ValueError):
+        sigma_inf(0.0, 1.0, _zero_weight(), method="fast")
 
 
 def test_non_very_clean_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -241,6 +242,35 @@ def test_sigma_p_a_levels():
     assert E.sigma_p_a(3, 1).level == 2           # v_3(3) + 1
     assert E.sigma_p_a(2, 8).level == 4           # v_2(24) + 1
     assert E.sigma_p_a(3, 9).level == 4           # v_3(27) + 1
+
+
+def _level_value(p, a, level):
+    q = p**level
+    return Fraction(int(E.point_count_vector(q)[a % q]), p ** (2 * level))
+
+
+def test_sigma_p_a_certified_level_is_exact():
+    # sigma_p_a reads level l = v_p(3a) + 1 alone; Hensel lifting says every
+    # later level gives the same value, so recompute the next one here
+    for p in primes_below(100):
+        for a in itertools.chain(range(-400, 0), range(1, 401)):
+            level = v_p(3 * a, p) + 1
+            if p ** (level + 1) > 8192:
+                continue
+            here = _level_value(p, a, level)
+            assert E.sigma_p_a(p, a).value == here
+            assert _level_value(p, a, level + 1) == here, (p, a)
+    # high valuations, every level up to modulus 2^16
+    cases = [(2, s * 2**k * u) for k in range(12) for u in (1, 3, 5, 7)
+             for s in (1, -1)]
+    cases += [(3, s * 3**k * u) for k in range(6) for u in (1, 2, 4, 5, 7)
+              for s in (1, -1)]
+    for p, a in cases:
+        rep = E.sigma_p_a(p, a)
+        level = rep.level
+        while p**level <= 1 << 16:
+            assert _level_value(p, a, level) == rep.value, (p, a, level)
+            level += 1
 
 
 def test_sigma_p_a_rejects_zero():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubesums.densities import _density_table
 from cubesums.lattice import count_weighted, pair_count
 from cubesums.variance import (
     HypothesisParams,
@@ -93,6 +94,15 @@ def test_variance_K1_matches_plain_residual(nu2, tab20):
     direct = np.dot(
         tab20.bins - dtab(a / 20.0**3), tab20.bins - dtab(a / 20.0**3))
     assert rep.var_direct == pytest.approx(float(direct), rel=1e-12)
+
+
+def test_variance_builds_one_density_table(tab20):
+    # variance reads the table directly and through pure_l2_moment
+    _density_table.cache_clear()
+    variance(20, 4, 2, nu_star(2.0), table=tab20, with_special=False)
+    info = _density_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 1
 
 
 def test_variance_warns_outside_range(nu2):

@@ -14,6 +14,7 @@ from cubesums.weights import (
     nu_star_support_volume,
     ramp,
     sample_support_candidates,
+    sobolev_estimate,
     step,
     _six_forms,
 )
@@ -119,6 +120,11 @@ def test_nu_star_very_clean_bands():
     assert np.abs(alive).max() <= nu.B
 
 
+def test_nu_star_one_object_per_R():
+    assert nu_star(2) is nu_star(2.0)
+    assert nu_star(2.0) is not nu_star(4.0)
+
+
 def test_nu_star_monotone_in_R():
     nu2, nu4 = nu_star(2.0), nu_star(4.0)
     pts = sample_support_candidates(2.0, 20000, seed=3)
@@ -138,7 +144,7 @@ def test_nu_star_support_volume_growth():
 
 def test_sobolev_estimates_uniform_in_R():
     for k in (1, 2):
-        vals = [nu_star(R).sobolev_est(k) for R in (2.0, 8.0, 32.0)]
+        vals = [sobolev_estimate(nu_star(R), k) for R in (2.0, 8.0, 32.0)]
         assert all(v > 0.0 and math.isfinite(v) for v in vals)
         assert max(vals) / min(vals) < 2.0
 
