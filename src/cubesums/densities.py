@@ -32,7 +32,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import Weight, bump, f0, _six_forms, sobolev_estimate
+from .weights import (Weight, bump, f0, _six_forms, is_nu_star,
+                      sobolev_estimate)
 
 __all__ = [
     "DensityTable",
@@ -162,7 +163,7 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
     """Density of F0 = a at scale X against the weight, >= 0.
 
     Computed at the rescaled argument a/X^3 (the value is X-invariant).
-    method "auto" uses the tabulated fast route for nu_star weights and the
+    method "auto" uses the tabulated fast route for nu_star(R) itself and the
     literal 2-d quadrature otherwise; "direct" forces the latter.
     """
     _require_very_clean(weight)
@@ -173,7 +174,7 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
-    if method == "direct" or weight.name != "nu_star":
+    if method == "direct" or not is_nu_star(weight):
         return _sigma_direct(atil, weight, rel_tol, abs_floor)
     return float(_sigma_fast(atil, weight.R)[0])
 
@@ -268,7 +269,7 @@ def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
     worst = worst_at = 0.0
     for _ in range(2):
         grid = np.linspace(-weight.a_support, weight.a_support, size)
-        if weight.name == "nu_star":
+        if is_nu_star(weight):
             values = _sigma_fast(grid, weight.R)
         else:
             values = np.array([sigma_inf(g, 1.0, weight, rel_tol=rel_tol)

@@ -1,10 +1,21 @@
 """Exact lattice-point counting for F0(y) = y1^3 + y2^3 + y3^3.
 
-count_weighted enumerates the integer points of the weight's support box,
-binning nu(y/X) by the exact integer value a = F0(y).  Enumeration runs over
-(leading, second) coordinate pairs; the third coordinate is recovered from
-the exact cube-root interval |F0| <= a_support * X^3, so the cost is
-proportional to the slab volume, not the box volume.
+count_weighted bins nu(y/X) over the integer points of the weight's support
+by the exact integer value a = F0(y).  Enumeration runs over (leading,
+second) coordinate pairs; the third coordinate is recovered from the exact
+cube-root interval |F0| <= a_support * X^3, so the cost is proportional to
+the slab volume, not the box volume.
+
+The production walk (_iter_orbits) visits one point per orbit of coordinate
+permutations and global sign.  For a symmetric very-clean weight, nu is
+constant on such an orbit and F0 is permutation-invariant and odd; no
+support point has a zero coordinate or y_i = -y_j, so F0 != 0 there (Fermat,
+n = 3).  A sorted representative y1 <= y2 <= y3 with F0(y) = a > 0 thus
+stands for exactly k = 6, 3 or 1 points at a and k points at -a, and nu is
+evaluated once for all 2k of them.  count_weighted and special_count both
+run on this walk.  The plain walk over every support point (_iter_alive,
+with a choice of loop order) is the oracle behind pair_count_bruteforce and
+the tests.
 
 Weighted masses are floats, but every mass is a dyadic rational, so exact
 arithmetic is available on demand: each nu value converts losslessly to an
@@ -23,7 +34,7 @@ import numpy as np
 
 from . import CheckFailed
 from .arith import primes_below
-from .weights import Weight
+from .weights import Weight, is_nu_star
 
 __all__ = [
     "CountTable",
@@ -41,21 +52,23 @@ EXACT_SHIFT = 1100  # nu values have denominator at most 2^1074
 _ENUM_BOUND = 10**5
 _MAX_BINS = 1 << 27
 _WITNESS_CAP = 1000
+# distinct permutations of a sorted triple with 0, 1, 2 adjacent equalities
+_ORBIT_SIZE = np.array([6, 3, 1], dtype=np.int64)
 
 
 def _dyadic_int(v: float) -> int:
     """Exact integer numerator of v at scale 2^-EXACT_SHIFT (v >= 0)."""
-    f = Fraction(v)
-    return f.numerator << (EXACT_SHIFT - (f.denominator.bit_length() - 1))
+    n, d = v.as_integer_ratio()  # d is a power of two
+    return n << (EXACT_SHIFT - (d.bit_length() - 1))
 
 
 def _band_values(X: int, weight: Weight) -> np.ndarray:
     """Ascending integer values one support coordinate can take.
 
-    For nu*-type weights every support point has |y_l|/X > 1/2 (the first w2
+    For nu_star(R) every support point has |y_l|/X > 1/2 (the first w2
     band), so |y_l| >= X//2 + 1; generic weights only guarantee y_l != 0.
     """
-    hmin = X // 2 + 1 if weight.name == "nu_star" else 1
+    hmin = X // 2 + 1 if is_nu_star(weight) else 1
     hmax = weight.B * X
     pos = np.arange(hmin, hmax + 1, dtype=np.int64)
     return np.concatenate([-pos[::-1], pos])
@@ -75,11 +88,12 @@ def _ragged_arange(lo: np.ndarray, hi: np.ndarray):
 
 
 def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
-    """Yield (a, nu_values, points) blocks over the support lattice points.
+    """Yield (a, nu_values, points) blocks over every support lattice point.
 
-    order permutes which coordinate is enumerated as (leading, second,
-    solved); the visited point set is identical for any order, which the
-    loop-order oracle exploits.
+    The oracle walk: nu is evaluated at each point separately.  order
+    permutes which coordinate is enumerated as (leading, second, solved);
+    the visited point set is identical for any order, which the loop-order
+    oracle exploits.
     """
     if not weight.clean:
         raise ValueError("lattice enumeration requires a clean weight")
@@ -119,6 +133,61 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
                     yield a[alive], nu[alive], pts[alive]
 
 
+def _check_orbit_walk(X: int, weight: Weight) -> None:
+    """Reject a scale or a weight the orbit walk cannot count."""
+    if X < 1:
+        raise ValueError("X must be a positive integer")
+    if not (weight.symmetric and weight.very_clean):
+        raise ValueError(
+            "lattice counts require a symmetric very-clean weight")
+    if weight.B * X > _ENUM_BOUND:
+        raise ValueError(
+            f"enumeration bound exceeded: B*X = {weight.B * X} > {_ENUM_BOUND}")
+
+
+def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
+    """Yield (a, k, nu_values, reps) blocks, one row per S3 x {+-1} orbit.
+
+    reps are the sorted points y1 <= y2 <= y3 with 0 < F0(y) = a <= a_cap;
+    nu is evaluated once per rep, and k in {6, 3, 1} counts its distinct
+    permutations.  The orbit is those k points at a and their negatives at
+    -a, all of weight nu.  X and the weight must pass _check_orbit_walk.
+    """
+    band = _band_values(X, weight)
+    a_cap = int(math.floor(weight.a_support * X**3))
+    m = len(band)
+    pieces = ((int(band[0]), int(band[m // 2 - 1])),
+              (int(band[m // 2]), int(band[-1])))
+    for i in range(m):
+        u = int(band[i])
+        u3 = u**3
+        for start in range(i, m, block):  # y2 >= y1
+            v = band[start:start + block]
+            s = u3 + v**3
+            sf = s.astype(float)
+            # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt rounding
+            lo_i = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1, v)
+            hi_i = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
+            for blo, bhi in pieces:
+                w, row = _ragged_arange(np.maximum(lo_i, blo),
+                                        np.minimum(hi_i, bhi))
+                if not len(w):
+                    continue
+                a = s[row] + w**3  # exact int64
+                keep = (a > 0) & (a <= a_cap)
+                if not keep.any():
+                    continue
+                w, row, a = w[keep], row[keep], a[keep]
+                pts = np.column_stack([np.full(len(w), u), v[row], w])
+                nu = weight.evaluate(pts.astype(float) / X)
+                alive = nu > 0.0
+                if alive.any():
+                    pts = pts[alive]
+                    n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) \
+                        + (pts[:, 1] == pts[:, 2])
+                    yield a[alive], _ORBIT_SIZE[n_eq], nu[alive], pts
+
+
 @dataclass
 class CountTable:
     """Dense fiber table a -> N_{a,nu}(X) plus exact dyadic masses."""
@@ -156,18 +225,16 @@ class CountTable:
                 fh.write(f"{a},{v:.17g}\n")
 
 
-def count_weighted(X: int, weight: Weight, order=(0, 1, 2),
-                   exact: bool = True) -> CountTable:
+def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     """Weighted count N_{a,nu}(X) = sum over y in Z^3 of nu(y/X), per a.
 
-    Deterministic: blocks are enumerated and accumulated in a fixed order.
-    exact=False skips the dyadic-integer ledger (faster at large X).
+    Runs on the orbit walk: each orbit adds k * nu to bin a and to bin -a, so
+    the table is exactly symmetric.  The weight must be symmetric and very
+    clean (ValueError otherwise).  Deterministic: blocks are enumerated and
+    accumulated in a fixed order.  exact=False skips the dyadic-integer
+    ledger (faster at large X).
     """
-    if X < 1:
-        raise ValueError("X must be a positive integer")
-    if weight.B * X > _ENUM_BOUND:
-        raise ValueError(
-            f"enumeration bound exceeded: B*X = {weight.B * X} > {_ENUM_BOUND}")
+    _check_orbit_walk(X, weight)
     a_cap = int(math.floor(weight.a_support * X**3))
     if 2 * a_cap + 1 > _MAX_BINS:
         raise ValueError(
@@ -178,19 +245,22 @@ def count_weighted(X: int, weight: Weight, order=(0, 1, 2),
     n_alive = 0
     witnesses = []
     exact_map: dict = {}
-    for a, nu, pts in _iter_alive(X, weight, order=order):
+    for a, k, nu, reps in _iter_orbits(X, weight):
         idx = a + a_cap
-        np.add.at(bins, idx, nu)
-        np.add.at(point_counts, idx, 1)
-        n_alive += len(a)
+        np.add.at(bins, idx, k * nu)
+        np.add.at(point_counts, idx, k)
+        n_alive += 2 * int(k.sum())
         if len(witnesses) < _WITNESS_CAP:
             take = min(_WITNESS_CAP - len(witnesses), len(a))
             witnesses.extend(
-                np.column_stack([pts[:take], a[:take]]).tolist())
+                np.column_stack([reps[:take], a[:take]]).tolist())
         if exact:
-            for ai, vi in zip(a.tolist(), nu.tolist()):
-                n = _dyadic_int(vi)
-                exact_map[ai] = exact_map.get(ai, 0) + n
+            for ai, ki, vi in zip(a.tolist(), k.tolist(), nu.tolist()):
+                exact_map[ai] = exact_map.get(ai, 0) + ki * _dyadic_int(vi)
+    # the mirrored orbit halves land on -a
+    bins[:a_cap] = bins[:a_cap:-1]
+    point_counts[:a_cap] = point_counts[:a_cap:-1]
+    exact_map.update({-a: n for a, n in exact_map.items()})
     return CountTable(
         X=X, weight_name=weight.name, R=weight.R, offset=a_cap, bins=bins,
         point_counts=point_counts, n_alive=n_alive,
@@ -263,30 +333,26 @@ def special_count(X: int, d: int, weight: Weight) -> SpecialCount:
 
     Each unordered orbit member is one pair partner, so y contributes
     orb(y) * nu^2 with orb = 6, 3, 1 for distinct, one-repeated, all-equal
-    coordinates; the 3!-formula pretends orb = 6 always.
+    coordinates; the 3!-formula pretends orb = 6 always.  Runs on the orbit
+    walk, where orb is the k of the rep and the 2k points of an orbit share
+    one nu value.
     """
-    if not (weight.symmetric and weight.very_clean):
-        raise ValueError("special_count requires a symmetric very-clean weight")
+    _check_orbit_walk(X, weight)
     if d < 1:
         raise ValueError("d must be a positive integer")
     diag_i = formula_i = corr_i = 0
     n_repeated = 0
-    for a, nu, pts in _iter_alive(X, weight):
-        keep = a % d == 0
+    for a, k, nu, _reps in _iter_orbits(X, weight):
+        keep = a % d == 0  # d | a exactly when d | -a
         if not keep.any():
             continue
-        nu, pts = nu[keep], pts[keep]
-        eq12 = pts[:, 0] == pts[:, 1]
-        eq13 = pts[:, 0] == pts[:, 2]
-        eq23 = pts[:, 1] == pts[:, 2]
-        n_eq = eq12.astype(int) + eq13.astype(int) + eq23.astype(int)
-        orb = np.where(n_eq == 0, 6, np.where(n_eq == 1, 3, 1))
-        n_repeated += int(np.count_nonzero(n_eq))
-        for vi, oi in zip(nu.tolist(), orb.tolist()):
-            sq = _dyadic_int(vi) ** 2
-            diag_i += oi * sq
-            formula_i += 6 * sq
-            corr_i += (6 - oi) * sq
+        k, nu = k[keep], nu[keep]
+        n_repeated += 2 * int(k[k < 6].sum())
+        for ki, vi in zip(k.tolist(), nu.tolist()):
+            mass = 2 * ki * _dyadic_int(vi) ** 2  # nu^2 at 2k points
+            diag_i += ki * mass
+            formula_i += 6 * mass
+            corr_i += (6 - ki) * mass
     if diag_i + corr_i != formula_i:  # exact integer identity
         raise CheckFailed(f"special count: diag + correction != formula at X={X}")
     return SpecialCount(

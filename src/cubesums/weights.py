@@ -31,6 +31,7 @@ __all__ = [
     "Weight",
     "bump",
     "f0",
+    "is_nu_star",
     "nu_star",
     "nu_star_support_volume",
     "ramp",
@@ -180,7 +181,10 @@ def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         prod = bump("w2", forms[sl, 0][:, None] / r)
         for k in range(1, 6):
             prod *= bump("w2", forms[sl, k][:, None] / r)
-        out[sl] = (prod @ wts) * span
+        # einsum reduces each row on its own; a BLAS matrix-vector product
+        # rounds differently with the batch size, and the orbit walk in
+        # lattice needs nu(y) to be a pure function of y
+        out[sl] = np.einsum("ij,j->i", prod, wts) * span
     return out
 
 
@@ -211,9 +215,16 @@ def nu_star(R: float) -> Weight:
 
     One object per value of R, so nu_star(2) is nu_star(2.0) and every
     caller shares the memo entries keyed on it."""
-    if R < 2:
-        raise ValueError(f"R must be >= 2, got {R}")
+    if not (math.isfinite(R) and R >= 2):
+        raise ValueError(f"R must be a finite number >= 2, got {R}")
     return _nu_star(float(R))
+
+
+def is_nu_star(weight: Weight) -> bool:
+    """True when weight is the nu_star(R) object itself, not a weight that
+    merely shares its name (fast routes read nothing but weight.R)."""
+    R = weight.R
+    return math.isfinite(R) and R >= 2 and weight is nu_star(R)
 
 
 @lru_cache(maxsize=None)

@@ -99,6 +99,15 @@ def test_validation_errors(capsys):
     assert run(["expsum", "--modulus", "7", "--threads", "0"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("R", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [["count", "--X", "2"], ["density"]])
+def test_non_finite_R_rejected(argv, R, capsys):
+    rc, out = run(argv + ["--R", R], capsys)
+    assert rc == 1
+    assert "R must be a finite number >= 2" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_config_merge(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nmodulus = 7\nformat = json\n")

@@ -29,9 +29,9 @@ def table2(nu2):
     return density_table(nu2)
 
 
-def _zero_weight():
+def _zero_weight(name="zero"):
     return Weight(
-        name="zero", R=2.0, B=4, clean=True, very_clean=True, symmetric=True,
+        name=name, R=2.0, B=4, clean=True, very_clean=True, symmetric=True,
         a_support=3.0, evaluate=lambda y: np.zeros(len(y)),
     )
 
@@ -134,6 +134,14 @@ def test_zero_weight_all_zero():
     assert np.all(table.values == 0.0)
     assert table.integrate_square() == 0.0
     assert mixed_l1_moment(z, grid_size=64) == 0.0
+
+
+def test_look_alike_of_nu_star_takes_direct_route():
+    # only nu_star(R) itself takes the S1 fast route, which reads weight.R
+    z = _zero_weight(name="nu_star")
+    assert sigma_inf(0.0, 1.0, z) == 0.0
+    table = density_table(z, grid_size=64, validation_points=4)
+    assert np.all(table.values == 0.0)
 
 
 def test_pure_equals_mixed_moment(nu2):

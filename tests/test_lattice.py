@@ -1,10 +1,15 @@
 """Lattice-point counting, pair counts, special counts, and r3 demos."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cubesums.lattice import (
     EXACT_SHIFT,
+    _dyadic_int,
+    _iter_alive,
     count_weighted,
     exact_to_float,
     pair_count,
@@ -15,7 +20,7 @@ from cubesums.lattice import (
     special_count,
 )
 from cubesums.arith import primes_below
-from cubesums.weights import Weight, nu_star
+from cubesums.weights import Weight, _six_forms, nu_star
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +101,38 @@ def test_count_weighted_deterministic(nu2, tab10):
 
 
 def test_loop_order_oracle(nu2, tab10):
-    for order in ((1, 2, 0), (2, 0, 1)):
-        other = count_weighted(10, nu2, order=order)
-        assert np.array_equal(tab10.point_counts, other.point_counts)
-        assert tab10.exact == other.exact
-        assert np.allclose(tab10.bins, other.bins, rtol=1e-12, atol=1e-18)
+    # the orbit walk against the plain per-point walk in every loop order
+    for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        bins = np.zeros_like(tab10.bins)
+        counts = np.zeros_like(tab10.point_counts)
+        exact = {}
+        for a, nu, _pts in _iter_alive(10, nu2, order=order):
+            np.add.at(bins, a + tab10.offset, nu)
+            np.add.at(counts, a + tab10.offset, 1)
+            for ai, vi in zip(a.tolist(), nu.tolist()):
+                exact[ai] = exact.get(ai, 0) + _dyadic_int(vi)
+        assert int(counts.sum()) == tab10.n_alive
+        assert np.array_equal(counts, tab10.point_counts)
+        assert exact == tab10.exact
+        assert np.allclose(bins, tab10.bins, rtol=1e-12, atol=1e-18)
+
+
+def test_look_alike_of_nu_star_uses_generic_band():
+    # only nu_star(R) itself may skip the points with |y_l| <= X//2; this
+    # weight takes its name but is alive at every point off the six
+    # hyperplanes y_l = 0, y_i + y_j = 0
+    w = Weight(name="nu_star", R=2.0, B=1, clean=True, very_clean=True,
+               symmetric=True, a_support=3.0,
+               evaluate=lambda y: (_six_forms(y).min(axis=1) > 0.0) * 1.0)
+    X = 4
+    tab = count_weighted(X, w)
+    box = np.array(list(itertools.product(range(-X, X + 1), repeat=3)))
+    F = (box**3).sum(axis=1)
+    alive = (_six_forms(box.astype(float)).min(axis=1) > 0.0) \
+        & (np.abs(F) <= tab.offset)
+    expected = np.bincount(F[alive] + tab.offset, minlength=2 * tab.offset + 1)
+    assert np.array_equal(tab.point_counts, expected)
+    assert np.array_equal(tab.bins, expected.astype(float))
 
 
 def test_witnesses_satisfy_F0(tab10):
@@ -119,6 +151,21 @@ def test_count_weighted_guards(nu2):
                    evaluate=lambda y: np.ones(len(y)))
     with pytest.raises(ValueError):
         count_weighted(2, dirty)
+    asym = Weight(name="asym", R=2.0, B=4, clean=True, very_clean=True,
+                  symmetric=False, a_support=3.0,
+                  evaluate=lambda y: np.ones(len(y)))
+    with pytest.raises(ValueError):
+        count_weighted(2, asym)
+
+
+def test_dyadic_int_matches_fraction():
+    rng = np.random.default_rng(5)
+    tiny = rng.uniform(0.0, 1.0, 50) * 2.0 ** rng.integers(-1080, 10, 50)
+    for v in [0.0, 1.0, 5e-324] + rng.uniform(0.0, 3.0, 200).tolist() \
+            + tiny.tolist():
+        f = Fraction(v)
+        assert _dyadic_int(v) == \
+            f.numerator << (EXACT_SHIFT - (f.denominator.bit_length() - 1))
 
 
 def test_count_table_csv(tab10, tmp_path):
@@ -159,12 +206,39 @@ def test_special_count_identity(nu2):
     assert sc2.formula_value <= sc.formula_value
 
 
+def test_special_count_matches_per_point_oracle(nu2):
+    # every support point y contributes (#distinct permutations) * nu(y)^2
+    points = []
+    for a, nu, pts in _iter_alive(10, nu2):
+        for ai, vi, y in zip(a.tolist(), nu.tolist(), pts.tolist()):
+            points.append((ai, _dyadic_int(vi) ** 2,
+                           len(set(itertools.permutations(y)))))
+    for d in (1, 2, 3):
+        fib = [(sq, orb) for ai, sq, orb in points if ai % d == 0]
+        diag = sum(orb * sq for sq, orb in fib)
+        formula = sum(6 * sq for sq, _orb in fib)
+        sc = special_count(10, d, nu2)
+        assert sc.diag == exact_to_float(diag, 2 * EXACT_SHIFT)
+        assert sc.formula_value == exact_to_float(formula, 2 * EXACT_SHIFT)
+        assert sc.correction == exact_to_float(formula - diag, 2 * EXACT_SHIFT)
+        assert sc.n_repeated == sum(1 for _sq, orb in fib if orb < 6)
+
+
 def test_special_count_rejects_asymmetric():
     w = Weight(name="asym", R=2.0, B=4, clean=True, very_clean=True,
                symmetric=False, a_support=3.0,
                evaluate=lambda y: np.ones(len(y)))
     with pytest.raises(ValueError):
         special_count(2, 1, w)
+
+
+def test_special_count_guards(nu2):
+    with pytest.raises(ValueError):
+        special_count(0, 1, nu2)  # an empty band, not an IndexError
+    with pytest.raises(ValueError):
+        special_count(5000, 1, nu2)  # B*X = 110000 over the bound
+    with pytest.raises(ValueError):
+        special_count(2, 0, nu2)
 
 
 def test_prime_demo_against_r3_oracle():

@@ -83,6 +83,28 @@ def test_nu_star_flags_and_validation():
         nu_star(1.5)
 
 
+def test_nu_star_rejects_non_finite_R():
+    for R in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite number >= 2"):
+            nu_star(R)
+
+
+def test_nu_star_evaluate_is_row_pure():
+    # the lattice orbit walk evaluates nu once per orbit representative, so
+    # a row's value must not depend on the rows batched with it
+    nu = nu_star(2.0)
+    pts = sample_support_candidates(2.0, 16385 + 7, seed=11)
+    whole = nu.evaluate(pts)
+    live = np.flatnonzero(whole > 0.0)
+    assert len(live) > 1000
+    for i in np.concatenate([live[:200], np.arange(20)]):
+        assert nu.evaluate(pts[i:i + 1])[0] == whole[i]
+    # across the 16384-row chunk boundary and at shifted batch offsets
+    for lo, hi in ((0, 16384), (0, 16385), (16383, len(pts)), (7, 16392),
+                   (1, 168)):
+        assert np.array_equal(nu.evaluate(pts[lo:hi]), whole[lo:hi])
+
+
 def test_nu_star_support_examples():
     nu = nu_star(2.0)
     # zero coordinate kills a |y_l| form
