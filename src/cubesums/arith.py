@@ -159,9 +159,11 @@ def divisors(n: int) -> list[int]:
 
 
 def v_p(n: int, p: int) -> int:
-    """p-adic valuation of n != 0."""
+    """p-adic valuation of n != 0 at p >= 2."""
     if n == 0:
         raise ValueError("v_p undefined at 0")
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, got p={p}")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -93,8 +93,11 @@ def _write(text: str, output: str | None) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CLIError(f"cannot write output: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +355,8 @@ def _cmd_verify(args, cfg, fmt):
     if suite not in ("local", "moments", "lattice", "all"):
         raise CLIError(f"unknown suite {suite!r}")
     max_modulus = _pick(args, cfg, "max_modulus", int, default=50)
+    if max_modulus < 1:
+        raise CLIError("--max-modulus must be >= 1")
     rng = np.random.default_rng(args.resolved_seed)
     lines: list[str] = []
     if suite in ("local", "all"):
@@ -495,7 +500,7 @@ def main(argv=None) -> int:
         fmt = _pick(args, cfg, "format", str, default=default_fmt)
         if fmt not in ("csv", "json", "text"):
             raise CLIError(f"unknown format {fmt!r}")
-        text = handler(args, cfg, fmt)
+        _write(handler(args, cfg, fmt), _pick(args, cfg, "output", str))
     except CLIError as exc:
         print(f"cubesums: {exc}", file=sys.stderr)
         return 1
@@ -505,7 +510,6 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print(f"cubesums: FAIL {exc}", file=sys.stderr)
         return 2
-    _write(text, _pick(args, cfg, "output", str))
     return 0
 
 

@@ -27,13 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
 from .weights import (Weight, bump, f0, _six_forms, is_nu_star,
                       sobolev_estimate)
+
+if TYPE_CHECKING:
+    # importing scipy.interpolate costs more time and memory than the rest of
+    # the package; it is imported where a spline is built, so paths that
+    # never build one skip it
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "DensityTable",
@@ -99,6 +105,8 @@ def chi_surface(b: float, rel_tol: float = 3e-7) -> float:
 def _s1_spline() -> tuple[CubicSpline, float]:
     """Cubic spline of S1 on [-_S1_EDGE, _S1_EDGE] plus its off-grid
     validation error against direct quadrature of chi (16 random points)."""
+    from scipy.interpolate import CubicSpline
+
     half = np.linspace(0.0, _S1_EDGE, 385)
     vals = np.array([chi_surface(b) for b in half])
     grid = np.concatenate([-half[:0:-1], half])
@@ -207,6 +215,8 @@ class DensityTable:
 
     def __post_init__(self):
         if self._spline is None:
+            from scipy.interpolate import CubicSpline
+
             self._spline = CubicSpline(self.grid, self.values)
 
     def __call__(self, atil):

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed
-from .arith import divisors, factor, lcm, v_p
+from .arith import divisors, factor, is_prime, lcm, v_p
 from .cache import INT64_MAX, TVectorCache
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
@@ -284,7 +284,7 @@ class LocalDensity:
 
 
 def sigma_p_a(p: int, a: int) -> LocalDensity:
-    """Local density of F0 = a at p for a != 0.
+    """Local density of F0 = a at a prime p for a != 0.
 
     The level value p^{-2l} N_a(p^l) is constant from l = v_p(3a) + 1 on:
     past that level every solution lifts (the higher twisted sums vanish), so
@@ -292,6 +292,8 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
     """
     if a == 0:
         raise ValueError("sigma_p_a needs a != 0; use sigma_p_zero_levels")
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got p={p}")
     level = v_p(3 * a, p) + 1
     if p**level > MAX_MODULUS:
         raise ValueError(f"level {level} at p={p} exceeds the convolution limit")

@@ -237,6 +237,9 @@ def identity_check_s_times_m(a: int, K: int) -> tuple[Fraction, Fraction, bool]:
 # scans
 
 
+_MAX_BINS = 10**6
+
+
 @dataclass(frozen=True)
 class ExceptionalScan:
     """Admissible a in [-A, A] with |s_a(K)| <= eta."""
@@ -253,8 +256,12 @@ class ExceptionalScan:
 
 
 def exceptional_scan(A: int, K: int, eta: float, bin_width: float = 0.25) -> ExceptionalScan:
-    if A < 0 or K < 1 or eta < 0:
-        raise ValueError("need A >= 0, K >= 1, eta >= 0")
+    if A < 0 or K < 1:
+        raise ValueError("need A >= 0, K >= 1")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be a finite number >= 0, got {eta}")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
     win = series_window(K, -A, A, mode="double")
     a = np.arange(-A, A + 1)
     adm = ~np.isin(a % 9, (4, 5))
@@ -267,8 +274,11 @@ def exceptional_scan(A: int, K: int, eta: float, bin_width: float = 0.25) -> Exc
         counts_by_K[kk] = int(np.count_nonzero(np.abs(wk.s[adm]) <= eta))
     seq = [counts_by_K[kk] for kk in ks]
     non_increasing = all(x >= y for x, y in zip(seq, seq[1:]))
-    lo = math.floor(svals.min() / bin_width) * bin_width if svals.size else 0.0
-    hi = math.ceil(svals.max() / bin_width) * bin_width if svals.size else bin_width
+    # a = 0 is admissible, so svals is never empty
+    lo_n, hi_n = float(svals.min()) / bin_width, float(svals.max()) / bin_width
+    if not hi_n - lo_n <= _MAX_BINS:  # also false when either is inf
+        raise ValueError(f"bin width {bin_width} gives more than {_MAX_BINS} bins")
+    lo, hi = math.floor(lo_n) * bin_width, math.ceil(hi_n) * bin_width
     nbins = max(1, round((hi - lo) / bin_width))
     hist, edges = np.histogram(svals, bins=nbins, range=(lo, lo + nbins * bin_width))
     return ExceptionalScan(A, K, eta, count, int(adm.sum()), counts_by_K, non_increasing, edges, hist)

@@ -100,6 +100,10 @@ def test_v_p():
     assert arith.v_p(-24, 2) == 3
     with pytest.raises(ValueError):
         arith.v_p(0, 2)
+    # p = 1 would loop forever; tests/test_cli.py runs it in a subprocess
+    for p in (0, -3):
+        with pytest.raises(ValueError, match="p >= 2"):
+            arith.v_p(8, p)
 
 
 def test_divisors():

@@ -91,12 +91,65 @@ def test_verify_unknown_suite(capsys):
     assert rc == 1  # choices violation goes through the validation path
 
 
+def _python(*args, timeout=120):
+    """Run a fresh interpreter on the package under test."""
+    src = str(Path(cubesums.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("CUBESUMS_CACHE_DIR", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_validation_errors(capsys):
     assert run(["expsum"], capsys)[0] == 1  # missing --modulus
     assert run(["nonsense"], capsys)[0] == 1  # unknown subcommand
     assert run([], capsys)[0] == 1  # no subcommand
     assert run(["moments", "--K", "49"], capsys)[0] == 1  # out of range
     assert run(["expsum", "--modulus", "7", "--threads", "0"], capsys)[0] == 1
+    for p in ("0", "4", "-7"):
+        rc, out = run(["gamma", "--a", "2", "--p", p], capsys)
+        assert rc == 1 and "p must be a prime" in out.err
+    for m in ("0", "-2"):  # no modulus to check
+        rc, out = run(["verify", "--max-modulus", m], capsys)
+        assert rc == 1 and "--max-modulus must be >= 1" in out.err
+    for flags, message in (
+            (["--eta", "nan"], "eta must be a finite number >= 0"),
+            (["--eta", "inf"], "eta must be a finite number >= 0"),
+            (["--eta", "-1"], "eta must be a finite number >= 0"),
+            (["--bin-width", "0"], "bin width must be a finite number > 0"),
+            (["--bin-width", "-1"], "bin width must be a finite number > 0"),
+            (["--bin-width", "nan"], "bin width must be a finite number > 0"),
+            (["--bin-width", "inf"], "bin width must be a finite number > 0"),
+            (["--bin-width", "1e-320"], "more than 1000000 bins")):
+        rc, out = run(["scan-exceptional", "--A", "50", "--K", "4", "--eta",
+                       "0.1"] + flags, capsys)
+        assert rc == 1 and message in out.err, flags
+    # v_p(n, 1) never terminates, so p = 1 runs in a process with a timeout
+    proc = _python("-m", "cubesums.cli", "gamma", "--a", "2", "--p", "1",
+                   timeout=60)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr == "cubesums: p must be a prime, got p=1\n"
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out = run(["count", "--X", "5", "--output", str(target)], capsys)
+    assert rc == 1
+    assert out.err.startswith("cubesums: cannot write output: ")
+    assert "Traceback" not in out.err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("code", [
+    "import cubesums.cli, sys; sys.exit('scipy' in sys.modules)",
+    "import sys; from cubesums.cli import main; "
+    "sys.exit(main(['gamma', '--a', '2', '--p', '7']) or 'scipy' in sys.modules)",
+])
+def test_cli_leaves_scipy_unloaded(code):
+    # scipy is imported only where a spline is built (densities)
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("R", ["inf", "nan"])
@@ -216,11 +269,6 @@ sys.exit(main(["verify", "--suite", "local", "--max-modulus", "8"]))
 
 def test_verify_fails_under_optimize_flag():
     # python -O strips assert statements; verify checks must still fire
-    src = str(Path(cubesums.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("CUBESUMS_CACHE_DIR", None)
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_COUNTS],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _python("-O", "-c", _BROKEN_COUNTS)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "FAIL" in proc.stderr
