@@ -172,29 +172,11 @@ def v_p(n: int, p: int) -> int:
     return e
 
 
-def phi(n: int) -> int:
-    out = 1
-    for p, e in factor(n).factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def mobius(n: int) -> int:
     fac = factor(n).factors
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def tau(n: int) -> int:
-    out = 1
-    for _, e in factor(n).factors:
-        out *= e + 1
-    return out
-
-
-def omega(n: int) -> int:
-    return len(factor(n).factors)
 
 
 def rad(n: int) -> int:
@@ -224,36 +206,6 @@ def sq_cub_parts(n: int) -> PartDecomposition:
         if e >= 3:
             cub *= p**e
     return PartDecomposition(n, sq, cub)
-
-
-def in_square_full_family(a: int, bound: int) -> bool:
-    """a nonzero with square-full part of |a| at most `bound`."""
-    return a != 0 and sq_cub_parts(abs(a)).square_full <= bound
-
-
-def crt_combine(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine residue constraints x = r_i (mod m_i) for pairwise coprime m_i.
-
-    Returns (r, m) with m the product modulus and 0 <= r < m.  Raises
-    ValueError naming the offending moduli if any pair shares a factor.
-    """
-    if not pairs:
-        return (0, 1)
-    mods = [m for _, m in pairs]
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if math.gcd(mods[i], mods[j]) != 1:
-                raise ValueError(
-                    f"moduli {mods[i]} and {mods[j]} are not coprime"
-                )
-    r, m = pairs[0]
-    r %= m
-    for r2, m2 in pairs[1:]:
-        # x = r (mod m), x = r2 (mod m2): lift with the inverse of m mod m2
-        t = ((r2 - r) * pow(m, -1, m2)) % m2
-        r += m * t
-        m *= m2
-    return (r, m)
 
 
 def lcm(*ns: int) -> int:

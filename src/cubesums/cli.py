@@ -202,8 +202,7 @@ def _cmd_gamma(args, cfg, fmt):
 def _cmd_density(args, cfg, fmt):
     R = _pick(args, cfg, "R", float, default=2.0)
     grid = _pick(args, cfg, "grid", int, default=256)
-    rel_tol = _pick(args, cfg, "tol", float, default=1e-6)
-    table = density_table(nu_star(R), grid_size=grid, rel_tol=rel_tol)
+    table = density_table(nu_star(R), grid_size=grid)
     if fmt == "json":
         return _json_text({"weight": table.weight_name, "R": table.R,
                            "grid": table.grid, "sigma": table.values,
@@ -240,9 +239,7 @@ def _cmd_sieved(args, cfg, fmt):
     X = _pick(args, cfg, "X", int, required=True)
     K = _pick(args, cfg, "K", int, required=True)
     hp = variance.HypothesisParams(
-        xi=_pick(args, cfg, "xi", int, default=1),
         delta=_pick(args, cfg, "delta", float, default=0.1),
-        k=_pick(args, cfg, "k", int, default=3),
         hbar=_pick(args, cfg, "hbar", float, required=True),
     )
     R = _pick(args, cfg, "R", float, default=2.0)
@@ -343,7 +340,7 @@ def _verify_lattice() -> list[str]:
         brute = lattice.pair_count_bruteforce(10, d, w)
         _require(exact == brute, f"pair count mismatch at d={d}")
         lines.append(f"ok pair count d={d}")
-    sp = lattice.special_count(10, 1, w)
+    sp = lattice.special_count(10, 1, w, table=table)
     _require(sp.diag + sp.correction == sp.formula_value,
              "special-count identity")
     lines.append("ok special-count identity")
@@ -438,7 +435,6 @@ def _build_parser() -> _Parser:
     p = add("density", "archimedean density table")
     p.add_argument("--R", type=float)
     p.add_argument("--grid", type=int)
-    p.add_argument("--tol", type=float)
 
     p = add("count", "weighted lattice counts N_w(a; X)")
     p.add_argument("--X", type=int)
@@ -456,8 +452,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--K", type=int)
     p.add_argument("--hbar", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--xi", type=int)
     p.add_argument("--R", type=float)
 
     p = add("verify", "exact identity suites")

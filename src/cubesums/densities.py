@@ -259,9 +259,9 @@ def density_table(weight: Weight, grid_size: int = 256,
 
     Interpolation is validated at random off-grid points against direct
     (non-interpolated) sigma_inf; if the max relative error reaches 1e-3 the
-    grid is refined once, and a second failure raises with the worst
-    offending a-tilde.  One table is built per weight object and argument
-    tuple, however the arguments are spelled at the call site.
+    grid is refined once, and a second failure raises ValueError naming the
+    worst offending a-tilde.  One table is built per weight object and
+    argument tuple, however the arguments are spelled at the call site.
     """
     _require_very_clean(weight)
     if grid_size < 64:
@@ -297,7 +297,7 @@ def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
         if worst < 1e-3:
             return table
         size *= 2
-    raise RuntimeError(
+    raise ValueError(
         f"density table failed validation after refinement: relative error "
         f"{worst:.3e} at a_tilde={worst_at!r}"
     )
@@ -354,6 +354,7 @@ def pure_l2_moment(weight: Weight, grid_size: int = 256) -> float:
     return density_table(weight, grid_size).integrate_square()
 
 
+@lru_cache(maxsize=None)
 def mixed_l1_moment(weight: Weight, grid_size: int = 256,
                     rel_tol: float = 1e-5) -> float:
     """Integral of nu(z) * sigma_inf(F0(z)) over z (X-independent).

@@ -12,10 +12,12 @@ constant on such an orbit and F0 is permutation-invariant and odd; no
 support point has a zero coordinate or y_i = -y_j, so F0 != 0 there (Fermat,
 n = 3).  A sorted representative y1 <= y2 <= y3 with F0(y) = a > 0 thus
 stands for exactly k = 6, 3 or 1 points at a and k points at -a, and nu is
-evaluated once for all 2k of them.  count_weighted and special_count both
-run on this walk.  The plain walk over every support point (_iter_alive,
-with a choice of loop order) is the oracle behind pair_count_bruteforce and
-the tests.
+evaluated once for all 2k of them.  count_weighted is the only caller of
+this walk; its CountTable keeps the walk's rows (a, k, nu), so special_count
+and pair_count reduce a table instead of walking again, and table_at is the
+one place that decides whether a caller's table is reused.  The plain walk
+over every support point (_iter_alive, with a choice of loop order) is the
+oracle behind pair_count_bruteforce and the tests.
 
 Weighted masses are floats, but every mass is a dyadic rational, so exact
 arithmetic is available on demand: each nu value converts losslessly to an
@@ -46,6 +48,7 @@ __all__ = [
     "prime_demo",
     "r3_nonneg",
     "special_count",
+    "table_at",
 ]
 
 EXACT_SHIFT = 1100  # nu values have denominator at most 2^1074
@@ -133,25 +136,13 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
                     yield a[alive], nu[alive], pts[alive]
 
 
-def _check_orbit_walk(X: int, weight: Weight) -> None:
-    """Reject a scale or a weight the orbit walk cannot count."""
-    if X < 1:
-        raise ValueError("X must be a positive integer")
-    if not (weight.symmetric and weight.very_clean):
-        raise ValueError(
-            "lattice counts require a symmetric very-clean weight")
-    if weight.B * X > _ENUM_BOUND:
-        raise ValueError(
-            f"enumeration bound exceeded: B*X = {weight.B * X} > {_ENUM_BOUND}")
-
-
 def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
     """Yield (a, k, nu_values, reps) blocks, one row per S3 x {+-1} orbit.
 
     reps are the sorted points y1 <= y2 <= y3 with 0 < F0(y) = a <= a_cap;
     nu is evaluated once per rep, and k in {6, 3, 1} counts its distinct
     permutations.  The orbit is those k points at a and their negatives at
-    -a, all of weight nu.  X and the weight must pass _check_orbit_walk.
+    -a, all of weight nu.  count_weighted checks X and the weight.
     """
     band = _band_values(X, weight)
     a_cap = int(math.floor(weight.a_support * X**3))
@@ -201,6 +192,10 @@ class CountTable:
     n_alive: int
     witnesses: np.ndarray  # (k, 4) rows [y1, y2, y3, a]
     exact: dict  # a -> integer mass at scale 2^-EXACT_SHIFT
+    # the orbit walk's rows in walk order: a > 0, orbit size k, nu
+    orbit_a: np.ndarray
+    orbit_k: np.ndarray
+    orbit_nu: np.ndarray
 
     def value(self, a: int) -> float:
         if abs(a) > self.offset:
@@ -232,51 +227,69 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     the table is exactly symmetric.  The weight must be symmetric and very
     clean (ValueError otherwise).  Deterministic: blocks are enumerated and
     accumulated in a fixed order.  exact=False skips the dyadic-integer
-    ledger (faster at large X).
+    ledger (faster at large X).  The table keeps the walk's rows, which
+    special_count reduces.
     """
-    _check_orbit_walk(X, weight)
+    if X < 1:
+        raise ValueError("X must be a positive integer")
+    if not (weight.symmetric and weight.very_clean):
+        raise ValueError(
+            "lattice counts require a symmetric very-clean weight")
+    if weight.B * X > _ENUM_BOUND:
+        raise ValueError(
+            f"enumeration bound exceeded: B*X = {weight.B * X} > {_ENUM_BOUND}")
     a_cap = int(math.floor(weight.a_support * X**3))
     if 2 * a_cap + 1 > _MAX_BINS:
         raise ValueError(
             f"dense fiber table would need {2 * a_cap + 1} bins; "
             f"reduce X (limit {_MAX_BINS})")
-    bins = np.zeros(2 * a_cap + 1)
-    point_counts = np.zeros(2 * a_cap + 1, dtype=np.int64)
-    n_alive = 0
+    # an empty first block, so that a walk without orbits concatenates too
+    rows = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
     witnesses = []
-    exact_map: dict = {}
     for a, k, nu, reps in _iter_orbits(X, weight):
-        idx = a + a_cap
-        np.add.at(bins, idx, k * nu)
-        np.add.at(point_counts, idx, k)
-        n_alive += 2 * int(k.sum())
+        rows.append((a, k, nu))
         if len(witnesses) < _WITNESS_CAP:
             take = min(_WITNESS_CAP - len(witnesses), len(a))
             witnesses.extend(
                 np.column_stack([reps[:take], a[:take]]).tolist())
-        if exact:
-            for ai, ki, vi in zip(a.tolist(), k.tolist(), nu.tolist()):
-                exact_map[ai] = exact_map.get(ai, 0) + ki * _dyadic_int(vi)
+    a, k, nu = map(np.concatenate, zip(*rows))
+    bins = np.zeros(2 * a_cap + 1)
+    point_counts = np.zeros(2 * a_cap + 1, dtype=np.int64)
+    np.add.at(bins, a + a_cap, k * nu)
+    np.add.at(point_counts, a + a_cap, k)
+    exact_map: dict = {}
+    if exact:
+        for ai, ki, vi in zip(a.tolist(), k.tolist(), nu.tolist()):
+            exact_map[ai] = exact_map.get(ai, 0) + ki * _dyadic_int(vi)
     # the mirrored orbit halves land on -a
     bins[:a_cap] = bins[:a_cap:-1]
     point_counts[:a_cap] = point_counts[:a_cap:-1]
-    exact_map.update({-a: n for a, n in exact_map.items()})
+    exact_map.update({-ai: n for ai, n in exact_map.items()})
     return CountTable(
         X=X, weight_name=weight.name, R=weight.R, offset=a_cap, bins=bins,
-        point_counts=point_counts, n_alive=n_alive,
+        point_counts=point_counts, n_alive=2 * int(k.sum()),
         witnesses=np.array(witnesses, dtype=np.int64).reshape(-1, 4),
-        exact=exact_map,
+        exact=exact_map, orbit_a=a, orbit_k=k, orbit_nu=nu,
     )
 
 
-def pair_count(X: int, d: int, weight: Weight,
+def table_at(X: int, weight: Weight | None,
+             table: CountTable | None = None) -> CountTable:
+    """The caller's table if given (it must be counted at X), else a float
+    count_weighted(X, weight); weight is not read when a table is given."""
+    if table is None:
+        return count_weighted(X, weight, exact=False)
+    if table.X != X:
+        raise ValueError(f"table was counted at X = {table.X}, not X = {X}")
+    return table
+
+
+def pair_count(X: int, d: int, weight: Weight | None,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if table is None:
-        table = count_weighted(X, weight, exact=False)
-    a_vals, masses = table.nonzero_items()
+    a_vals, masses = table_at(X, weight, table).nonzero_items()
     keep = a_vals % d == 0
     return float(np.dot(masses[keep], masses[keep]))
 
@@ -328,39 +341,35 @@ class SpecialCount:
     n_repeated: int  # contributing y with a repeated coordinate
 
 
-def special_count(X: int, d: int, weight: Weight) -> SpecialCount:
+def special_count(X: int, d: int, weight: Weight | None,
+                  table: CountTable | None = None) -> SpecialCount:
     """Exact diagonal count; diag + correction = formula_value exactly.
 
     Each unordered orbit member is one pair partner, so y contributes
     orb(y) * nu^2 with orb = 6, 3, 1 for distinct, one-repeated, all-equal
-    coordinates; the 3!-formula pretends orb = 6 always.  Runs on the orbit
-    walk, where orb is the k of the rep and the 2k points of an orbit share
-    one nu value.
+    coordinates; the 3!-formula pretends orb = 6 always.  A reduction over
+    the orbit rows of the table at X (table_at builds one if none is given):
+    orb is the row's k, and the 2k points of a row share one nu value.
     """
-    _check_orbit_walk(X, weight)
     if d < 1:
         raise ValueError("d must be a positive integer")
+    table = table_at(X, weight, table)
+    keep = table.orbit_a % d == 0  # d | a exactly when d | -a
+    k, nu = table.orbit_k[keep], table.orbit_nu[keep]
     diag_i = formula_i = corr_i = 0
-    n_repeated = 0
-    for a, k, nu, _reps in _iter_orbits(X, weight):
-        keep = a % d == 0  # d | a exactly when d | -a
-        if not keep.any():
-            continue
-        k, nu = k[keep], nu[keep]
-        n_repeated += 2 * int(k[k < 6].sum())
-        for ki, vi in zip(k.tolist(), nu.tolist()):
-            mass = 2 * ki * _dyadic_int(vi) ** 2  # nu^2 at 2k points
-            diag_i += ki * mass
-            formula_i += 6 * mass
-            corr_i += (6 - ki) * mass
+    for ki, vi in zip(k.tolist(), nu.tolist()):
+        mass = 2 * ki * _dyadic_int(vi) ** 2  # nu^2 at 2k points
+        diag_i += ki * mass
+        formula_i += 6 * mass
+        corr_i += (6 - ki) * mass
     if diag_i + corr_i != formula_i:  # exact integer identity
         raise CheckFailed(f"special count: diag + correction != formula at X={X}")
     return SpecialCount(
-        X=X, d=d, weight_name=weight.name,
+        X=X, d=d, weight_name=table.weight_name,
         diag=exact_to_float(diag_i, 2 * EXACT_SHIFT),
         formula_value=exact_to_float(formula_i, 2 * EXACT_SHIFT),
         correction=exact_to_float(corr_i, 2 * EXACT_SHIFT),
-        n_repeated=n_repeated,
+        n_repeated=2 * int(k[k < 6].sum()),
     )
 
 

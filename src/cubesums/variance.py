@@ -33,7 +33,7 @@ from .expsums import (
     singular_series_level_d,
     t_full,
 )
-from .lattice import CountTable, count_weighted, pair_count, special_count
+from .lattice import CountTable, pair_count, special_count, table_at
 from .series import series_window
 from .weights import Weight, nu_star
 
@@ -58,14 +58,10 @@ __all__ = [
 class HypothesisParams:
     """Experiment configuration; the hypothesis itself is never asserted."""
 
-    xi: int = 1
     delta: float = 0.1
-    k: int = 3
     hbar: float = 0.045
 
     def __post_init__(self):
-        if self.xi not in (0, 1):
-            raise ValueError("xi must be 0 or 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not 0 < self.hbar <= 9 * self.delta / 20:
@@ -111,8 +107,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
     t0 = time.perf_counter()
-    if table is None:
-        table = count_weighted(X, weight, exact=False)
+    table = table_at(X, weight, table)
     dtab = density_table(weight)
     _a, N, s, sig = _window_vectors(table, K, d, dtab)
     ssig = s * sig
@@ -127,7 +122,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
     series = singular_series_level_d(d, n_max=48)
     main_term = series.euler * pure_l2_moment(weight) * float(X) ** 3
     if with_special:
-        special = special_count(X, d, weight).diag
+        special = special_count(X, d, weight, table=table).diag
     else:
         special = 0.0
     return VarianceReport(
@@ -152,12 +147,11 @@ class HLErrorReport:
 def hl_error(X: int, d: int, weight: Weight,
              table: CountTable | None = None) -> HLErrorReport:
     """E(X; d) = pair_count - singular_series * pure_moment * X^3 - special."""
-    if table is None:
-        table = count_weighted(X, weight, exact=False)
+    table = table_at(X, weight, table)
     pair = pair_count(X, d, weight, table=table)
     series = singular_series_level_d(d, n_max=48)
     main = series.euler * pure_l2_moment(weight) * float(X) ** 3
-    diag = special_count(X, d, weight).diag
+    diag = special_count(X, d, weight, table=table).diag
     E = pair - main - diag
     return HLErrorReport(X=X, d=d, pair=pair, main_term=main,
                          special_diag=diag, E=E, E_over_X3=E / float(X) ** 3)
@@ -305,8 +299,7 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
         raise ValueError(f"X^hbar = {threshold:.2f} exceeds the filter cap 20")
     sieve_primes = [p for p in primes_below(21) if p < threshold]
     P = math.prod(sieve_primes) if sieve_primes else 1
-    if table is None:
-        table = count_weighted(X, weight, exact=False)
+    table = table_at(X, weight, table)
     dtab = density_table(weight)
     a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
     diff = N - s * sig
@@ -382,7 +375,7 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
         for R in R_list:
             eta = math.log(R) ** (-10.0 / j)
             nu = nu_star(R)
-            table = count_weighted(X, nu, exact=False)
+            table = table_at(X, nu)
             dtab = density_table(nu)
             a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
             window = np.abs(a_vec) <= A

@@ -60,37 +60,11 @@ def test_sq_cub_parts_divide_and_split(n):
     assert math.gcd(rest, d.square_full) == 1
 
 
-def test_crt_examples():
-    assert arith.crt_combine([(1, 2), (2, 3)]) == (5, 6)
-    assert arith.crt_combine([(0, 4), (3, 7)]) == (24, 28)
-    assert arith.crt_combine([]) == (0, 1)
-
-
-def test_crt_rejects_shared_factor_with_message():
-    with pytest.raises(ValueError, match=r"4 and 6"):
-        arith.crt_combine([(1, 4), (3, 6)])
-
-
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 7, 11, 13])), max_size=4))
-def test_crt_solves_all_congruences(pairs):
-    mods = [m for _, m in pairs]
-    if len(set(mods)) < len(mods):
-        return  # duplicated primes are legitimately rejected
-    r, m = arith.crt_combine(pairs)
-    assert m == math.prod(mods) if pairs else m == 1
-    assert 0 <= r < m
-    for ri, mi in pairs:
-        assert (r - ri) % mi == 0
-
-
 def test_multiplicative_helpers_match_sympy():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randrange(1, 10**6)
-        assert arith.phi(n) == sympy.totient(n)
         assert arith.mobius(n) == sympy.mobius(n)
-        assert arith.tau(n) == sympy.divisor_count(n)
-        assert arith.omega(n) == len(sympy.factorint(n))
         assert arith.rad(n) == math.prod(sympy.primefactors(n))
 
 
@@ -116,13 +90,6 @@ def test_admissible_classes():
     bad = [a for a in range(-20, 21) if not arith.admissible(a)]
     assert bad == [a for a in range(-20, 21) if a % 9 in (4, 5)]
     assert arith.admissible(0) and arith.admissible(3) and not arith.admissible(-4)
-
-
-def test_square_full_family_membership():
-    assert arith.in_square_full_family(6, 1)        # squarefree
-    assert not arith.in_square_full_family(12, 2)   # sq part 4 > 2
-    assert arith.in_square_full_family(12, 4)
-    assert not arith.in_square_full_family(0, 100)  # zero excluded
 
 
 def test_primes_below():

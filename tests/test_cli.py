@@ -125,6 +125,13 @@ def test_validation_errors(capsys):
         rc, out = run(["scan-exceptional", "--A", "50", "--K", "4", "--eta",
                        "0.1"] + flags, capsys)
         assert rc == 1 and message in out.err, flags
+    # a grid too coarse to pass validation after one refinement; in process,
+    # because a fresh interpreter would rebuild the S1 spline
+    for grid in ("64", "96", "128"):
+        rc, out = run(["density", "--grid", grid], capsys)
+        assert rc == 1, grid
+        assert "density table failed validation after refinement" in out.err
+        assert "Traceback" not in out.err
     # v_p(n, 1) never terminates, so p = 1 runs in a process with a timeout
     proc = _python("-m", "cubesums.cli", "gamma", "--a", "2", "--p", "1",
                    timeout=60)

@@ -206,7 +206,7 @@ def test_special_count_identity(nu2):
     assert sc2.formula_value <= sc.formula_value
 
 
-def test_special_count_matches_per_point_oracle(nu2):
+def test_special_count_matches_per_point_oracle(nu2, tab10):
     # every support point y contributes (#distinct permutations) * nu(y)^2
     points = []
     for a, nu, pts in _iter_alive(10, nu2):
@@ -222,6 +222,8 @@ def test_special_count_matches_per_point_oracle(nu2):
         assert sc.formula_value == exact_to_float(formula, 2 * EXACT_SHIFT)
         assert sc.correction == exact_to_float(formula - diag, 2 * EXACT_SHIFT)
         assert sc.n_repeated == sum(1 for _sq, orb in fib if orb < 6)
+        # the reduction of a given (exact-ledger) table, field for field
+        assert special_count(10, d, nu2, table=tab10) == sc
 
 
 def test_special_count_rejects_asymmetric():

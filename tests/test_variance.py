@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cubesums import lattice
 from cubesums.densities import _density_table
-from cubesums.lattice import count_weighted, pair_count
+from cubesums.lattice import count_weighted, pair_count, special_count
 from cubesums.variance import (
     HypothesisParams,
     hl_error,
@@ -31,13 +32,11 @@ def tab20(nu2):
 
 
 def test_hypothesis_params_ranges():
-    HypothesisParams(xi=1, delta=0.1, k=3, hbar=0.045)
+    HypothesisParams(delta=0.1, hbar=0.045)
     with pytest.raises(ValueError):
-        HypothesisParams(xi=2, delta=0.1, k=3, hbar=0.01)
+        HypothesisParams(delta=-1.0, hbar=0.01)
     with pytest.raises(ValueError):
-        HypothesisParams(xi=1, delta=-1.0, k=3, hbar=0.01)
-    with pytest.raises(ValueError):
-        HypothesisParams(xi=1, delta=0.1, k=3, hbar=0.05)  # > 9*delta/20
+        HypothesisParams(delta=0.1, hbar=0.05)  # > 9*delta/20
 
 
 def test_moment_check_K1_d1():
@@ -119,20 +118,51 @@ def test_hl_error_consistent_with_variance(nu2, tab20):
     assert math.isfinite(h.E_over_X3)
 
 
+def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
+    # the special term reduces the count table: no second walk
+    walks = []
+    walk = lattice._iter_orbits
+
+    def counted(X, weight, *args, **kwargs):
+        walks.append(X)
+        return walk(X, weight, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_iter_orbits", counted)
+    variance(20, 4, 1, nu2, table=tab20, with_special=True)
+    hl_error(20, 1, nu2, table=tab20)
+    assert walks == []
+    variance(20, 4, 1, nu2, with_special=True)
+    assert walks == [20]
+    hl_error(20, 1, nu2)
+    assert walks == [20, 20]
+
+
+def test_table_at_another_X_is_rejected(nu2, tab20):
+    hp = HypothesisParams(delta=0.1, hbar=0.045)
+    calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
+             lambda: hl_error(30, 1, nu2, table=tab20),
+             lambda: sieved_variance(30, 4, hp, nu2, table=tab20),
+             lambda: pair_count(30, 1, None, table=tab20),
+             lambda: special_count(30, 1, nu2, table=tab20))
+    for call in calls:
+        with pytest.raises(ValueError, match="counted at X = 20, not X = 30"):
+            call()
+
+
 def test_singular_series_positive():
     assert singular_series_positive_scan(50) > 0.0
 
 
 def test_sieved_variance_filter(nu2, tab20):
     # X^hbar = 6: primes {2,3,5}, H = 1 + 1 + 1/2 + 1/4 exactly
-    hp = HypothesisParams(xi=1, delta=1.4, k=3,
+    hp = HypothesisParams(delta=1.4,
                           hbar=math.log(6.0) / math.log(20.0) * 0.9999)
     sv = sieved_variance(20, 4, hp, nu2, table=tab20)
     assert sv.P == 30
     assert sv.filtered <= sv.unfiltered
     assert sv.H == Fraction(11, 4)
     # X^hbar = 10 adds d = 6, 7: + 1/2 + 55/288
-    hp10 = HypothesisParams(xi=1, delta=1.8, k=3,
+    hp10 = HypothesisParams(delta=1.8,
                             hbar=math.log(10.0) / math.log(20.0) * 0.9999)
     sv10 = sieved_variance(20, 4, hp10, nu2, table=tab20)
     assert sv10.H == Fraction(991, 288)
@@ -140,7 +170,7 @@ def test_sieved_variance_filter(nu2, tab20):
 
 
 def test_sieved_variance_trivial_filter(nu2, tab20):
-    hp = HypothesisParams(xi=1, delta=0.1, k=3, hbar=0.02)  # X^hbar < 2
+    hp = HypothesisParams(delta=0.1, hbar=0.02)  # X^hbar < 2
     sv = sieved_variance(20, 4, hp, nu2, table=tab20)
     assert sv.P == 1
     assert sv.filtered == sv.unfiltered
