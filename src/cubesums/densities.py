@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import (Weight, bump, f0, _six_forms, is_nu_star,
-                      sobolev_estimate)
+from .weights import (Weight, bump, f0, _six_forms, _w2_product,
+                      is_nu_star, sobolev_estimate)
 
 if TYPE_CHECKING:
     # importing scipy.interpolate costs more time and memory than the rest of
@@ -90,10 +90,7 @@ def chi_surface(b: float, rel_tol: float = 3e-7) -> float:
         m = np.abs(z1) >= 0.5
         if m.any():
             forms = _six_forms(np.column_stack([z1[m], z2[m], z3[m]]))
-            prod = bump("w2", forms[:, 0])
-            for k in range(1, 6):
-                prod *= bump("w2", forms[:, k])
-            out[m] = prod / (3.0 * z1[m] ** 2)
+            out[m] = _w2_product(forms, 1.0)[:, 0] / (3.0 * z1[m] ** 2)
         return out
 
     res = adaptive_integrate(integrand, (-11.0, -11.0), (11.0, 11.0),
@@ -299,7 +296,7 @@ def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
         size *= 2
     raise ValueError(
         f"density table failed validation after refinement: relative error "
-        f"{worst:.3e} at a_tilde={worst_at!r}"
+        f"{worst:.3e} at a_tilde={float(worst_at)!r}"
     )
 
 

@@ -184,8 +184,7 @@ class CountTable:
     """Dense fiber table a -> N_{a,nu}(X) plus exact dyadic masses."""
 
     X: int
-    weight_name: str
-    R: float
+    weight: Weight
     offset: int  # index of a = 0; valid a are |a| <= offset
     bins: np.ndarray  # float64 masses N_{a,nu}(X)
     point_counts: np.ndarray  # int64 number of contributing lattice points
@@ -266,7 +265,7 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     point_counts[:a_cap] = point_counts[:a_cap:-1]
     exact_map.update({-ai: n for ai, n in exact_map.items()})
     return CountTable(
-        X=X, weight_name=weight.name, R=weight.R, offset=a_cap, bins=bins,
+        X=X, weight=weight, offset=a_cap, bins=bins,
         point_counts=point_counts, n_alive=2 * int(k.sum()),
         witnesses=np.array(witnesses, dtype=np.int64).reshape(-1, 4),
         exact=exact_map, orbit_a=a, orbit_k=k, orbit_nu=nu,
@@ -275,12 +274,18 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
 
 def table_at(X: int, weight: Weight | None,
              table: CountTable | None = None) -> CountTable:
-    """The caller's table if given (it must be counted at X), else a float
-    count_weighted(X, weight); weight is not read when a table is given."""
+    """The caller's table if given, else a float count_weighted(X, weight).
+
+    A given table must be counted at X and, unless weight is None, with
+    this weight object (ValueError otherwise)."""
     if table is None:
         return count_weighted(X, weight, exact=False)
     if table.X != X:
         raise ValueError(f"table was counted at X = {table.X}, not X = {X}")
+    if weight is not None and table.weight is not weight:
+        raise ValueError(
+            f"table was counted with another weight ({table.weight.name}, "
+            f"R = {table.weight.R}), not {weight.name} with R = {weight.R}")
     return table
 
 
@@ -365,7 +370,7 @@ def special_count(X: int, d: int, weight: Weight | None,
     if diag_i + corr_i != formula_i:  # exact integer identity
         raise CheckFailed(f"special count: diag + correction != formula at X={X}")
     return SpecialCount(
-        X=X, d=d, weight_name=table.weight_name,
+        X=X, d=d, weight_name=table.weight.name,
         diag=exact_to_float(diag_i, 2 * EXACT_SHIFT),
         formula_value=exact_to_float(formula_i, 2 * EXACT_SHIFT),
         correction=exact_to_float(corr_i, 2 * EXACT_SHIFT),

@@ -359,7 +359,3 @@ def moment_report(p_list: list[int], l_caps: int | dict[int, int] = 2, r: int = 
             best = (ratio, mods)
         rows.append(MomentRow(mods, abs_mean, signed, shape, ratio))
     return MomentReport(r, rows, best[0], best[1])
-
-
-def is_square_full(n: int) -> bool:
-    return n == 1 or sq_cub_parts(n).square_full == n

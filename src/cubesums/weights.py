@@ -40,7 +40,11 @@ __all__ = [
     "step",
 ]
 
-_CHUNK = 16384
+# row x node cells per block of the r-integral.  2^15 cells make each float64
+# temporary 256 KB, which stays in cache; with 512 KB blocks a fresh process
+# page-faults heavily, as the allocator hands them back to the system after
+# each chunk and faults them in again for the next
+_CHUNK_CELLS = 1 << 15
 
 
 def f0(y: np.ndarray) -> np.ndarray:
@@ -167,6 +171,29 @@ def _six_forms(y: np.ndarray) -> np.ndarray:
     return forms
 
 
+def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
+    """prod_k w2(forms[:, k] / r) over the columns of forms, shape (n, m)
+    for an (n, m) array r of scales and (n, 1) for a scalar r.
+
+    Equal bit for bit to the product of bump("w2", forms[:, k][:, None] / r)
+    taken in k order: a factor on the plateau [1, 10] is exactly 1.0, so only
+    the band factors are multiplied in.  Each is _step_core of a gathered,
+    contiguous operand, as in bump (numpy's SIMD exp may round strided input
+    differently); t <= 1/2 and t >= 11 give step 0.
+    """
+    out = np.ones(np.broadcast_shapes((len(forms), 1), np.shape(r)))
+    flat = out.reshape(-1)
+    for k in range(forms.shape[1]):
+        t = (forms[:, k, None] / r).reshape(-1)
+        rise = np.flatnonzero(t < 1.0)
+        if rise.size:
+            flat[rise] *= _step_core(2.0 * t[rise] - 1.0)
+        fall = np.flatnonzero(t > 10.0)
+        if fall.size:
+            flat[fall] *= _step_core(11.0 - t[fall])
+    return out
+
+
 def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       panels: int, order: int) -> np.ndarray:
     """int_{lo_i}^{hi_i} prod_k w2(forms[i,k]/r) dr/r, composite GL in log r."""
@@ -174,13 +201,12 @@ def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
     wts = np.tile(np.asarray(w), panels) / panels
     out = np.empty(len(forms))
-    for start in range(0, len(forms), _CHUNK):
-        sl = slice(start, start + _CHUNK)
+    rows = max(1, _CHUNK_CELLS // len(offs))
+    for start in range(0, len(forms), rows):
+        sl = slice(start, start + rows)
         span = np.log(hi[sl]) - np.log(lo[sl])
         r = np.exp(np.log(lo[sl])[:, None] + span[:, None] * offs[None, :])
-        prod = bump("w2", forms[sl, 0][:, None] / r)
-        for k in range(1, 6):
-            prod *= bump("w2", forms[sl, k][:, None] / r)
+        prod = _w2_product(forms[sl], r)
         # einsum reduces each row on its own; a BLAS matrix-vector product
         # rounds differently with the batch size, and the orbit walk in
         # lattice needs nu(y) to be a pure function of y

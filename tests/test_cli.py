@@ -132,6 +132,7 @@ def test_validation_errors(capsys):
         assert rc == 1, grid
         assert "density table failed validation after refinement" in out.err
         assert "Traceback" not in out.err
+        assert "np.float64" not in out.err  # a plain float, not a numpy repr
     # v_p(n, 1) never terminates, so p = 1 runs in a process with a timeout
     proc = _python("-m", "cubesums.cli", "gamma", "--a", "2", "--p", "1",
                    timeout=60)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cubesums.densities import (
+    chi_surface,
     density_table,
     derivative_probe,
     fast_route_deviation,
@@ -47,6 +48,22 @@ def test_fast_route_matches_direct_quadrature(nu2):
     # tabulated S1 route vs literal 2-d adaptive surface integral
     dev = fast_route_deviation(R=2.0, probes=(0.0, 0.9))
     assert dev < 1e-5
+
+
+def test_chi_surface_frozen_bits():
+    # the S1 table's node values; any change to the w2 product shows here
+    for b, bits in ((0.0, "0x1.ce305806fa3dbp-3"),
+                    (1.3, "0x1.d68857e51a28bp-3"),
+                    (2.9, "0x1.361f3cb9d0416p-2")):
+        assert chi_surface(b).hex() == bits, b
+
+
+def test_sigma_direct_frozen_bits(nu2):
+    # one probe where the w0 factor is 1 and one on its falling band
+    for atil, bits in ((0.5, "0x1.406e02b69ebe1p-3"),
+                       (2.6, "0x1.9334ed43a6782p-5")):
+        value = sigma_inf(atil, 1.0, nu2, method="direct", rel_tol=1e-4)
+        assert value.hex() == bits, atil
 
 
 def test_table_validation_and_symmetry(nu2, table2):

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from cubesums import series as S
-from cubesums.arith import admissible
+from cubesums.arith import admissible, factor
 from cubesums.expsums import t_single
+
+
+def _square_full(n):
+    # every prime divides n at least twice; 1 counts as square-full
+    return all(e >= 2 for _, e in factor(n).factors)
 
 
 def test_s_value_frozen():
@@ -140,7 +145,7 @@ def test_moment_report_frozen_and_vanishing():
         assert rows[(p, 1)].signed_mean == 0
         assert rows[(1, p)].signed_mean == 0
     for mods, row in rows.items():
-        if not S.is_square_full(math.prod(mods)):
+        if not _square_full(math.prod(mods)):
             assert row.signed_mean == 0, mods
     # m = n = 7: exact positive second moment
     assert rows[(7, 7)].abs_moment > 0
@@ -155,10 +160,5 @@ def test_moment_report_r2_blocks():
     assert quads, "r=2 grid should contain coprime two-prime blocks"
     for row in quads:
         assert math.gcd(math.prod(row.moduli[:2]), math.prod(row.moduli[2:])) == 1
-        if not S.is_square_full(math.prod(row.moduli)):
+        if not _square_full(math.prod(row.moduli)):
             assert row.signed_mean == 0, row.moduli
-
-
-def test_is_square_full():
-    assert S.is_square_full(1) and S.is_square_full(4) and S.is_square_full(72 * 2)
-    assert not S.is_square_full(12)

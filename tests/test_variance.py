@@ -149,6 +149,17 @@ def test_table_at_another_X_is_rejected(nu2, tab20):
             call()
 
 
+def test_table_of_another_weight_is_rejected(nu2):
+    # reduced for R = 4, an R = 2 table would give the R = 2 diagonal
+    # 1274.61 in place of 3045.43
+    tab = count_weighted(10, nu2, exact=False)
+    nu4 = nu_star(4.0)
+    for call in (lambda: special_count(10, 1, nu4, table=tab),
+                 lambda: pair_count(10, 1, nu4, table=tab)):
+        with pytest.raises(ValueError, match="counted with another weight"):
+            call()
+
+
 def test_singular_series_positive():
     assert singular_series_positive_scan(50) > 0.0
 

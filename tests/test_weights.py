@@ -1,5 +1,6 @@
 """Smooth weights: bumps, the symmetric form f0, and the nu* family."""
 
+import hashlib
 import itertools
 import math
 
@@ -16,7 +17,10 @@ from cubesums.weights import (
     sample_support_candidates,
     sobolev_estimate,
     step,
+    _CHUNK_CELLS,
+    _r_rule_params,
     _six_forms,
+    _w2_product,
 )
 
 
@@ -93,16 +97,60 @@ def test_nu_star_evaluate_is_row_pure():
     # the lattice orbit walk evaluates nu once per orbit representative, so
     # a row's value must not depend on the rows batched with it
     nu = nu_star(2.0)
-    pts = sample_support_candidates(2.0, 16385 + 7, seed=11)
+    pts = sample_support_candidates(2.0, 16392, seed=11)
     whole = nu.evaluate(pts)
     live = np.flatnonzero(whole > 0.0)
     assert len(live) > 1000
     for i in np.concatenate([live[:200], np.arange(20)]):
         assert nu.evaluate(pts[i:i + 1])[0] == whole[i]
-    # across the 16384-row chunk boundary and at shifted batch offsets
-    for lo, hi in ((0, 16384), (0, 16385), (16383, len(pts)), (7, 16392),
-                   (1, 168)):
-        assert np.array_equal(nu.evaluate(pts[lo:hi]), whole[lo:hi])
+    assert np.array_equal(nu.evaluate(pts[7:]), whole[7:])
+    # every point of y reaches the r-integral, so these batches straddle its
+    # chunk boundary at `rows` and shift the rows within a chunk
+    panels, order = _r_rule_params(2.0)
+    rows = _CHUNK_CELLS // (panels * order)
+    y, vy = pts[live], whole[live]
+    assert len(y) > rows + 8
+    for lo, hi in ((0, rows), (0, rows + 1), (rows - 1, len(y)),
+                   (7, rows + 8), (1, 168)):
+        assert np.array_equal(nu.evaluate(y[lo:hi]), vy[lo:hi])
+
+
+def _w2_product_by_bump(forms, r):
+    # definitional: one bump("w2", .) per form, multiplied in k order
+    prod = bump("w2", forms[:, 0][:, None] / r)
+    for k in range(1, forms.shape[1]):
+        prod *= bump("w2", forms[:, k][:, None] / r)
+    return prod
+
+
+def test_w2_product_equals_bump_product():
+    rng = np.random.default_rng(17)
+    # t = form / r lands exactly on the band edges 0.5, 1, 10 and 11 where
+    # r is 1 or 2, and on both sides of them elsewhere
+    edges = np.array([0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 11.0, 20.0, 22.0])
+    forms = np.concatenate([rng.choice(edges, size=(300, 6)),
+                            rng.uniform(0.2, 24.0, size=(700, 6))])
+    forms[::2].sort(axis=1)  # sorted rows as _six_forms gives, and unsorted
+    r = np.column_stack([np.ones(len(forms)), np.full(len(forms), 2.0),
+                         rng.uniform(0.5, 2.5, size=(len(forms), 30))])
+    t = forms[:, :, None] / r[:, None, :]
+    for edge in (0.5, 1.0, 10.0, 11.0):
+        assert np.any(t == edge), edge
+    got = _w2_product(forms, r)
+    assert np.array_equal(got, _w2_product_by_bump(forms, r))
+    assert 0.0 < np.count_nonzero(got) < got.size
+    assert np.any((got > 0.0) & (got < 1.0)) and np.any(got == 1.0)
+    # a scalar scale, as the S1 surface integrand passes it
+    assert np.array_equal(_w2_product(forms, 1.0),
+                          _w2_product_by_bump(forms, 1.0))
+
+
+def test_nu_star_evaluate_frozen_digest():
+    # 1911 live rows, several r-integral chunks: every bit of every value
+    v = nu_star(2.0).evaluate(sample_support_candidates(2.0, 20000, seed=5))
+    assert np.count_nonzero(v) == 1911
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "e9f022a07fbea2dcfded4a46d03571b424e48011c9c54423694a2e548cade209")
 
 
 def test_nu_star_support_examples():
