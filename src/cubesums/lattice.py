@@ -19,6 +19,11 @@ one place that decides whether a caller's table is reused.  The plain walk
 over every support point (_iter_alive, with a choice of loop order) is the
 oracle behind pair_count_bruteforce and the tests.
 
+Both walks buffer their candidates and evaluate nu once per block of them
+(_alive_rows), not once per leading coordinate: a call carries a fixed
+numpy cost, and one leading coordinate has only a few dozen candidates.
+nu_star.evaluate is row-pure, so the block changes no bit of any value.
+
 Weighted masses are floats, but every mass is a dyadic rational, so exact
 arithmetic is available on demand: each nu value converts losslessly to an
 integer at scale 2^-EXACT_SHIFT, and fiber products / special counts then
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,13 +96,40 @@ def _ragged_arange(lo: np.ndarray, hi: np.ndarray):
     return lo[row] + (t - starts[row]), row
 
 
+def _alive_rows(candidates, X: int, weight: Weight, block: int):
+    """Yield (a, nu_values, points) for the live rows of the candidates.
+
+    candidates yields (a, points) pieces in walk order.  nu is evaluated
+    once per run of pieces holding at least block candidates, and once more
+    for the rest, and the live rows come out in walk order.  A row-pure
+    weight (nu_star is) gives the same values at any block.
+    """
+    buf, n_buf = [], 0
+    for piece in candidates:
+        buf.append(piece)
+        n_buf += len(piece[0])
+        if n_buf >= block:
+            yield from _evaluate_alive(buf, X, weight)
+            buf, n_buf = [], 0
+    if buf:
+        yield from _evaluate_alive(buf, X, weight)
+
+
+def _evaluate_alive(pieces, X: int, weight: Weight):
+    a, pts = (np.concatenate(col) for col in zip(*pieces))
+    nu = weight.evaluate(pts.astype(float) / X)
+    alive = nu > 0.0
+    if alive.any():
+        yield a[alive], nu[alive], pts[alive]
+
+
 def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
     """Yield (a, nu_values, points) blocks over every support lattice point.
 
-    The oracle walk: nu is evaluated at each point separately.  order
-    permutes which coordinate is enumerated as (leading, second, solved);
-    the visited point set is identical for any order, which the loop-order
-    oracle exploits.
+    The oracle walk: nu is evaluated at each point, once per block of
+    candidates.  order permutes which coordinate is enumerated as (leading,
+    second, solved); the visited point set is identical for any order,
+    which the loop-order oracle exploits.
     """
     if not weight.clean:
         raise ValueError("lattice enumeration requires a clean weight")
@@ -106,62 +139,68 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
     # the support splits into a negative and a positive coordinate band
     pieces = ((int(band[0]), int(band[m // 2 - 1])),
               (int(band[m // 2]), int(band[-1])))
-    for i in range(m):
-        u = int(band[i])
-        u3 = u**3
-        for start in range(0, m, block):
-            v = band[start:start + block]
-            s = u3 + v**3
-            lo_f = np.cbrt(float(-a_cap) - s.astype(float))
-            hi_f = np.cbrt(float(a_cap) - s.astype(float))
-            lo_i = np.ceil(lo_f).astype(np.int64) - 1  # widen against
-            hi_i = np.floor(hi_f).astype(np.int64) + 1  # cbrt rounding
-            for blo, bhi in pieces:
-                w, row = _ragged_arange(np.maximum(lo_i, blo),
-                                        np.minimum(hi_i, bhi))
-                if not len(w):
-                    continue
-                a = s[row] + w**3  # exact int64
-                keep = np.abs(a) <= a_cap
-                if not keep.any():
-                    continue
-                w, row, a = w[keep], row[keep], a[keep]
-                pts = np.empty((len(w), 3), dtype=np.int64)
-                pts[:, order[0]] = u
-                pts[:, order[1]] = v[row]
-                pts[:, order[2]] = w
-                nu = weight.evaluate(pts.astype(float) / X)
-                alive = nu > 0.0
-                if alive.any():
-                    yield a[alive], nu[alive], pts[alive]
+
+    def candidates():
+        for i in range(m):
+            u = int(band[i])
+            u3 = u**3
+            for start in range(0, m, block):
+                v = band[start:start + block]
+                s = u3 + v**3
+                lo_f = np.cbrt(float(-a_cap) - s.astype(float))
+                hi_f = np.cbrt(float(a_cap) - s.astype(float))
+                lo_i = np.ceil(lo_f).astype(np.int64) - 1  # widen against
+                hi_i = np.floor(hi_f).astype(np.int64) + 1  # cbrt rounding
+                for blo, bhi in pieces:
+                    w, row = _ragged_arange(np.maximum(lo_i, blo),
+                                            np.minimum(hi_i, bhi))
+                    if not len(w):
+                        continue
+                    a = s[row] + w**3  # exact int64
+                    keep = np.abs(a) <= a_cap
+                    if not keep.any():
+                        continue
+                    w, row, a = w[keep], row[keep], a[keep]
+                    pts = np.empty((len(w), 3), dtype=np.int64)
+                    pts[:, order[0]] = u
+                    pts[:, order[1]] = v[row]
+                    pts[:, order[2]] = w
+                    yield a, pts
+
+    return _alive_rows(candidates(), X, weight, block)
 
 
 def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
     """Yield (a, k, nu_values, reps) blocks, one row per S3 x {+-1} orbit.
 
     reps are the sorted points y1 <= y2 <= y3 with 0 < F0(y) = a <= a_cap;
-    nu is evaluated once per rep, and k in {6, 3, 1} counts its distinct
-    permutations.  The orbit is those k points at a and their negatives at
-    -a, all of weight nu.  count_weighted checks X and the weight.
+    nu is evaluated once per rep, in one call per block of candidates, and k
+    in {6, 3, 1} counts its distinct permutations.  The orbit is those k
+    points at a and their negatives at -a, all of weight nu.  block bounds
+    the v-slice and sets the candidates per nu call.  count_weighted checks
+    X and the weight.
     """
     band = _band_values(X, weight)
     a_cap = int(math.floor(weight.a_support * X**3))
     m = len(band)
-    pieces = ((int(band[0]), int(band[m // 2 - 1])),
-              (int(band[m // 2]), int(band[-1])))
-    for i in range(m):
-        u = int(band[i])
-        u3 = u**3
-        for start in range(i, m, block):  # y2 >= y1
-            v = band[start:start + block]
-            s = u3 + v**3
-            sf = s.astype(float)
-            # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt rounding
-            lo_i = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1, v)
-            hi_i = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
-            for blo, bhi in pieces:
-                w, row = _ragged_arange(np.maximum(lo_i, blo),
-                                        np.minimum(hi_i, bhi))
+    # y3 is the largest coordinate and F0 > 0, so y3 lies in the positive band
+    y3_min, y3_max = int(band[m // 2]), int(band[-1])
+
+    def candidates():
+        for i in range(m):
+            u = int(band[i])
+            u3 = u**3
+            for start in range(i, m, block):  # y2 >= y1
+                v = band[start:start + block]
+                s = u3 + v**3
+                sf = s.astype(float)
+                # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt
+                # rounding
+                lo_i = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1,
+                                  v)
+                hi_i = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
+                w, row = _ragged_arange(np.maximum(lo_i, y3_min),
+                                        np.minimum(hi_i, y3_max))
                 if not len(w):
                     continue
                 a = s[row] + w**3  # exact int64
@@ -169,14 +208,12 @@ def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
                 if not keep.any():
                     continue
                 w, row, a = w[keep], row[keep], a[keep]
-                pts = np.column_stack([np.full(len(w), u), v[row], w])
-                nu = weight.evaluate(pts.astype(float) / X)
-                alive = nu > 0.0
-                if alive.any():
-                    pts = pts[alive]
-                    n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) \
-                        + (pts[:, 1] == pts[:, 2])
-                    yield a[alive], _ORBIT_SIZE[n_eq], nu[alive], pts
+                yield a, np.column_stack([np.full(len(w), u), v[row], w])
+
+    for a, nu, pts in _alive_rows(candidates(), X, weight, block):
+        n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) \
+            + (pts[:, 1] == pts[:, 2])
+        yield a, _ORBIT_SIZE[n_eq], nu, pts
 
 
 @dataclass
@@ -309,22 +346,30 @@ def pair_count_exact(table: CountTable, d: int) -> int:
 def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
     """Oracle: enumerate ordered pairs (y, z) with F0(y) = F0(z) = a, d | a.
 
-    Re-enumerates the lattice independently of any CountTable, groups the
-    contributing points by fiber, and sums nu(y/X) * nu(z/X) over every
-    ordered pair within each fiber (all cross-fiber terms vanish).  Returns
-    the exact integer at scale 2^-(2*EXACT_SHIFT).
+    Groups the points of the plain walk by fiber (_brute_fibers, independent
+    of any CountTable and kept for the last X and weight), and sums
+    nu(y/X) * nu(z/X) over every ordered pair within each fiber with d | a
+    (all cross-fiber terms vanish).  Returns the exact integer at scale
+    2^-(2*EXACT_SHIFT).
     """
-    fibers: dict = {}
-    for a, nu, _pts in _iter_alive(X, weight, order=(2, 0, 1)):
-        for ai, vi in zip(a.tolist(), nu.tolist()):
-            if ai % d == 0:
-                fibers.setdefault(ai, []).append(_dyadic_int(vi))
     total = 0
-    for vals in fibers.values():
+    for a, vals in _brute_fibers(X, weight).items():
+        if a % d:
+            continue
         for vi in vals:
             for vj in vals:
                 total += vi * vj
     return total
+
+
+@lru_cache(maxsize=1)
+def _brute_fibers(X: int, weight: Weight) -> dict:
+    """a -> exact dyadic nu of every support point on the fiber F0 = a."""
+    fibers: dict = {}
+    for a, nu, _pts in _iter_alive(X, weight, order=(2, 0, 1)):
+        for ai, vi in zip(a.tolist(), nu.tolist()):
+            fibers.setdefault(ai, []).append(_dyadic_int(vi))
+    return fibers
 
 
 def exact_to_float(n: int, scale: int = EXACT_SHIFT) -> float:

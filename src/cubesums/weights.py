@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -45,6 +46,9 @@ __all__ = [
 # page-faults heavily, as the allocator hands them back to the system after
 # each chunk and faults them in again for the next
 _CHUNK_CELLS = 1 << 15
+# the support reaches |y_l| = 11 R, so nu_star(R) needs 11 R finite; this is
+# the largest such R
+_R_MAX = sys.float_info.max / 11
 
 
 def f0(y: np.ndarray) -> np.ndarray:
@@ -241,8 +245,9 @@ def nu_star(R: float) -> Weight:
 
     One object per value of R, so nu_star(2) is nu_star(2.0) and every
     caller shares the memo entries keyed on it."""
-    if not (math.isfinite(R) and R >= 2):
-        raise ValueError(f"R must be a finite number >= 2, got {R}")
+    if not 2 <= R <= _R_MAX:
+        raise ValueError(
+            f"R must be a finite number >= 2 and <= {_R_MAX:.4g}, got {R}")
     return _nu_star(float(R))
 
 
@@ -250,7 +255,7 @@ def is_nu_star(weight: Weight) -> bool:
     """True when weight is the nu_star(R) object itself, not a weight that
     merely shares its name (fast routes read nothing but weight.R)."""
     R = weight.R
-    return math.isfinite(R) and R >= 2 and weight is nu_star(R)
+    return 2 <= R <= _R_MAX and weight is nu_star(R)
 
 
 @lru_cache(maxsize=None)

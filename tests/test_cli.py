@@ -160,8 +160,11 @@ def test_cli_leaves_scipy_unloaded(code):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("R", ["inf", "nan"])
-@pytest.mark.parametrize("argv", [["count", "--X", "2"], ["density"]])
+# 1e308 is finite, but the support bound 11 * R is not
+@pytest.mark.parametrize("R", ["inf", "nan", "1e308"])
+@pytest.mark.parametrize("argv", [
+    ["count", "--X", "2"], ["density"], ["variance", "--X", "4", "--K", "4"],
+    ["sieved", "--X", "4", "--K", "4", "--hbar", "0.04"]])
 def test_non_finite_R_rejected(argv, R, capsys):
     rc, out = run(argv + ["--R", R], capsys)
     assert rc == 1

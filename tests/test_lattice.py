@@ -10,6 +10,7 @@ from cubesums.lattice import (
     EXACT_SHIFT,
     _dyadic_int,
     _iter_alive,
+    _iter_orbits,
     count_weighted,
     exact_to_float,
     pair_count,
@@ -19,8 +20,9 @@ from cubesums.lattice import (
     r3_nonneg,
     special_count,
 )
+from cubesums import weights
 from cubesums.arith import primes_below
-from cubesums.weights import Weight, _six_forms, nu_star
+from cubesums.weights import Weight, _r_rule_params, _six_forms, nu_star
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,48 @@ def test_loop_order_oracle(nu2, tab10):
         assert np.array_equal(counts, tab10.point_counts)
         assert exact == tab10.exact
         assert np.allclose(bins, tab10.bins, rtol=1e-12, atol=1e-18)
+
+
+def _rows(walk):
+    return [np.concatenate(col) for col in zip(*walk)]
+
+
+def test_walks_are_block_invariant(nu2):
+    # nu is evaluated once per block of buffered candidates; a small block
+    # cuts the v-slices and the buffer into many pieces, and every row,
+    # its walk order and every bit of nu stay the same
+    small, whole = _rows(_iter_orbits(16, nu2, block=64)), \
+        _rows(_iter_orbits(16, nu2))
+    assert len(whole[0]) > 64 * 20
+    for got, want in zip(small, whole, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the plain walk takes each v-slice's two w-bands in turn, so its order
+    # moves with the slice; compare its rows sorted by point
+    small, whole = _rows(_iter_alive(10, nu2, block=64)), \
+        _rows(_iter_alive(10, nu2))
+    assert len(whole[0]) > 64 * 20
+    for got, want in zip(small, whole, strict=True):
+        got = got[np.lexsort(small[2].T)]
+        want = want[np.lexsort(whole[2].T)]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_count_evaluates_nu_once_per_block(nu2, monkeypatch):
+    # count_weighted(20) has about 40k candidates, under one default block,
+    # so the r-integral runs once (the parent walk made 288 calls, one per
+    # leading coordinate and sign piece)
+    _r_rule_params(nu2.R)  # the r-rule probes the integral too
+    calls = []
+    integral = weights._r_integral_fixed
+
+    def counted(forms, *args):
+        calls.append(len(forms))
+        return integral(forms, *args)
+
+    monkeypatch.setattr(weights, "_r_integral_fixed", counted)
+    table = count_weighted(20, nu2, exact=False)
+    assert 1 <= len(calls) <= 2
+    assert sum(calls) >= len(table.orbit_a)
 
 
 def test_look_alike_of_nu_star_uses_generic_band():

@@ -3,14 +3,17 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cubesums.weights import (
     DEFAULT_BUMPS,
+    Weight,
     bump,
     f0,
+    is_nu_star,
     nu_star,
     nu_star_support_volume,
     ramp,
@@ -18,6 +21,7 @@ from cubesums.weights import (
     sobolev_estimate,
     step,
     _CHUNK_CELLS,
+    _R_MAX,
     _r_rule_params,
     _six_forms,
     _w2_product,
@@ -88,9 +92,17 @@ def test_nu_star_flags_and_validation():
 
 
 def test_nu_star_rejects_non_finite_R():
-    for R in (math.inf, -math.inf, math.nan):
+    # B = ceil(11 R) needs 11 R finite too; _R_MAX is the largest such R
+    assert nu_star(_R_MAX).B >= 11 * _R_MAX
+    for R in (math.inf, -math.inf, math.nan, math.nextafter(_R_MAX, math.inf),
+              1e308, sys.float_info.max):
         with pytest.raises(ValueError, match="finite number >= 2"):
             nu_star(R)
+    # a look-alike weight at such an R is told apart, not rejected
+    look_alike = Weight(name="nu_star", R=1e308, B=1, clean=True,
+                        very_clean=True, symmetric=True, a_support=3.0,
+                        evaluate=lambda y: np.zeros(len(y)))
+    assert not is_nu_star(look_alike)
 
 
 def test_nu_star_evaluate_is_row_pure():
