@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,26 +75,40 @@ def _cube(t: np.ndarray) -> np.ndarray:
     return t * t * t
 
 
+def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
+    """prod w2(six forms)/(3 z1^2) at the surface points (z1, z2, z3) with
+    z1 = cbrt(b - z2^3 - z3^3), for an (N, 2) array of (z2, z3).
+
+    The product is exactly 0 unless all six forms lie in (1/2, 11), so the
+    forms are tested on contiguous 1-d arrays and only the rows that pass
+    are sorted and multiplied out; the others stay 0.0, as the full product
+    would give them.
+    """
+    z2, z3 = np.ascontiguousarray(pts.T)
+    z1 = np.cbrt(b - _cube(z2) - _cube(z3))
+    live = np.ones(len(pts), dtype=bool)
+    for form in (z1, z2, z3, z1 + z2, z1 + z3, z2 + z3):
+        a = np.abs(form)
+        live &= (a > 0.5) & (a < 11.0)
+    out = np.zeros(len(pts))
+    idx = np.flatnonzero(live)
+    if idx.size:
+        y1 = z1[idx]
+        forms = _six_forms(np.column_stack([y1, z2[idx], z3[idx]]))
+        out[idx] = _w2_product(forms, 1.0)[:, 0] / (3.0 * y1 ** 2)
+    return out
+
+
 def chi_surface(b: float, rel_tol: float = 3e-7) -> float:
     """S1(b): surface integral of prod w2(six forms)/(3 y1^2) at level b.
 
     chi is even and supported in 1/2 <= |y_l| <= 11, so the domain is
-    [-11, 11]^2 and rows with |y1| < 1/2 vanish.  S1 is even in b.
+    [-11, 11]^2, and _chi_integrand forms only the points where all six
+    forms lie inside the w2 support.  S1 is even in b.
     """
-
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        z2 = pts[:, 0]
-        z3 = pts[:, 1]
-        z1 = np.cbrt(b - _cube(z2) - _cube(z3))
-        out = np.zeros(len(pts))
-        m = np.abs(z1) >= 0.5
-        if m.any():
-            forms = _six_forms(np.column_stack([z1[m], z2[m], z3[m]]))
-            out[m] = _w2_product(forms, 1.0)[:, 0] / (3.0 * z1[m] ** 2)
-        return out
-
-    res = adaptive_integrate(integrand, (-11.0, -11.0), (11.0, 11.0),
-                             rel_tol=rel_tol, abs_floor=1e-14, seed=20)
+    res = adaptive_integrate(partial(_chi_integrand, b), (-11.0, -11.0),
+                             (11.0, 11.0), rel_tol=rel_tol, abs_floor=1e-14,
+                             seed=20)
     return res.value
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -272,8 +273,9 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
         raise ValueError(
             "lattice counts require a symmetric very-clean weight")
     if weight.B * X > _ENUM_BOUND:
-        raise ValueError(
-            f"enumeration bound exceeded: B*X = {weight.B * X} > {_ENUM_BOUND}")
+        # B = ceil(11 R) may have hundreds of digits; print three significant
+        raise ValueError(f"enumeration bound exceeded: "
+                         f"B*X = {Decimal(weight.B * X):.3g} > {_ENUM_BOUND}")
     a_cap = int(math.floor(weight.a_support * X**3))
     if 2 * a_cap + 1 > _MAX_BINS:
         raise ValueError(
@@ -338,6 +340,8 @@ def pair_count(X: int, d: int, weight: Weight | None,
 
 def pair_count_exact(table: CountTable, d: int) -> int:
     """Exact pair count as an integer at scale 2^-(2*EXACT_SHIFT)."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     if not table.exact:
         raise ValueError("table was built with exact=False")
     return sum(n * n for a, n in table.exact.items() if a % d == 0)
@@ -352,6 +356,8 @@ def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
     (all cross-fiber terms vanish).  Returns the exact integer at scale
     2^-(2*EXACT_SHIFT).
     """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     total = 0
     for a, vals in _brute_fibers(X, weight).items():
         if a % d:

@@ -78,25 +78,26 @@ def ramp(x):
 
 def step(x):
     """Smooth 0-to-1 transition on [0, 1]."""
-    arr = np.asarray(x, dtype=float)
+    arr = np.array(x, dtype=float, ndmin=1)  # a copy: _step_core overwrites it
     out = _step_core(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _step_core(arr: np.ndarray) -> np.ndarray:
-    out = np.empty_like(arr)
-    lo = arr <= 0.0
-    hi = arr >= 1.0
-    out[lo] = 0.0
-    out[hi] = 1.0
-    mid = ~(lo | hi)
-    if mid.any():
-        xm = arr[mid]
-        a = np.exp(-1.0 / xm)
-        out[mid] = a / (a + np.exp(-1.0 / (1.0 - xm)))
-    return out
+def _step_core(x: np.ndarray) -> np.ndarray:
+    """step(x) = ramp(x) / (ramp(x) + ramp(1 - x)), in place on a float array.
+
+    x is clipped to [1e-3, 1 - 1e-3] first, which changes no value: below
+    x = 1/745 exp(-1/x) underflows to exactly 0, so step is exactly 0 there,
+    and above 1 - 1/745 the other ramp does, so step is exactly 1.
+    """
+    np.clip(x, 1e-3, 1.0 - 1e-3, out=x)
+    d = 1.0 - x
+    np.divide(-1.0, x, out=x)
+    np.exp(x, out=x)
+    np.divide(-1.0, d, out=d)
+    np.exp(d, out=d)
+    d += x
+    return np.divide(x, d, out=x)
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,52 @@ class Weight:
         return self.evaluate(arr)
 
 
+def _rotating_network(pairs) -> tuple[tuple[int, int, int], ...]:
+    """A comparator network over keys 0..5 as (lo, hi, spare) steps on seven
+    rows: the min goes to the spare row, the max overwrites row lo, and row
+    hi is the next spare.  Rows are numbered so that key k ends in row k,
+    which leaves the sorted keys in rows 0..5 and starts row 6 spare."""
+    where = list(range(7))  # where[k]: row of key k; where[6]: spare row
+    steps = []
+    for i, j in pairs:
+        steps.append((where[i], where[j], where[6]))
+        where[i], where[j], where[6] = where[6], where[i], where[j]
+    label = {row: k for k, row in enumerate(where)}
+    return tuple((label[a], label[b], label[s]) for a, b, s in steps)
+
+
+# Knuth's 12-comparator sorting network for six keys (TAOCP vol. 3, 5.3.4)
+_SORT6 = _rotating_network(((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3),
+                            (2, 5), (0, 1), (2, 3), (4, 5), (1, 2), (3, 4)))
+
+
 def _six_forms(y: np.ndarray) -> np.ndarray:
     """|y_l| and |y_i+y_j|, sorted per row so the value is exactly invariant
-    under coordinate permutations and global sign flips."""
-    forms = np.empty((len(y), 6))
-    forms[:, 0:3] = np.abs(y)
-    forms[:, 3] = np.abs(y[:, 0] + y[:, 1])
-    forms[:, 4] = np.abs(y[:, 0] + y[:, 2])
-    forms[:, 5] = np.abs(y[:, 1] + y[:, 2])
-    forms.sort(axis=1)
-    return forms
+    under coordinate permutations and global sign flips.
+
+    The forms sit in the contiguous rows of a (6, n) buffer, and a min/max
+    network sorts them with whole-row operations; the result is an (n, 6)
+    view whose columns are those rows.  On finite non-negative floats min
+    and max return exactly the values np.sort places, so the bits match a
+    per-row sort; y must be finite (a NaN form would not sort last, and
+    nu_star never lets one reach here).  The network's spare row is a
+    separate array, so no temporary is larger than the result.
+    """
+    buf = np.empty((6, len(y)))
+    np.abs(y.T, out=buf[:3])
+    for row, (i, j) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+        np.add(y[:, i], y[:, j], out=buf[row])
+        np.abs(buf[row], out=buf[row])
+    _sort_six_rows([*buf, np.empty(len(y))])
+    return buf.T
+
+
+def _sort_six_rows(rows: list[np.ndarray]) -> None:
+    """Sort six equal-length arrays elementwise in place, so that rows[k]
+    holds the k-th smallest, using rows[6] as the spare row."""
+    for lo, hi, spare in _SORT6:
+        np.minimum(rows[lo], rows[hi], out=rows[spare])
+        np.maximum(rows[lo], rows[hi], out=rows[lo])
 
 
 def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
@@ -181,20 +218,35 @@ def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
 
     Equal bit for bit to the product of bump("w2", forms[:, k][:, None] / r)
     taken in k order: a factor on the plateau [1, 10] is exactly 1.0, so only
-    the band factors are multiplied in.  Each is _step_core of a gathered,
+    the band factors are multiplied in, and t <= 1/2 and t >= 11 give 0.
+    Column k is divided and masked only on the rows whose scales can reach a
+    band: t < 1 needs forms[i, k] < max_j r[i, j], and t > 10 needs
+    forms[i, k] > 10 min_j r[i, j], which the factor 1 - 1e-12 keeps a
+    superset of under rounding.  Each band step runs on a gathered,
     contiguous operand, as in bump (numpy's SIMD exp may round strided input
-    differently); t <= 1/2 and t >= 11 give step 0.
+    differently).
     """
-    out = np.ones(np.broadcast_shapes((len(forms), 1), np.shape(r)))
-    flat = out.reshape(-1)
+    per_row = np.ndim(r) == 2
+    out = np.ones((len(forms), np.shape(r)[1] if per_row else 1))
+    r_max = r.max(axis=1) if per_row else r
+    fall_min = 10.0 * (1.0 - 1e-12) * (r.min(axis=1) if per_row else r)
     for k in range(forms.shape[1]):
-        t = (forms[:, k, None] / r).reshape(-1)
-        rise = np.flatnonzero(t < 1.0)
-        if rise.size:
-            flat[rise] *= _step_core(2.0 * t[rise] - 1.0)
-        fall = np.flatnonzero(t > 10.0)
-        if fall.size:
-            flat[fall] *= _step_core(11.0 - t[fall])
+        f = forms[:, k]
+        for rows, rise in ((np.flatnonzero(f < r_max), True),
+                           (np.flatnonzero(f > fall_min), False)):
+            if not rows.size:
+                continue
+            t = f[rows, None] / (r[rows] if per_row else r)
+            band = t < 1.0 if rise else t > 10.0
+            x = t[band]
+            if rise:
+                x *= 2.0
+                x -= 1.0
+            else:
+                np.subtract(11.0, x, out=x)
+            sub = out[rows]
+            sub[band] *= _step_core(x)
+            out[rows] = sub
     return out
 
 

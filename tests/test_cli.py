@@ -172,6 +172,15 @@ def test_non_finite_R_rejected(argv, R, capsys):
     assert "Traceback" not in out.err
 
 
+def test_count_bound_message_is_short(capsys):
+    # a valid R whose bound B = ceil(11 R) has 309 digits
+    rc, out = run(["count", "--X", "1", "--R", "1.6e307"], capsys)
+    assert rc == 1
+    assert "Traceback" not in out.err
+    assert "B*X = 1.76e+308 > 100000" in out.err
+    assert len(out.err.strip()) < 120
+
+
 def test_config_merge(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nmodulus = 7\nformat = json\n")

@@ -1,11 +1,13 @@
 """Archimedean densities: tables, moments, Poisson checks, derivatives."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cubesums.densities import (
+    _chi_integrand,
     chi_surface,
     density_table,
     derivative_probe,
@@ -17,7 +19,7 @@ from cubesums.densities import (
     sigma_inf,
     weight_l2_norm_sq,
 )
-from cubesums.weights import Weight, nu_star
+from cubesums.weights import Weight, bump, nu_star
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,38 @@ def test_chi_surface_frozen_bits():
                     (1.3, "0x1.d68857e51a28bp-3"),
                     (2.9, "0x1.361f3cb9d0416p-2")):
         assert chi_surface(b).hex() == bits, b
+
+
+def _chi_integrand_unskipped(b, pts):
+    # definitional: every point with |z1| >= 1/2 is formed, its six forms
+    # sorted by np.sort, and all six w2 factors multiplied in
+    z2, z3 = pts[:, 0], pts[:, 1]
+    z1 = np.cbrt(b - z2 * z2 * z2 - z3 * z3 * z3)
+    out = np.zeros(len(pts))
+    m = np.abs(z1) >= 0.5
+    y = np.column_stack([z1[m], z2[m], z3[m]])
+    forms = np.sort(np.abs(np.column_stack(
+        [y, y[:, 0] + y[:, 1], y[:, 0] + y[:, 2], y[:, 1] + y[:, 2]])), axis=1)
+    prod = np.ones(len(y))
+    for k in range(6):
+        prod *= bump("w2", forms[:, k])
+    out[m] = prod / (3.0 * z1[m] ** 2)
+    return out, forms
+
+
+def test_chi_integrand_skips_only_zero_rows():
+    # grid values put forms exactly on the support edges 1/2 and 11
+    # (z2 = 0.5, z3 = 11, z2 + z3 = 5.5 + 5.5), next to random points
+    vals = [0.25, 0.5, 1.0, 3.0, 5.5, 10.0, 10.5, 11.0]
+    grid = np.array(list(itertools.product(vals + [-v for v in vals],
+                                           repeat=2)))
+    rng = np.random.default_rng(31)
+    pts = np.concatenate([grid, rng.uniform(-11.0, 11.0, size=(4000, 2))])
+    for b in (0.0, 1.3, -2.9):
+        want, forms = _chi_integrand_unskipped(b, pts)
+        assert np.any(forms == 0.5) and np.any(forms == 11.0)
+        assert 0 < np.count_nonzero(want) < len(pts)
+        assert _chi_integrand(b, pts).tobytes() == want.tobytes(), b
 
 
 def test_sigma_direct_frozen_bits(nu2):

@@ -287,6 +287,17 @@ def test_special_count_guards(nu2):
         special_count(2, 0, nu2)
 
 
+def test_pair_counts_reject_d_zero(nu2, tab10):
+    # d = 0 would divide by zero in a % d; pair_count and special_count
+    # already reject it
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        pair_count_bruteforce(2, 0, nu2)
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        pair_count_exact(tab10, 0)
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        pair_count(10, 0, nu2, table=tab10)
+
+
 def test_prime_demo_against_r3_oracle():
     demo = prime_demo(100)
     ps = primes_below(101)

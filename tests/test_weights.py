@@ -22,10 +22,13 @@ from cubesums.weights import (
     step,
     _CHUNK_CELLS,
     _R_MAX,
+    _r_integral_fixed,
     _r_rule_params,
     _six_forms,
+    _sort_six_rows,
     _w2_product,
 )
+from cubesums import weights
 
 
 def test_ramp_and_step_basics():
@@ -40,6 +43,30 @@ def test_ramp_and_step_basics():
     mid = x[(x > 0.0) & (x < 1.0)]
     assert np.allclose(step(mid) + step(1.0 - mid), 1.0, rtol=1e-14, atol=0)
     assert np.all(np.diff(s) >= 0.0)
+
+
+def _step_by_masks(x):
+    # definitional: 0 on x <= 0, 1 on x >= 1, the ramp ratio between
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    mid = (x > 0.0) & (x < 1.0)
+    with np.errstate(over="ignore"):  # -1/x is -inf at subnormal x
+        a = np.exp(-1.0 / x[mid])
+    out[mid] = a / (a + np.exp(-1.0 / (1.0 - x[mid])))
+    return out
+
+
+def test_step_clipping_changes_no_bit():
+    # around 0 and 1, the clip points 1e-3 and 1 - 1e-3, and the underflow
+    # points 1/745 and 1 - 1/745, where one ramp becomes exactly 0
+    rng = np.random.default_rng(29)
+    x = np.concatenate([
+        [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-3, 1.0 - 1e-3,
+         1.0 / 745, 1.0 - 1.0 / 745, 0.5, 1.0, 2.0, np.inf],
+        *(c + np.linspace(-4e-4, 4e-4, 2001)
+          for c in (0.0, 1e-3, 1.0 / 745, 1.0 - 1.0 / 745, 1.0 - 1e-3, 1.0)),
+        rng.uniform(-0.5, 1.5, 20000)])
+    assert step(x).tobytes() == _step_by_masks(x).tobytes()
+    assert step(0.0) == 0.0 and step(1e-3) == 0.0 and step(1.0 - 1e-3) == 1.0
 
 
 def test_bump_frozen_values():
@@ -135,7 +162,7 @@ def _w2_product_by_bump(forms, r):
     return prod
 
 
-def test_w2_product_equals_bump_product():
+def test_w2_product_equals_bump_product(monkeypatch):
     rng = np.random.default_rng(17)
     # t = form / r lands exactly on the band edges 0.5, 1, 10 and 11 where
     # r is 1 or 2, and on both sides of them elsewhere
@@ -155,6 +182,88 @@ def test_w2_product_equals_bump_product():
     # a scalar scale, as the S1 surface integrand passes it
     assert np.array_equal(_w2_product(forms, 1.0),
                           _w2_product_by_bump(forms, 1.0))
+
+    # the r-grids of _r_integral_fixed's own node layout, on r-ranges that
+    # straddle 1/2, 1, 10 and 11 and on narrow ones where whole columns
+    # stay on the plateau
+    panels, order = _r_rule_params(2.0)
+    seen = []
+
+    def checked(forms, r):
+        got = _w2_product(forms, r)
+        assert np.array_equal(got, _w2_product_by_bump(forms, r))
+        seen.append((forms, r))
+        return got
+
+    monkeypatch.setattr(weights, "_w2_product", checked)
+    ranges = np.array([(0.4, 12.0), (0.45, 0.55), (0.9, 1.1), (9.5, 10.5),
+                       (10.5, 11.5), (1.0, 1.05), (1.0, 2.0), (1.6, 2.0)])
+    lo, hi = ranges[rng.integers(len(ranges), size=400)].T
+    forms = np.sort(rng.choice(np.array([0.6, 1.02, 1.5, 3.0, 5.0, 10.2, 10.8,
+                                         20.0]), size=(400, 6)), axis=1)
+    forms[:200] = rng.uniform(0.3, 24.0, size=(200, 6))
+    _r_integral_fixed(forms, lo, hi, panels, order)
+    assert len(seen) > 1  # several chunks
+    rows = np.concatenate([r for _, r in seen])
+    for edge in (0.5, 1.0, 10.0, 11.0):
+        assert np.any((rows.min(axis=1) < edge) & (rows.max(axis=1) > edge))
+    t = np.concatenate([f[:, :, None] / r[:, None, :] for f, r in seen])
+    in_band = ((t < 1.0) | (t > 10.0)).any(axis=2)  # (row, column)
+    # rows with a band column beside a column that has no band cell
+    assert np.any(in_band.any(axis=1) & ~in_band.all(axis=1))
+
+
+def _six_forms_by_sort(y):
+    # definitional: the six forms of each row, ordered by np.sort
+    forms = np.column_stack([y, y[:, 0] + y[:, 1], y[:, 0] + y[:, 2],
+                             y[:, 1] + y[:, 2]])
+    return np.sort(np.abs(forms), axis=1)
+
+
+def test_six_forms_equals_sorted_forms():
+    rng = np.random.default_rng(23)
+    random_rows = rng.normal(scale=5.0, size=(5000, 3))
+    # ties and exact zeros, -0.0 among them, in every arrangement
+    tied = np.array(list(itertools.product(
+        (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5), repeat=3)))
+    for y in (random_rows, tied, random_rows[:1], random_rows[:0]):
+        got = _six_forms(y)
+        assert got.shape == (len(y), 6)
+        assert got.tobytes() == _six_forms_by_sort(y).tobytes()
+
+
+def test_sort_six_rows_sorts_every_zero_one_pattern():
+    # a comparator network sorts every input once it sorts every 0/1 input
+    patterns = np.array(list(itertools.product((0.0, 1.0), repeat=6)))
+    for lo, hi in ((0.0, 1.0), (0.5, 11.0), (1e-300, 1e300)):
+        keys = lo + patterns * (hi - lo)
+        rows = [*keys.T.copy(), np.empty(len(keys))]
+        _sort_six_rows(rows)
+        want = np.sort(keys, axis=1).T
+        assert np.stack(rows[:6]).tobytes() == want.tobytes()
+
+
+def test_nu_star_zero_on_non_finite_rows(monkeypatch):
+    # NaN and infinite coordinates fail the w0 test, so they never reach the
+    # sorting network (where a NaN would not sort last)
+    nu = nu_star(2.0)
+    pts = sample_support_candidates(2.0, 3000, seed=13)
+    base = nu.evaluate(pts)
+    assert np.count_nonzero(base) > 100
+    bad = np.repeat(pts[np.flatnonzero(base)[:1]], 9, axis=0)
+    for i, (col, v) in enumerate(itertools.product(
+            range(3), (np.nan, np.inf, -np.inf))):
+        bad[i, col] = v
+    six_forms = weights._six_forms
+
+    def finite_only(y):
+        assert np.isfinite(y).all()
+        return six_forms(y)
+
+    monkeypatch.setattr(weights, "_six_forms", finite_only)
+    got = nu.evaluate(np.concatenate([pts, bad]))
+    assert np.array_equal(got[:len(pts)], base)
+    assert got[len(pts):].tobytes() == np.zeros(len(bad)).tobytes()
 
 
 def test_nu_star_evaluate_frozen_digest():
