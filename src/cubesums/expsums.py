@@ -2,11 +2,13 @@
 F0(y) = y1^3 + y2^3 + y3^3.
 
 Everything here is exact.  The vector of point counts N_a(m) = #{y in
-(Z/m)^3 : F0(y) = a} is the triple cyclic self-convolution of the cube-count
-histogram, computed for every m by Kronecker substitution: each sequence is
-packed into one Python integer, one big-integer product gives the linear
-convolution, and the slots are folded mod m.  Counts sum to m^3 < 2^63, so
-the result is always int64.  The unit-twisted sums
+(Z/m)^3 : F0(y) = a} is the CRT product of prime-power vectors.  At a prime
+p != 3 it takes at most four values (one when p = 2 mod 3), each an O(p) sum
+over the cube histogram; higher powers follow by Hensel lifting, with
+the 27-residue counts as the base at p = 3 (Ireland & Rosen, ch. 8).  The
+triple cyclic self-convolution of the cube histogram by Kronecker
+substitution (_cyclic_conv) is kept as the independent oracle.  Counts sum
+to m^3 < 2^63, so the result is always int64.  The unit-twisted sums
 
     T_a(n) = sum_{u in (Z/n)*} sum_{y in (Z/n)^3} e_n(u (F0(y) - a))
 
@@ -82,12 +84,77 @@ def _cyclic_conv(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return lin[:m] + lin[m:]
 
 
+def _level_one_counts(p: int) -> np.ndarray:
+    """N_a(p) for a prime p != 3.
+
+    For p = 2 mod 3 cubing permutes Z/p, so N_a(p) = p^2.  For p = 1 mod 3
+    the cube histogram is invariant under the subgroup H of nonzero cubes,
+    hence so are its convolutions: each is constant on {0} and on the three
+    cosets of H, so its values at one representative of each, O(p) work,
+    give all of it.
+    """
+    if p % 3 == 2:
+        return np.full(p, p * p, dtype=np.int64)
+    c = cube_counts(p)
+    cubes = np.flatnonzero(c[1:]) + 1
+    g = next(v for v in range(2, p) if c[v] == 0)  # a non-cube
+    reps = np.array([0, 1, g, g * g % p])
+    label = np.zeros(p, dtype=np.intp)
+    for k, r in enumerate(reps[1:], start=1):
+        label[cubes * r % p] = k
+    # c is 1 at 0 and 3 on H, so (f * c)[r] = f[r] + 3 sum_{h in H} f[r - h]
+    shifted = (reps[:, None] - cubes) % p
+
+    def times_c(f: np.ndarray) -> np.ndarray:
+        return (f[reps] + 3 * f[shifted].sum(axis=1))[label]
+
+    return times_c(times_c(c))
+
+
+def _prime_power_counts(p: int, l: int) -> np.ndarray:
+    """N_a(p^l) for all a mod p^l, by Hensel lifting from a base level.
+
+    A solution with a coordinate prime to p lifts to p^2 solutions per level
+    once the level exceeds 2 v_p(3) (so from level 1 for p != 3 and from
+    level 3 for p = 3).  The remaining solutions are y = p z with
+    F0(y) = p^3 F0(z): at levels l <= 3 every such y counts at a = 0, above
+    that they are p^6 N_{a/p^3}(p^(l-3)) at a = 0 mod p^3.
+    """
+    if p == 3 and l <= 3:
+        q = p**l
+        c = cube_counts(q)
+        lin = np.convolve(np.convolve(c, c), c)
+        return np.pad(lin, (0, 2)).reshape(3, q).sum(axis=0)
+    if l == 1:
+        return _level_one_counts(p)
+    b = 3 if p == 3 else 1
+    base = _prime_power_counts(p, b)
+    base[0] -= p ** (3 * (b - 1))  # drop the solutions y = 0 mod p
+    out = np.tile(base, p ** (l - b)) * p ** (2 * (l - b))
+    if l <= 3:
+        out[0] += p ** (3 * (l - 1))
+    else:
+        out[:: p**3] += p**6 * _prime_power_counts(p, l - 3)
+    return out
+
+
 @lru_cache(maxsize=512)
 def point_count_vector(m: int) -> np.ndarray:
-    """N_a(m) for all a mod m, as one array; sums to m^3."""
+    """N_a(m) for all a mod m, as one array; sums to m^3.
+
+    The CRT product of the prime-power vectors of _prime_power_counts;
+    _cyclic_conv(_cyclic_conv(c, c, m), c, m) on c = cube_counts(m) is the
+    independent oracle.
+    """
     m = _check_modulus(m)
-    c = cube_counts(m)
-    n = _cyclic_conv(_cyclic_conv(c, c, m), c, m)
+    fac = factor(m).factors
+    if len(fac) == 1:
+        n = _prime_power_counts(*fac[0])
+    else:
+        n = np.ones(m, dtype=np.int64)
+        idx = np.arange(m)
+        for p, e in fac:
+            n *= _prime_power_counts(p, e)[idx % p**e]
     n.flags.writeable = False
     return n
 
@@ -296,7 +363,7 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
         raise ValueError(f"p must be a prime, got p={p}")
     level = v_p(3 * a, p) + 1
     if p**level > MAX_MODULUS:
-        raise ValueError(f"level {level} at p={p} exceeds the convolution limit")
+        raise ValueError(f"level {level} at p={p} puts p^{level} above {MAX_MODULUS}")
     count = int(point_count_vector(p**level)[a % p**level])
     return LocalDensity(p, a, Fraction(count, p ** (2 * level)), level, count)
 

@@ -475,7 +475,11 @@ def prime_demo(A: int) -> PrimeDemo:
     pairs = _pair_sums(A)
     pair_vals = np.fromiter(pairs.keys(), dtype=np.int64)
     pair_cnt = np.fromiter(pairs.values(), dtype=np.int64)
-    lookup = np.zeros(A + 1, dtype=np.int64)
+    # one byte per value keeps the A + 1 table small; r3 and the sums are
+    # accumulated in int64
+    if pair_cnt.max() > np.iinfo(np.uint8).max:
+        raise CheckFailed(f"a pair multiplicity below {A} exceeds one byte")
+    lookup = np.zeros(A + 1, dtype=np.uint8)
     lookup[pair_vals] = pair_cnt
     ps = np.array(primes_below(A + 1), dtype=np.int64)
     top = int(round(A ** (1.0 / 3.0))) + 1

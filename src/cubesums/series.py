@@ -19,7 +19,7 @@ import numpy as np
 
 from . import CheckFailed
 from .arith import factor, mobius, primes_below, sq_cub_parts
-from .expsums import sigma_p_a, t_full, t_single
+from .expsums import MAX_MODULUS, sigma_p_a, t_full, t_single
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,8 @@ def gamma_product(a: int, p_max: int = 1000) -> GammaProduct:
     reported as a stabilization diagnostic."""
     if a == 0:
         raise ValueError("gamma product needs a != 0")
+    if not 2 <= p_max <= MAX_MODULUS:
+        raise ValueError(f"p_max must lie in [2, {MAX_MODULUS}], got {p_max}")
     value = 1.0
     half = 1.0
     factors: dict[int, float] = {}

@@ -200,42 +200,63 @@ def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
     Both regroup by m = lcm(n, d); every identity below is exact in Q.
     """
     if not (1 <= K <= 48 and 1 <= d <= 8):
-        raise ValueError("exact mode limited to K <= 48, d <= 8")
+        raise ValueError("need 1 <= K <= 48 and 1 <= d <= 8")
     t_vecs = {n: t_full(n) for n in range(1, K + 1)}
-    pure_groups: dict[int, Fraction] = {}
+    ns = np.arange(1, K + 1, dtype=np.int64)
+    # u_n[j] = T_{dj mod n}(n) for j < n, laid end to end from off[n - 1].
+    # For b = dj the pair sum over b in dZ/n1 n2 dZ is the prefix of length
+    # n1 n2 of P[j] = u_n1[j mod n1] u_n2[j mod n2], and the collapsed sum
+    # over dZ/mZ, m = lcm(n1, n2, d), is its prefix of length m / d.
+    u = np.concatenate([t_vecs[n][d * np.arange(n) % n] for n in range(1, K + 1)])
+    off = np.cumsum(ns) - ns
+    t_max = int(np.abs(u).max())
+    # bounds every block prefix sum (K^3 t_max^2), both sides of the collapse
+    # test (K^4 d t_max^2) and every group numerator (K^3 d^4 t_max^2)
+    if t_max**2 * K**3 * max(K * d, d**4) > np.iinfo(np.int64).max:
+        raise CheckFailed(f"moment sums at K={K}, d={d} would leave int64")
+    m2 = np.lcm(ns, d)
+    pure_num: dict[int, int] = {}
     n_vanished = 0
     for n1 in range(1, K + 1):
-        t1 = t_vecs[n1]
+        # one block: the K rows n2 = 1..K of n1 n2 terms each, end to end;
+        # every row length is a multiple of n1, so u_n1 simply repeats
+        lengths = n1 * ns
+        starts = np.cumsum(lengths) - lengths
+        row = np.repeat(ns - 1, lengths)
+        j = np.arange(int(lengths.sum())) - starts[row]
+        u1 = u[off[n1 - 1]:off[n1 - 1] + n1]
+        prod = np.tile(u1, K * (K + 1) // 2) * u[off[row] + j % (row + 1)]
+        csum = np.concatenate(([0], np.cumsum(prod)))
+        S = csum[starts + lengths] - csum[starts]
+        m12 = np.lcm(m2, n1)
+        S_m = csum[starts + m12 // d] - csum[starts]
+        # modulus collapse: averaging over dZ/n1 n2 dZ equals averaging
+        # over dZ/mZ with m = lcm(n1, n2, d)
+        collapse_bad = S * m12 != S_m * (n1 * d * ns)
         m1 = math.lcm(n1, d)
-        for n2 in range(1, K + 1):
-            t2 = t_vecs[n2]
-            m2 = math.lcm(n2, d)
-            c = np.arange(n1 * n2, dtype=np.int64)
-            b = d * c
-            S = int(np.sum(t1[b % n1] * t2[b % n2]))
-            # modulus collapse: averaging over dZ/n1 n2 dZ equals averaging
-            # over dZ/mZ with m = lcm(n1, n2, d)
-            m12 = math.lcm(n1, n2, d)
-            bb = np.arange(0, m12, d, dtype=np.int64)
-            S_m = int(np.sum(t_vecs[n1][bb % n1] * t_vecs[n2][bb % n2]))
-            if Fraction(S, n1 * n2 * d) != Fraction(S_m, m12):
+        unbalanced = m2 != m1
+        bad = collapse_bad | (unbalanced & (S != 0))
+        if bad.any():
+            n2 = int(np.argmax(bad)) + 1
+            if collapse_bad[n2 - 1]:
                 raise CheckFailed(f"modulus collapse failed at {(n1, n2, d)}")
-            if m1 != m2:
-                if S != 0:
-                    raise CheckFailed(
-                        f"unbalanced pair ({n1}, {n2}) did not vanish")
-                n_vanished += 1
-                continue
-            term = Fraction(S, (n1 * n2) ** 3 * n1 * n2 * d)
-            pure_groups[m1] = pure_groups.get(m1, Fraction(0)) + term
-    mixed_groups: dict[int, Fraction] = {}
+            raise CheckFailed(f"unbalanced pair ({n1}, {n2}) did not vanish")
+        n_vanished += int(np.count_nonzero(unbalanced))
+        # S / ((n1 n2)^4 d) = S (m/n1)^4 (m/n2)^4 / (d m^8), m = m1 = m2
+        keep = ~unbalanced
+        num = int(np.dot(S[keep], (m1 // ns[keep]) ** 4)) * (m1 // n1) ** 4
+        pure_num[m1] = pure_num.get(m1, 0) + num
+    pure_groups = {m: Fraction(v, d * m**8) for m, v in pure_num.items()}
+    mixed_num: dict[int, int] = {}
     for n in range(1, K + 1):
         nd = n * d
         counts = point_count_vector(nd)
         bs = np.arange(0, nd, d, dtype=np.int64)
         S = int(np.sum(counts[bs].astype(object) * t_vecs[n][bs % n]))
-        mixed_groups.setdefault(math.lcm(n, d), Fraction(0))
-        mixed_groups[math.lcm(n, d)] += Fraction(S, nd**3 * n**3)
+        # S / (n^6 d^3) = S m^8 / (n^6 d^2) / (d m^8), m = lcm(n, d)
+        m = math.lcm(n, d)
+        mixed_num[m] = mixed_num.get(m, 0) + S * (m**8 // (n**6 * d**2))
+    mixed_groups = {m: Fraction(v, d * m**8) for m, v in mixed_num.items()}
     # complete groups (m <= K) must match S+_0(m; d)/m^6 one by one
     groups_checked = 0
     head = Fraction(0)

@@ -62,7 +62,10 @@ def f0(y: np.ndarray) -> np.ndarray:
     c = arr * arr * arr  # explicit multiplies: exactly odd, unlike pow()
     order = np.argsort(np.abs(c), axis=-1, kind="stable")
     d = np.take_along_axis(c, order, axis=-1)
-    return (d[..., 0] + d[..., 1]) + d[..., 2]
+    # a row holding both +inf and -inf sums to nan, which every caller
+    # treats as outside the support
+    with np.errstate(invalid="ignore"):
+        return (d[..., 0] + d[..., 1]) + d[..., 2]
 
 
 def ramp(x):

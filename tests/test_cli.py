@@ -106,6 +106,16 @@ def test_validation_errors(capsys):
     assert run(["nonsense"], capsys)[0] == 1  # unknown subcommand
     assert run([], capsys)[0] == 1  # no subcommand
     assert run(["moments", "--K", "49"], capsys)[0] == 1  # out of range
+    for flags in (["--K", "0"], ["--K", "4", "--d", "0"]):
+        rc, out = run(["moments"] + flags, capsys)
+        assert rc == 1, flags
+        assert "need 1 <= K <= 48 and 1 <= d <= 8" in out.err, flags
+    # an empty product below 2; hours of work above the modulus limit
+    for p_max in ("0", "1", "-5", str(expsums.MAX_MODULUS + 1)):
+        rc, out = run(["gamma", "--a", "2", "--p-max", p_max], capsys)
+        assert rc == 1, p_max
+        assert out.err == (f"cubesums: p_max must lie in "
+                           f"[2, {expsums.MAX_MODULUS}], got {p_max}\n")
     assert run(["expsum", "--modulus", "7", "--threads", "0"], capsys)[0] == 1
     for p in ("0", "4", "-7"):
         rc, out = run(["gamma", "--a", "2", "--p", p], capsys)

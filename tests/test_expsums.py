@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,43 @@ def test_cyclic_conv_matches_numpy_convolve():
         got = E._cyclic_conv(a, b, m)
         assert got.dtype == np.int64
         assert np.array_equal(got, _folded_convolve(a, b, m)), m
+
+
+def _kronecker_counts(m):
+    # oracle: the triple cyclic self-convolution of the cube histogram
+    c = E.cube_counts(m)
+    return E._cyclic_conv(E._cyclic_conv(c, c, m), c, m)
+
+
+def test_point_counts_match_kronecker_oracle():
+    moduli = list(range(1, 1001))
+    for p in [2, 3, 5, 7, 11, 13]:  # every power up to 20000
+        moduli += [p**l for l in range(1, 20) if 1000 < p**l <= 20000]
+    # sampled primes = 1 mod 3 (four-valued level one) and composites
+    rng = random.Random(11)
+    moduli += rng.sample([p for p in primes_below(10**4)
+                          if p % 3 == 1 and p > 1000], 12)
+    moduli += [4097, 4104, 5005, 6000, 7776, 9000, 10010, 12000]
+    for m in moduli:
+        got = E.point_count_vector(m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _kronecker_counts(m)), m
+
+
+def test_point_counts_at_max_modulus():
+    # minutes by Kronecker substitution; a fresh interpreter, so a slow
+    # route fails on the timeout instead of stalling the suite
+    code = ("from cubesums.expsums import MAX_MODULUS as m, point_count_vector\n"
+            "v = point_count_vector(m)\n"
+            "assert len(v) == m and int(v.sum()) == m**3 and v.min() >= 0\n"
+            "print('ok')")
+    src = str(Path(E.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("CUBESUMS_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_point_counts_divisor_identity_at_4100():

@@ -1,13 +1,16 @@
 """Variance decomposition, exact moment regrouping, sieve filter, pipeline."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubesums import lattice
+from cubesums import CheckFailed, lattice
+from cubesums import variance as variance_module
 from cubesums.densities import _density_table
+from cubesums.expsums import point_count_vector, t_full
 from cubesums.lattice import count_weighted, pair_count, special_count
 from cubesums.variance import (
     HypothesisParams,
@@ -67,11 +70,84 @@ def test_moment_check_grid_runs_exact():
             assert abs(r.tail_mixed) <= r.tail_bound
 
 
+def _pair_loop_oracle(K, d, t_vector):
+    """The per-pair loop nonarch_moment_check replaced: pure and mixed
+    groups as Fractions, and the number of unbalanced pairs."""
+    t_vecs = {n: t_vector(n) for n in range(1, K + 1)}
+    pure, n_vanished = {}, 0
+    for n1 in range(1, K + 1):
+        m1 = math.lcm(n1, d)
+        for n2 in range(1, K + 1):
+            t1, t2, m2 = t_vecs[n1], t_vecs[n2], math.lcm(n2, d)
+            b = d * np.arange(n1 * n2, dtype=np.int64)
+            S = int(np.sum(t1[b % n1] * t2[b % n2]))
+            m12 = math.lcm(n1, n2, d)
+            bb = np.arange(0, m12, d, dtype=np.int64)
+            S_m = int(np.sum(t1[bb % n1] * t2[bb % n2]))
+            if Fraction(S, n1 * n2 * d) != Fraction(S_m, m12):
+                raise CheckFailed(f"modulus collapse failed at {(n1, n2, d)}")
+            if m1 != m2:
+                if S != 0:
+                    raise CheckFailed(
+                        f"unbalanced pair ({n1}, {n2}) did not vanish")
+                n_vanished += 1
+                continue
+            term = Fraction(S, (n1 * n2) ** 3 * n1 * n2 * d)
+            pure[m1] = pure.get(m1, Fraction(0)) + term
+    mixed = {}
+    for n in range(1, K + 1):
+        nd = n * d
+        counts = point_count_vector(nd)
+        bs = np.arange(0, nd, d, dtype=np.int64)
+        S = int(np.sum(counts[bs].astype(object) * t_vecs[n][bs % n]))
+        m = math.lcm(n, d)
+        mixed[m] = mixed.get(m, Fraction(0)) + Fraction(S, nd**3 * n**3)
+    return pure, mixed, n_vanished
+
+
+def test_moment_check_matches_pair_loop():
+    for K, d in [(K, d) for d in range(1, 9) for K in (1, 6, 17)] + [
+            (40, 2), (48, 1), (48, 5), (48, 8)]:
+        pure, mixed, n_vanished = _pair_loop_oracle(K, d, t_full)
+        r = nonarch_moment_check(K, d)
+        assert r.pure_lhs == sum(pure.values()), (K, d)
+        assert r.mixed_lhs == sum(mixed.values()), (K, d)
+        assert r.n_pairs_vanished == n_vanished, (K, d)
+
+
+@pytest.mark.parametrize("K, d, n, b", [
+    # pair (1, n) no longer vanishes
+    (8, 1, 4, 1), (17, 3, 9, 3), (48, 8, 48, 8),
+    # n | d: every pair with n balances or still vanishes, and the group
+    # m = d no longer matches S+_0(d; d) / d^6
+    (8, 8, 4, 0), (12, 6, 3, 0)])
+def test_moment_check_catches_a_perturbed_t_vector(monkeypatch, K, d, n, b):
+    # one entry of one T-vector, read at b = 0 mod d, is off by one
+    good = variance_module.t_full
+
+    def perturbed(m):
+        t = good(m)
+        if m == n:
+            t = t.copy()
+            t[b] += 1
+        return t
+
+    monkeypatch.setattr(variance_module, "t_full", perturbed)
+    with pytest.raises(CheckFailed) as new:
+        nonarch_moment_check(K, d)
+    try:  # the loop, where it fails, names the same first failing pair
+        _pair_loop_oracle(K, d, perturbed)
+    except CheckFailed as old:
+        assert str(old) == str(new.value)
+    else:
+        assert re.match(r"(pure|mixed) group m=\d+ is ", str(new.value))
+
+
 def test_moment_check_guards():
-    with pytest.raises(ValueError):
-        nonarch_moment_check(49, 1)
-    with pytest.raises(ValueError):
-        nonarch_moment_check(4, 9)
+    for K, d in ((49, 1), (4, 9), (0, 1), (4, 0), (-1, -1)):
+        with pytest.raises(ValueError,
+                           match="need 1 <= K <= 48 and 1 <= d <= 8"):
+            nonarch_moment_check(K, d)
 
 
 def test_variance_decomposition(nu2, tab20):

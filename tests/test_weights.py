@@ -250,10 +250,11 @@ def test_nu_star_zero_on_non_finite_rows(monkeypatch):
     pts = sample_support_candidates(2.0, 3000, seed=13)
     base = nu.evaluate(pts)
     assert np.count_nonzero(base) > 100
-    bad = np.repeat(pts[np.flatnonzero(base)[:1]], 9, axis=0)
+    bad = np.repeat(pts[np.flatnonzero(base)[:1]], 10, axis=0)
     for i, (col, v) in enumerate(itertools.product(
             range(3), (np.nan, np.inf, -np.inf))):
         bad[i, col] = v
+    bad[9] = [np.inf, -np.inf, 1.0]  # inf - inf inside f0
     six_forms = weights._six_forms
 
     def finite_only(y):
