@@ -16,7 +16,7 @@ import numpy as np
 _SIEVE_LIMIT = 1 << 16
 _sieve_primes: list[int] = []
 
-MAX_N = (1 << 63) - 1  # factorable range contract; also the cache int64 range
+MAX_N = (1 << 63) - 1  # factorable range contract; also the int64 range
 
 
 def _grow_sieve(limit: int) -> None:

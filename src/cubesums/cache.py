@@ -1,75 +1,77 @@
-"""Disk cache for prime-power exponential-sum vectors.
+"""Disk store for the S1 surface table, the one artifact worth persisting.
 
-One small binary file per (p, l): magic ``CBT1`` then p, l, n = p^l as
-unsigned 8-byte little-endian words, then n signed 64-bit little-endian
-values.  Vectors with any entry outside int64 are never cached.  Writes go
-through a temp file and ``os.replace`` so concurrent readers only ever see
-complete files; corrupt or truncated files are ignored and recomputed.
+One file, ``s1_table.bin``: magic ``CBS1``, a uint32 format version, the
+SHA-256 of the key and of the payload, then the payload: the node values and
+the worst validation error as little-endian float64.  A file whose size,
+header, key, checksum or probed nodes do not match reads as missing; writes
+go through a temp file and ``os.replace`` and are skipped when they fail.
 """
 from __future__ import annotations
 
-import logging
+import hashlib
 import os
 import struct
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
-log = logging.getLogger("cubesums.cache")
+MAGIC, VERSION = b"CBS1", 1
+_HEADER = struct.Struct("<4sI32s32s")
 
-MAGIC = b"CBT1"
-_HEADER = struct.Struct("<4sQQQ")
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
+_directory = os.environ.get("CUBESUMS_CACHE_DIR") or None
 
 
-class TVectorCache:
-    """Single-writer / multi-reader file cache; directory=None disables it."""
+def configure(directory: str | os.PathLike | None) -> None:
+    """Point the store at a directory (None disables it)."""
+    global _directory
+    _directory = directory or None
 
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = Path(directory) if directory else None
 
-    def _path(self, p: int, l: int) -> Path:
-        return self.directory / f"t_{p}_{l}.cbt"
+def s1_path() -> Path | None:
+    """Where the S1 table is stored, or None when nothing is persisted."""
+    return Path(_directory) / "s1_table.bin" if _directory else None
 
-    def load(self, p: int, l: int) -> np.ndarray | None:
-        if self.directory is None:
-            return None
-        path = self._path(p, l)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        n = p**l
-        if len(raw) != _HEADER.size + 8 * n:
-            log.warning("cache file %s has wrong size; recomputing", path)
-            return None
-        magic, fp, fl, fn = _HEADER.unpack_from(raw)
-        if magic != MAGIC or fp != p or fl != l or fn != n:
-            log.warning("cache file %s has bad header; recomputing", path)
-            return None
-        return np.frombuffer(raw, dtype="<i8", offset=_HEADER.size).astype(np.int64)
 
-    def store(self, p: int, l: int, arr: np.ndarray) -> bool:
-        if self.directory is None:
-            return False
-        if arr.dtype == object:
-            # entries outside int64 cannot be serialized; recompute on demand
-            return False
-        n = p**l
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = _HEADER.pack(MAGIC, p, l, n) + arr.astype("<i8").tobytes()
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._path(p, l))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
+def _header(key: bytes, payload: bytes) -> bytes:
+    return _HEADER.pack(MAGIC, VERSION, hashlib.sha256(key).digest(),
+                        hashlib.sha256(payload).digest())
+
+
+def encode(key: bytes, values: np.ndarray, worst: float) -> bytes:
+    payload = np.append(values, worst).astype("<f8").tobytes()
+    return _header(key, payload) + payload
+
+
+def load(path: Path | None, key: bytes, n: int, check) -> tuple[np.ndarray, float] | None:
+    """The n stored values and the validation error, or None when the file
+    is missing or rejected; check(values) must accept the values too."""
+    try:
+        raw = path.read_bytes() if path is not None else b""
+    except OSError:
+        return None
+    head, payload = raw[:_HEADER.size], raw[_HEADER.size:]
+    if len(payload) != 8 * (n + 1) or head != _header(key, payload):
+        return None
+    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return (arr[:n], float(arr[n])) if check(arr[:n]) else None
+
+
+def save(path: Path | None, key: bytes, values: np.ndarray, worst: float) -> bool:
+    """Write the table atomically; False, and no file, when that fails."""
+    if path is None:
+        return False
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(encode(key, values, worst))
+        os.replace(tmp, path)
         return True
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        return False

@@ -138,12 +138,8 @@ def _pick(args, cfg, name, cast, default=None, required=False):
 
 
 def _resolve_cache_dir(args, cfg) -> str | None:
-    env = os.environ.get("CUBESUMS_CACHE_DIR")
-    if env:
-        return env
-    if args.cache_dir is not None:
-        return args.cache_dir
-    return cfg.get("cache_dir")
+    flag = args.cache_dir if args.cache_dir is not None else cfg.get("cache_dir")
+    return os.environ.get("CUBESUMS_CACHE_DIR") or flag
 
 
 # --------------------------------------------------------------------------
@@ -394,8 +390,8 @@ def _build_parser() -> _Parser:
                         help="key=value config file; flags win")
     common.add_argument("--cache-dir", dest="cache_dir",
                         default=argparse.SUPPRESS,
-                        help="prime-power vector cache "
-                             "(CUBESUMS_CACHE_DIR overrides)")
+                        help="directory that keeps the S1 surface table "
+                             "between runs (CUBESUMS_CACHE_DIR overrides)")
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output path, default stdout")
     common.add_argument("--format", choices=("csv", "json"),

@@ -12,8 +12,8 @@ Two routes compute it:
   y -> r y turn sigma into w0(a-tilde) * int_1^R S1(a-tilde / r^3) dr/r,
   where S1(b) is the R-independent surface integral of the plain six-form
   w2-product chi.  S1 is tabulated once on a fine grid (validated off-grid
-  against direct quadrature of chi); every sigma for every R is then a
-  cheap 1-d rule.
+  against direct quadrature of chi) and kept in the disk store of cache.py;
+  every sigma for every R is then a cheap 1-d rule.
 
 Integrals over the full 3-d support (mixed moment, L^2 norm) decompose as an
 outer 2-d adaptive integral over (y2, y3) and an inner Gauss rule over the
@@ -31,8 +31,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import cache
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import (Weight, bump, f0, _six_forms, _w2_product,
+from .weights import (DEFAULT_BUMPS, Weight, bump, f0, _six_forms, _w2_product,
                       is_nu_star, sobolev_estimate)
 
 if TYPE_CHECKING:
@@ -61,6 +62,11 @@ __all__ = [
 _INNER_ORDER = 12
 _INNER_PANELS = 4
 _S1_EDGE = 3.2  # table the surface density slightly past |b| = 3
+_S1_NODES, _S1_REL_TOL, _S1_SEED, _S1_VALIDATION_SEED = 385, 3e-7, 20, 20240917
+# what the S1 nodes depend on; a stored table must reproduce _S1_PROBES
+_S1_KEY = repr((DEFAULT_BUMPS, _S1_NODES, _S1_EDGE, _S1_REL_TOL, _S1_SEED,
+                _S1_VALIDATION_SEED)).encode()
+_S1_PROBES = (96, 288)
 
 
 def _require_very_clean(weight: Weight) -> None:
@@ -99,7 +105,7 @@ def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def chi_surface(b: float, rel_tol: float = 3e-7) -> float:
+def chi_surface(b: float, rel_tol: float = _S1_REL_TOL) -> float:
     """S1(b): surface integral of prod w2(six forms)/(3 y1^2) at level b.
 
     chi is even and supported in 1/2 <= |y_l| <= 11, so the domain is
@@ -108,29 +114,40 @@ def chi_surface(b: float, rel_tol: float = 3e-7) -> float:
     """
     res = adaptive_integrate(partial(_chi_integrand, b), (-11.0, -11.0),
                              (11.0, 11.0), rel_tol=rel_tol, abs_floor=1e-14,
-                             seed=20)
+                             seed=_S1_SEED)
     return res.value
 
 
+def _s1_probe(half: np.ndarray, vals: np.ndarray) -> bool:
+    """Do the probed nodes of a stored table recompute to the same bits?"""
+    return all(chi_surface(half[i]).hex() == float(vals[i]).hex()
+               for i in _S1_PROBES)
+
+
 @lru_cache(maxsize=1)
-def _s1_spline() -> tuple[CubicSpline, float]:
-    """Cubic spline of S1 on [-_S1_EDGE, _S1_EDGE] plus its off-grid
-    validation error against direct quadrature of chi (16 random points)."""
+def _s1_spline() -> tuple[CubicSpline, np.ndarray, float]:
+    """Cubic spline of S1 on [-_S1_EDGE, _S1_EDGE], its node values on
+    [0, _S1_EDGE] and its off-grid validation error against direct quadrature
+    of chi at 16 random points; values and error come from the disk store if
+    it holds a table that passes _s1_probe, and a build is written there."""
     from scipy.interpolate import CubicSpline
 
-    half = np.linspace(0.0, _S1_EDGE, 385)
-    vals = np.array([chi_surface(b) for b in half])
-    grid = np.concatenate([-half[:0:-1], half])
-    values = np.concatenate([vals[:0:-1], vals])
-    spline = CubicSpline(grid, values)
-    rng = np.random.default_rng(20240917)
-    worst = 0.0
-    for b in rng.uniform(0.05, _S1_EDGE - 0.05, size=16):
-        direct = chi_surface(float(b))
-        worst = max(worst, abs(spline(b) - direct) / abs(direct))
-    if worst > 1e-4:
-        raise RuntimeError(f"surface-density table off by {worst:.2e}")
-    return spline, worst
+    half = np.linspace(0.0, _S1_EDGE, _S1_NODES)
+    path = cache.s1_path()
+    stored = cache.load(path, _S1_KEY, _S1_NODES, partial(_s1_probe, half))
+    vals, worst = stored or (np.array([chi_surface(b) for b in half]), None)
+    spline = CubicSpline(np.concatenate([-half[:0:-1], half]),
+                         np.concatenate([vals[:0:-1], vals]))
+    if worst is None:
+        rng = np.random.default_rng(_S1_VALIDATION_SEED)
+        worst = 0.0
+        for b in rng.uniform(0.05, _S1_EDGE - 0.05, size=16):
+            direct = chi_surface(float(b))
+            worst = max(worst, abs(spline(b) - direct) / abs(direct))
+        if worst > 1e-4:
+            raise RuntimeError(f"surface-density table off by {worst:.2e}")
+        cache.save(path, _S1_KEY, vals, worst)
+    return spline, vals, worst
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +160,7 @@ def _r_nodes(R: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sigma_fast(atil: np.ndarray, R: float) -> np.ndarray:
-    spline, _ = _s1_spline()
+    spline = _s1_spline()[0]
     r, w = _r_nodes(R)
     arr = np.atleast_1d(np.asarray(atil, dtype=float))
     out = np.zeros_like(arr)

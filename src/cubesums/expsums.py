@@ -18,22 +18,20 @@ come out of point counts at consecutive prime-power levels:
 
 T_a(n) is multiplicative in n (for fixed a, by the Chinese remainder
 theorem), integer valued, and |T_a(n)| <= n^4 always, so vectors occasionally
-leave int64 for very rough n; those escalate to Python integers and are simply
-not disk-cached.
+leave int64 for very rough n; those escalate to Python integers.  Nothing
+here is disk-cached: a vector recomputes in int64 in well under a second.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import CheckFailed
-from .arith import divisors, factor, is_prime, lcm, v_p
-from .cache import INT64_MAX, TVectorCache
+from . import CheckFailed, cache
+from .arith import MAX_N as INT64_MAX, divisors, factor, is_prime, lcm, v_p
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
 # kept at 4096 because the Euler products that variance prints depend on this
@@ -179,42 +177,30 @@ def point_counts_bruteforce(m: int) -> np.ndarray:
 # unit-twisted complete sums
 
 
-_cache = TVectorCache(os.environ.get("CUBESUMS_CACHE_DIR"))
-
-
 def configure_cache(directory: str | None) -> None:
-    """Point the prime-power vector cache at a directory (None disables)."""
-    global _cache
-    _cache = TVectorCache(directory)
+    """Point the S1 disk store at a directory (None: off); clear the T lrus."""
+    cache.configure(directory)
     t_prime_power.cache_clear()
     t_full.cache_clear()
 
 
 def _t_prime_power_compute(p: int, l: int) -> np.ndarray:
-    m = p**l
-    n_l = point_count_vector(m)
-    if l == 1:
-        # N_a(p^0) = 1 for every a
-        t = p * n_l.astype(object) - p**3
-    else:
-        n_prev = point_count_vector(p ** (l - 1))
-        idx = np.arange(m) % (p ** (l - 1))
-        t = p**l * n_l.astype(object) - p ** (l + 2) * n_prev.astype(object)[idx]
-    hi = max(abs(int(t.min())), abs(int(t.max())))
-    if hi <= INT64_MAX:
-        return t.astype(np.int64)
-    return t
+    # T = p^l D with D = N_a(p^l) - p^2 N_a(p^(l-1)) and N_a(p^0) = 1; both
+    # terms of D lie in [0, m^3] and m^3 < 2^63, so D is exact in int64
+    n_l = point_count_vector(p**l)
+    n_prev = point_count_vector(p ** (l - 1)) if l > 1 else np.ones(1, np.int64)
+    d = n_l - p * p * np.tile(n_prev, p)
+    if p**l * max(-int(d.min()), int(d.max())) <= INT64_MAX:
+        return p**l * d
+    return p**l * d.astype(object)
 
 
 @lru_cache(maxsize=512)
 def t_prime_power(p: int, l: int) -> np.ndarray:
-    """Vector of T_a(p^l) over a mod p^l; disk-cached when it fits int64."""
+    """Vector of T_a(p^l) over a mod p^l; int64 whenever it fits."""
     if l < 1:
         raise ValueError("need l >= 1")
-    arr = _cache.load(p, l)
-    if arr is None:
-        arr = _t_prime_power_compute(p, l)
-        _cache.store(p, l, arr)
+    arr = _t_prime_power_compute(p, l)
     arr.flags.writeable = False
     return arr
 
@@ -233,12 +219,8 @@ def t_full(n: int) -> np.ndarray:
     out = np.ones(n, dtype=object if big else np.int64)
     idx = np.arange(n)
     for p, e in fac:
-        q = p**e
         tq = t_prime_power(p, e)
-        if big:
-            out = out * tq.astype(object)[idx % q]
-        else:
-            out = out * tq[idx % q]
+        out = out * (tq.astype(object) if big else tq)[idx % p**e]
     out.flags.writeable = False
     return out
 

@@ -101,6 +101,8 @@ def variance(X: int, K: int, d: int, weight: Weight,
              table: CountTable | None = None,
              with_special: bool = True) -> VarianceReport:
     """K-approximate variance over the progression dZ, with decomposition."""
+    if X < 1:
+        raise ValueError("X must be a positive integer")
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
     if K * d > X ** 0.9:

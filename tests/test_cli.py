@@ -4,21 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import cubesums
-from cubesums import expsums
+from cubesums import cache, expsums
 from cubesums.cli import load_config, main
-
-
-@pytest.fixture(autouse=True)
-def _isolate_cache(monkeypatch):
-    # keep CLI cache configuration from leaking into other tests
-    monkeypatch.delenv("CUBESUMS_CACHE_DIR", raising=False)
-    yield
-    expsums.configure_cache(None)
 
 
 def run(argv, capsys):
@@ -227,8 +220,7 @@ def test_cache_dir_env_beats_flag(tmp_path, monkeypatch, capsys):
     rc, _ = run(["expsum", "--modulus", "11", "--all",
                  "--cache-dir", str(flag_dir)], capsys)
     assert rc == 0
-    assert (env_dir / "t_11_1.cbt").exists()
-    assert not flag_dir.exists()
+    assert cache.s1_path() == env_dir / "s1_table.bin"
 
 
 def test_cache_dir_flag_used_without_env(tmp_path, capsys):
@@ -236,7 +228,38 @@ def test_cache_dir_flag_used_without_env(tmp_path, capsys):
     rc, _ = run(["expsum", "--modulus", "13", "--all",
                  "--cache-dir", str(flag_dir)], capsys)
     assert rc == 0
-    assert (flag_dir / "t_13_1.cbt").exists()
+    assert cache.s1_path() == flag_dir / "s1_table.bin"
+    # T-vectors are recomputed, never written
+    assert not flag_dir.exists()
+
+
+def test_cache_dir_from_config(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"cache_dir = {tmp_path / 'cfg_cache'}\n")
+    rc, _ = run(["expsum", "--modulus", "7", "--config", str(cfg)], capsys)
+    assert rc == 0
+    assert cache.s1_path() == tmp_path / "cfg_cache" / "s1_table.bin"
+
+
+def test_unusable_cache_dir_keeps_output(tmp_path, capsys):
+    # the cache dir's parent is a regular file, so no directory can be made
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = ["expsum", "--modulus", "343", "--a", "1"]
+    rc, plain = run(argv, capsys)
+    assert rc == 0
+    rc, out = run(argv + ["--cache-dir", str(blocker / "cache")], capsys)
+    assert rc == 0
+    assert out.out == plain.out and out.err == ""
+
+
+def test_variance_rejects_x_zero_before_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run(["variance", "--X", "0", "--K", "1", "--d", "1"], capsys)
+    assert rc == 1
+    assert "X must be a positive integer" in out.err
+    assert caught == []
 
 
 def test_deterministic_output(tmp_path, capsys):

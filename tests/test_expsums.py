@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from cubesums import expsums as E
-from cubesums.arith import divisors, lcm, primes_below, v_p
-from cubesums.cache import MAGIC
+from cubesums.arith import divisors, is_prime, lcm, primes_below, v_p
 
 
 def tv(a, n):
@@ -362,37 +361,68 @@ def test_singular_series_reports():
         E.singular_series_level_d(8, 4)
 
 
-# ------------------------------------------------------------------- cache
+# ------------------------------------------------- int64 route of T_a(p^l)
 
 
-def test_cache_roundtrip(tmp_path):
+def _t_object_oracle(p, l):
+    """T_a(p^l) in Python integers: the object-dtype formula that the int64
+    route replaced, kept as its oracle."""
+    m = p**l
+    n_l = E.point_count_vector(m)
+    if l == 1:
+        return p * n_l.astype(object) - p**3
+    n_prev = E.point_count_vector(p ** (l - 1))
+    idx = np.arange(m) % (p ** (l - 1))
+    return p**l * n_l.astype(object) - p ** (l + 2) * n_prev.astype(object)[idx]
+
+
+def test_t_int64_route_matches_object_oracle_to_20000():
     try:
-        E.configure_cache(str(tmp_path))
-        t1 = E.t_prime_power(7, 1).copy()
-        files = list(tmp_path.glob("*.cbt"))
-        assert len(files) == 1
-        raw = files[0].read_bytes()
-        assert raw[:4] == MAGIC
-        assert len(raw) == 28 + 8 * 7
-        E.configure_cache(str(tmp_path))  # drop the in-memory layer
-        assert np.array_equal(E.t_prime_power(7, 1), t1)
+        for p in primes_below(20001):
+            l = 1
+            while p**l <= 20000:
+                got = E._t_prime_power_compute(p, l)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _t_object_oracle(p, l)), (p, l)
+                l += 1
     finally:
-        E.configure_cache(None)
+        E.point_count_vector.cache_clear()  # some 2000 vectors
 
 
-def test_cache_ignores_corrupt_file(tmp_path, caplog):
-    try:
-        E.configure_cache(str(tmp_path))
-        E.t_prime_power(5, 1)
-        path = next(tmp_path.glob("*.cbt"))
-        path.write_bytes(b"CBT1" + b"\x00" * 10)  # truncated
-        E.configure_cache(str(tmp_path))
-        with caplog.at_level("WARNING", logger="cubesums.cache"):
-            t = E.t_prime_power(5, 1)
-        assert list(t) == [0, 0, 0, 0, 0]
-        assert any("recomputing" in r.message for r in caplog.records)
-    finally:
-        E.configure_cache(None)
+@pytest.mark.parametrize("p,l", [(2, 20), (3, 13), (11, 6), (5, 9), (37, 4)])
+def test_t_large_prime_powers_match_object_oracle(p, l):
+    got = E._t_prime_power_compute(p, l)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _t_object_oracle(p, l))
+
+
+def test_t_largest_primes_match_object_oracle():
+    # 2 p^3 leaves int64 above about 1.66e6, but T_a(p) = p (N_a(p) - p^2)
+    # does not, so these stay on the int64 route
+    for r in (1, 2):
+        p = next(q for q in range(E.MAX_MODULUS, 1, -1)
+                 if q % 3 == r and is_prime(q))
+        assert 2 * p**3 > E.INT64_MAX
+        got = E._t_prime_power_compute(p, 1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _t_object_oracle(p, 1)), p
+
+
+def test_t_leaves_int64_through_python_ints(monkeypatch):
+    # no T_a(p^l) with p^l <= MAX_MODULUS leaves int64, so lower the limit to
+    # reach the object route: values that do not fit come back as Python ints
+    monkeypatch.setattr(E, "INT64_MAX", 10**6)
+    for p, l in ((7, 3), (19, 2), (2, 9), (5, 5)):
+        got = E._t_prime_power_compute(p, l)
+        assert got.dtype == object and isinstance(got[0], int)
+        assert np.array_equal(got, _t_object_oracle(p, l)), (p, l)
+
+
+def test_t_vectors_never_touch_the_store(tmp_path):
+    E.configure_cache(str(tmp_path))
+    assert list(E.t_full(343)[:3]) == [tv(a, 343) for a in range(3)]
+    assert E.t_prime_power(7, 3) is E.t_prime_power(7, 3)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_vectors_are_read_only():
