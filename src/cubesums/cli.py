@@ -10,8 +10,10 @@ range), 2 when a verify check failed (any CheckFailed).
 
 Flags are the primary interface; an optional key=value config file supplies
 defaults that flags override.  The CUBESUMS_CACHE_DIR environment variable
-overrides any cache-dir setting.  Output is deterministic: CSV carries a
-header row and 17-significant-digit floats, JSON is emitted with sorted keys.
+overrides any cache-dir setting.  Output is deterministic, except the
+wall_time field of variance and sieved, which is the run's own timing: CSV
+carries a header row and 17-significant-digit floats, JSON is emitted with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def _cmd_density(args, cfg, fmt):
     grid = _pick(args, cfg, "grid", int, default=256)
     table = density_table(nu_star(R), grid_size=grid)
     if fmt == "json":
-        return _json_text({"weight": table.weight_name, "R": table.R,
+        return _json_text({"weight": table.weight.name, "R": table.weight.R,
                            "grid": table.grid, "sigma": table.values,
                            "max_validation_error": table.max_validation_error})
     rows = zip(table.grid.tolist(), table.values.tolist())

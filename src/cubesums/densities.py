@@ -1,4 +1,4 @@
-"""Real (archimedean) densities of x^3+y^3+z^3 = a against smooth weights.
+"""Real (archimedean) densities of x^3+y^3+z^3 = a against nu_star(R).
 
 sigma_inf(a, X, nu) is the surface integral of nu(y)/(3 y1^2) over the
 solution surface F0(y) = a/X^3, with y1 solved by real cube root; by the
@@ -8,18 +8,18 @@ Two routes compute it:
 
 * "direct": the literal 2-d adaptive quadrature over (y2, y3) in [-B, B]^2,
   evaluating nu (and its inner r-integral) at every node.
-* the fast route, which "auto" takes for nu_star: Fubini plus the scaling
-  y -> r y turn sigma into w0(a-tilde) * int_1^R S1(a-tilde / r^3) dr/r,
-  where S1(b) is the R-independent surface integral of the plain six-form
-  w2-product chi.  S1 is tabulated once on a fine grid (validated off-grid
-  against direct quadrature of chi) and kept in the disk store of cache.py;
-  every sigma for every R is then a cheap 1-d rule.
+* "auto", the fast route: Fubini plus the scaling y -> r y turn sigma into
+  w0(a-tilde) * int_1^R S1(a-tilde / r^3) dr/r, where S1(b) is the
+  R-independent surface integral of the plain six-form w2-product chi.
+  S1 is tabulated once on a fine grid (validated off-grid against direct
+  quadrature of chi) and kept in the disk store of cache.py; every sigma
+  for every R is then a cheap 1-d rule.
 
 Integrals over the full 3-d support (mixed moment, L^2 norm) decompose as an
 outer 2-d adaptive integral over (y2, y3) and an inner Gauss rule over the
-exact y1-interval on which |F0| stays below the weight's a-support bound;
-this avoids losing the thin slab at large ||y|| and keeps the mixed moment
-an honest cross-check (it never touches S1).
+exact y1-interval on which |F0| stays below a_support = 3, less the dead
+strip |y1| <= 1/2; this avoids losing the thin slab at large ||y|| and keeps
+the mixed moment an honest cross-check (it never touches S1).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import cache
 from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import (DEFAULT_BUMPS, Weight, bump, f0, _six_forms, _w2_product,
-                      is_nu_star, sobolev_estimate)
+from .weights import (DEFAULT_BUMPS, Weight, bump, f0, nu_star, _six_forms,
+                      _w2_product, sobolev_estimate)
 
 if TYPE_CHECKING:
     # importing scipy.interpolate costs more time and memory than the rest of
@@ -67,14 +67,6 @@ _S1_NODES, _S1_REL_TOL, _S1_SEED, _S1_VALIDATION_SEED = 385, 3e-7, 20, 20240917
 _S1_KEY = repr((DEFAULT_BUMPS, _S1_NODES, _S1_EDGE, _S1_REL_TOL, _S1_SEED,
                 _S1_VALIDATION_SEED)).encode()
 _S1_PROBES = (96, 288)
-
-
-def _require_very_clean(weight: Weight) -> None:
-    if not weight.very_clean:
-        raise ValueError(
-            "only very-clean weights are supported: the y1-solving branch "
-            "needs the support to avoid the coordinate hyperplanes"
-        )
 
 
 def _cube(t: np.ndarray) -> np.ndarray:
@@ -199,10 +191,9 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
     """Density of F0 = a at scale X against the weight, >= 0.
 
     Computed at the rescaled argument a/X^3 (the value is X-invariant).
-    method "auto" uses the tabulated fast route for nu_star(R) itself and the
-    literal 2-d quadrature otherwise; "direct" forces the latter.
+    method "auto" takes the fast route through the tabulated S1, which reads
+    only weight.R; "direct" is the literal 2-d quadrature, its oracle.
     """
-    _require_very_clean(weight)
     if X <= 0:
         raise ValueError("X must be positive")
     if method not in ("auto", "direct"):
@@ -210,7 +201,7 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
-    if method == "direct" or not is_nu_star(weight):
+    if method == "direct":
         return _sigma_direct(atil, weight, rel_tol, abs_floor)
     return float(_sigma_fast(atil, weight.R)[0])
 
@@ -218,8 +209,6 @@ def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
 def fast_route_deviation(R: float = 2.0, probes=(0.0, 0.9, 2.2)) -> float:
     """Max relative gap between the fast and direct sigma routes at the
     probe a-tilde values; exercises the Fubini/scaling identity end to end."""
-    from .weights import nu_star
-
     nu = nu_star(R)
     worst = 0.0
     for atil in probes:
@@ -233,9 +222,7 @@ def fast_route_deviation(R: float = 2.0, probes=(0.0, 0.9, 2.2)) -> float:
 class DensityTable:
     """Uniform a-tilde samples of sigma_inf with cubic interpolation."""
 
-    weight_name: str
-    R: float
-    a_support: float
+    weight: Weight
     grid: np.ndarray
     values: np.ndarray
     max_validation_error: float
@@ -250,7 +237,7 @@ class DensityTable:
     def __call__(self, atil):
         arr = np.atleast_1d(np.asarray(atil, dtype=float))
         out = np.zeros_like(arr)
-        m = np.abs(arr) <= self.a_support
+        m = np.abs(arr) <= self.weight.a_support
         if m.any():
             out[m] = np.maximum(self._spline(arr[m]), 0.0)
         if np.isscalar(atil) or np.asarray(atil).ndim == 0:
@@ -280,25 +267,23 @@ class DensityTable:
                 fh.write(f"{g:.17g},{v:.17g}\n")
 
 
-def density_table(weight: Weight, grid_size: int = 256,
-                  rel_tol: float = 1e-6, seed: int = 0,
+def density_table(weight: Weight, grid_size: int = 256, seed: int = 0,
                   validation_points: int = 32) -> DensityTable:
     """Sample sigma_inf on a grid of a-tilde in [-a_support, a_support].
 
-    Interpolation is validated at random off-grid points against direct
-    (non-interpolated) sigma_inf; if the max relative error reaches 1e-3 the
+    Interpolation is validated at random off-grid points against
+    non-interpolated sigma_inf; if the max relative error reaches 1e-3 the
     grid is refined once, and a second failure raises ValueError naming the
     worst offending a-tilde.  One table is built per weight object and
     argument tuple, however the arguments are spelled at the call site.
     """
-    _require_very_clean(weight)
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
-    return _density_table(weight, grid_size, rel_tol, seed, validation_points)
+    return _density_table(weight, grid_size, seed, validation_points)
 
 
 @lru_cache(maxsize=None)
-def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
+def _density_table(weight: Weight, grid_size: int, seed: int,
                    validation_points: int) -> DensityTable:
     rng = np.random.default_rng(seed)
     probes = rng.uniform(-weight.a_support, weight.a_support,
@@ -307,17 +292,12 @@ def _density_table(weight: Weight, grid_size: int, rel_tol: float, seed: int,
     worst = worst_at = 0.0
     for _ in range(2):
         grid = np.linspace(-weight.a_support, weight.a_support, size)
-        if is_nu_star(weight):
-            values = _sigma_fast(grid, weight.R)
-        else:
-            values = np.array([sigma_inf(g, 1.0, weight, rel_tol=rel_tol)
-                               for g in grid])
-        table = DensityTable(weight.name, weight.R, weight.a_support, grid,
-                             values, math.nan)
+        values = _sigma_fast(grid, weight.R)
+        table = DensityTable(weight, grid, values, math.nan)
         scale = max(float(values.max()), 1e-30)
         worst = 0.0
         for p in probes:
-            point = sigma_inf(p, 1.0, weight, rel_tol=rel_tol)
+            point = sigma_inf(p, 1.0, weight)
             err = abs(table(p) - point) / max(abs(point), 1e-6 * scale)
             if err > worst:
                 worst, worst_at = err, p
@@ -341,8 +321,8 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
     converges slowly through the interior onset bands of the weight).
     inner_fn maps (M, 3) points to (M,) values, must vanish where the
     weight does, and must be even under z -> -z (the outer domain is halved
-    accordingly).  Very-clean weights vanish for |y1| <= 1/2 (the first w2
-    band starts at 1/2 and r >= 1), so that dead strip is excluded exactly.
+    accordingly).  nu_star vanishes for |y1| <= 1/2 (the first w2 band
+    starts at 1/2 and r >= 1), so that dead strip is excluded exactly.
     """
     B = weight.B
     A = weight.a_support
@@ -351,13 +331,9 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
         s = _cube(pts[:, 0]) + _cube(pts[:, 1])
         zlo = np.cbrt(-A - s)
         zhi = np.cbrt(A - s)
-        if weight.very_clean:
-            pieces = ((zlo, np.minimum(zhi, -0.5)),
-                      (np.maximum(zlo, 0.5), zhi))
-        else:
-            pieces = ((zlo, zhi),)
         total = np.zeros(len(pts))
-        for lo, hi in pieces:
+        for lo, hi in ((zlo, np.minimum(zhi, -0.5)),
+                       (np.maximum(zlo, 0.5), zhi)):
             width = np.maximum(hi - lo, 0.0)
             for k in range(panels):
                 nodes, wts = scaled_gauss_nodes(lo + width * (k / panels),

@@ -1,23 +1,23 @@
 """Exact lattice-point counting for F0(y) = y1^3 + y2^3 + y3^3.
 
-count_weighted bins nu(y/X) over the integer points of the weight's support
-by the exact integer value a = F0(y).  Enumeration runs over (leading,
-second) coordinate pairs; the third coordinate is recovered from the exact
-cube-root interval |F0| <= a_support * X^3, so the cost is proportional to
-the slab volume, not the box volume.
+count_weighted bins nu(y/X) over the integer points of the support of
+nu = nu_star(R) by the exact integer value a = F0(y).  Enumeration runs over
+(leading, second) coordinate pairs; the third coordinate is recovered from
+the exact cube-root interval |F0| <= a_support * X^3, so the cost is
+proportional to the slab volume, not the box volume.
 
 The production walk (_iter_orbits) visits one point per orbit of coordinate
-permutations and global sign.  For a symmetric very-clean weight, nu is
-constant on such an orbit and F0 is permutation-invariant and odd; no
-support point has a zero coordinate or y_i = -y_j, so F0 != 0 there (Fermat,
-n = 3).  A sorted representative y1 <= y2 <= y3 with F0(y) = a > 0 thus
-stands for exactly k = 6, 3 or 1 points at a and k points at -a, and nu is
-evaluated once for all 2k of them.  count_weighted is the only caller of
-this walk; its CountTable keeps the walk's rows (a, k, nu), so special_count
-and pair_count reduce a table instead of walking again, and table_at is the
-one place that decides whether a caller's table is reused.  The plain walk
-over every support point (_iter_alive, with a choice of loop order) is the
-oracle behind pair_count_bruteforce and the tests.
+permutations and global sign.  nu_star is S3-symmetric and even, so nu is
+constant on such an orbit, and F0 is permutation-invariant and odd.  nu_star
+is very clean: no support point has a zero coordinate or y_i = -y_j, so
+F0 != 0 there (Fermat, n = 3).  A sorted representative y1 <= y2 <= y3 with
+F0(y) = a > 0 thus stands for exactly k = 6, 3 or 1 points at a and k points
+at -a, and nu is evaluated once for all 2k of them.  count_weighted is the
+only caller of this walk; its CountTable keeps the walk's rows (a, k, nu), so
+special_count and pair_count reduce a table instead of walking again, and
+table_at is the one place that decides whether a caller's table is reused.
+The plain walk over every support point (_iter_alive, with a choice of loop
+order) is the oracle behind pair_count_bruteforce and the tests.
 
 Both walks buffer their candidates and evaluate nu once per block of them
 (_alive_rows), not once per leading coordinate: a call carries a fixed
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import CheckFailed
 from .arith import primes_below
-from .weights import Weight, is_nu_star
+from .weights import Weight
 
 __all__ = [
     "CountTable",
@@ -75,12 +75,10 @@ def _dyadic_int(v: float) -> int:
 def _band_values(X: int, weight: Weight) -> np.ndarray:
     """Ascending integer values one support coordinate can take.
 
-    For nu_star(R) every support point has |y_l|/X > 1/2 (the first w2
-    band), so |y_l| >= X//2 + 1; generic weights only guarantee y_l != 0.
+    Every support point of nu_star(R) has |y_l|/X > 1/2 (the first w2 band)
+    and |y_l|/X <= B, so X//2 + 1 <= |y_l| <= B X.
     """
-    hmin = X // 2 + 1 if is_nu_star(weight) else 1
-    hmax = weight.B * X
-    pos = np.arange(hmin, hmax + 1, dtype=np.int64)
+    pos = np.arange(X // 2 + 1, weight.B * X + 1, dtype=np.int64)
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -102,8 +100,8 @@ def _alive_rows(candidates, X: int, weight: Weight, block: int):
 
     candidates yields (a, points) pieces in walk order.  nu is evaluated
     once per run of pieces holding at least block candidates, and once more
-    for the rest, and the live rows come out in walk order.  A row-pure
-    weight (nu_star is) gives the same values at any block.
+    for the rest, and the live rows come out in walk order.  nu_star is
+    row-pure, so every block size gives the same values.
     """
     buf, n_buf = [], 0
     for piece in candidates:
@@ -132,8 +130,6 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
     second, solved); the visited point set is identical for any order,
     which the loop-order oracle exploits.
     """
-    if not weight.clean:
-        raise ValueError("lattice enumeration requires a clean weight")
     band = _band_values(X, weight)
     a_cap = int(math.floor(weight.a_support * X**3))
     m = len(band)
@@ -260,18 +256,15 @@ class CountTable:
 def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     """Weighted count N_{a,nu}(X) = sum over y in Z^3 of nu(y/X), per a.
 
-    Runs on the orbit walk: each orbit adds k * nu to bin a and to bin -a, so
-    the table is exactly symmetric.  The weight must be symmetric and very
-    clean (ValueError otherwise).  Deterministic: blocks are enumerated and
+    Runs on the orbit walk, which needs nu = nu_star(R) to be even and
+    S3-symmetric: each orbit adds k * nu to bin a and to bin -a, so the table
+    is exactly symmetric.  Deterministic: blocks are enumerated and
     accumulated in a fixed order.  exact=False skips the dyadic-integer
     ledger (faster at large X).  The table keeps the walk's rows, which
     special_count reduces.
     """
     if X < 1:
         raise ValueError("X must be a positive integer")
-    if not (weight.symmetric and weight.very_clean):
-        raise ValueError(
-            "lattice counts require a symmetric very-clean weight")
     if weight.B * X > _ENUM_BOUND:
         # B = ceil(11 R) may have hundreds of digits; print three significant
         raise ValueError(f"enumeration bound exceeded: "
@@ -311,24 +304,24 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     )
 
 
-def table_at(X: int, weight: Weight | None,
+def table_at(X: int, weight: Weight,
              table: CountTable | None = None) -> CountTable:
     """The caller's table if given, else a float count_weighted(X, weight).
 
-    A given table must be counted at X and, unless weight is None, with
-    this weight object (ValueError otherwise)."""
+    A given table must be counted at X with this weight object (ValueError
+    otherwise)."""
     if table is None:
         return count_weighted(X, weight, exact=False)
     if table.X != X:
         raise ValueError(f"table was counted at X = {table.X}, not X = {X}")
-    if weight is not None and table.weight is not weight:
+    if table.weight is not weight:
         raise ValueError(
             f"table was counted with another weight ({table.weight.name}, "
             f"R = {table.weight.R}), not {weight.name} with R = {weight.R}")
     return table
 
 
-def pair_count(X: int, d: int, weight: Weight | None,
+def pair_count(X: int, d: int, weight: Weight,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
     if d < 1:
@@ -397,7 +390,7 @@ class SpecialCount:
     n_repeated: int  # contributing y with a repeated coordinate
 
 
-def special_count(X: int, d: int, weight: Weight | None,
+def special_count(X: int, d: int, weight: Weight,
                   table: CountTable | None = None) -> SpecialCount:
     """Exact diagonal count; diag + correction = formula_value exactly.
 

@@ -6,11 +6,12 @@ step = ramp(x)/(ramp(x)+ramp(1-x)), then
     w0(t) = step(3 - |t|)            (1 on [-2,2], 0 outside (-3,3))
     w2(t) = step(2t - 1) step(11 - t) (1 on [1,10], 0 outside (1/2,11))
 
-The main weight family nu_star(R) integrates the product of w2 over the six
-linear forms |y_l|, |y_i + y_j| against dr/r for r in [1, R], times w0(F0(y)).
-Its support avoids all six hyperplanes y_l = 0, y_i + y_j = 0 (very clean),
-is S3-symmetric and even, lies in 1/2 <= ||y||_inf <= 11R, and forces
-|F0(y)| < 3.
+The one weight is nu_star(R), the Weight object of parameter R: it integrates
+the product of w2 over the six linear forms |y_l|, |y_i + y_j| against dr/r
+for r in [1, R], times w0(F0(y)).  Its support avoids all six hyperplanes
+y_l = 0, y_i + y_j = 0 (very clean), is S3-symmetric and even, lies in
+1/2 <= ||y||_inf <= 11R, and forces |F0(y)| < 3.  B, a_support and evaluate
+all follow from R, so no Weight can disagree with its R.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "Weight",
     "bump",
     "f0",
-    "is_nu_star",
     "nu_star",
     "nu_star_support_volume",
     "ramp",
@@ -139,32 +139,6 @@ def bump(kind: str, t):
     else:
         raise ValueError(f"unknown bump kind {kind!r}")
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True, eq=False)
-class Weight:
-    """A smooth weight nu: R^3 -> R_{>=0} with its support metadata.
-
-    evaluate maps an (N, 3) float array to an (N,) array.  a_support bounds
-    |F0| on the support (the w0 factor); B bounds ||y||_inf from above and
-    1/B from below when very_clean.  A weight hashes by identity, so the
-    lru_caches keyed on it never confuse two weights that share a name.
-    """
-
-    name: str
-    R: float
-    B: int
-    clean: bool
-    very_clean: bool
-    symmetric: bool
-    a_support: float
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 1:
-            return float(self.evaluate(arr[None, :])[0])
-        return self.evaluate(arr)
 
 
 def _rotating_network(pairs) -> tuple[tuple[int, int, int], ...]:
@@ -294,28 +268,33 @@ def _r_rule_params(R: float) -> tuple[int, int]:
     return panels, order
 
 
-def nu_star(R: float) -> Weight:
-    """The cusp-parameter weight: w0(F0) times the dr/r average of the six
-    w2-cutoff linear forms over r in [1, R].
+@dataclass(frozen=True, eq=False)
+class Weight:
+    """The cusp-parameter weight nu_star(R): w0(F0) times the dr/r average
+    of the six w2-cutoff linear forms over r in [1, R].
 
-    One object per value of R, so nu_star(2) is nu_star(2.0) and every
-    caller shares the memo entries keyed on it."""
-    if not 2 <= R <= _R_MAX:
-        raise ValueError(
-            f"R must be a finite number >= 2 and <= {_R_MAX:.4g}, got {R}")
-    return _nu_star(float(R))
+    R is the only field.  a_support bounds |F0| on the support (the w0
+    factor), and every |y_l| on the support lies in [1/B, B] for
+    B = ceil(11 R).  A weight hashes by identity, so the lru_caches keyed on
+    it tell two objects of the same R apart; nu_star(R) hands out one per R.
+    """
 
+    R: float
+    name: ClassVar[str] = "nu_star"
+    a_support: ClassVar[float] = 3.0
 
-def is_nu_star(weight: Weight) -> bool:
-    """True when weight is the nu_star(R) object itself, not a weight that
-    merely shares its name (fast routes read nothing but weight.R)."""
-    R = weight.R
-    return 2 <= R <= _R_MAX and weight is nu_star(R)
+    def __post_init__(self):
+        if not 2 <= self.R <= _R_MAX:
+            raise ValueError(f"R must be a finite number >= 2 and "
+                             f"<= {_R_MAX:.4g}, got {self.R}")
 
+    @property
+    def B(self) -> int:
+        return math.ceil(11 * self.R)
 
-@lru_cache(maxsize=None)
-def _nu_star(R: float) -> Weight:
-    def evaluate(pts: np.ndarray) -> np.ndarray:
+    def evaluate(self, pts: np.ndarray) -> np.ndarray:
+        """nu at each row of an (N, 3) array, as an (N,) array."""
+        R = self.R
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(len(pts))
         w0v = bump("w0", f0(pts))
@@ -336,16 +315,14 @@ def _nu_star(R: float) -> Weight:
             out[alive] = w0v[alive] * vals
         return out
 
-    return Weight(
-        name="nu_star",
-        R=R,
-        B=math.ceil(11 * R),
-        clean=True,
-        very_clean=True,
-        symmetric=True,
-        a_support=3.0,
-        evaluate=evaluate,
-    )
+
+def nu_star(R: float) -> Weight:
+    """The Weight of parameter R, one object per value of R, so nu_star(2)
+    is nu_star(2.0) and every caller shares the memo entries keyed on it."""
+    return _nu_star(float(R))  # lru_cache keys the int 2 apart from 2.0
+
+
+_nu_star = lru_cache(maxsize=None)(Weight)
 
 
 def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:

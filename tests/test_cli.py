@@ -268,6 +268,14 @@ def test_deterministic_output(tmp_path, capsys):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # variance prints its own wall_time, the one field that differs
+    reps = []
+    for _ in range(2):
+        rc, out = run(["variance", "--X", "8", "--K", "2", "--d", "1"], capsys)
+        assert rc == 0
+        reps.append(json.loads(out.out))
+        assert reps[-1].pop("wall_time") >= 0.0
+    assert reps[0] == reps[1]
 
 
 def test_threads_do_not_change_output(capsys):

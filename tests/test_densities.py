@@ -32,20 +32,6 @@ def table2(nu2):
     return density_table(nu2)
 
 
-def _zero_weight(name="zero"):
-    return Weight(
-        name=name, R=2.0, B=4, clean=True, very_clean=True, symmetric=True,
-        a_support=3.0, evaluate=lambda y: np.zeros(len(y)),
-    )
-
-
-def _dirty_weight():
-    return Weight(
-        name="dirty", R=2.0, B=4, clean=True, very_clean=False, symmetric=True,
-        a_support=3.0, evaluate=lambda y: np.ones(len(y)),
-    )
-
-
 def test_fast_route_matches_direct_quadrature(nu2):
     # tabulated S1 route vs literal 2-d adaptive surface integral
     dev = fast_route_deviation(R=2.0, probes=(0.0, 0.9))
@@ -115,18 +101,20 @@ def test_table_memoized(nu2):
     assert density_table(nu2) is density_table(nu2, grid_size=256)
 
 
-def test_table_memo_keys_on_seed_and_probe_count():
-    z = _zero_weight()
-    t1 = density_table(z, grid_size=64, validation_points=4, seed=1)
-    assert t1 is not density_table(z, grid_size=64, validation_points=4, seed=0)
-    assert t1 is not density_table(z, grid_size=64, validation_points=2, seed=1)
+def test_table_memo_keys_on_seed_and_probe_count(nu2):
+    t1 = density_table(nu2, validation_points=4, seed=1)
+    assert t1 is not density_table(nu2, validation_points=4, seed=0)
+    assert t1 is not density_table(nu2, validation_points=2, seed=1)
 
 
 def test_table_memo_keys_on_weight_object():
-    # same name and R, separately built: two weights, two tables
-    z1, z2 = _zero_weight(), _zero_weight()
-    assert density_table(z1, grid_size=64, validation_points=4) is not \
-        density_table(z2, grid_size=64, validation_points=4)
+    # same R, separately built: two weight objects, two equal tables
+    w1, w2 = Weight(2.0), nu_star(2.0)
+    assert w1 is not w2
+    t1, t2 = density_table(w1), density_table(w2)
+    assert t1 is not t2
+    assert np.array_equal(t1.values, t2.values)
+    assert density_table(nu_star(2)) is density_table(nu_star(2))
 
 
 def test_table_export_csv(table2, tmp_path):
@@ -166,33 +154,10 @@ def test_sigma_inf_log_R_lower_bound(nu2):
         assert sigma_inf(0.0, 1.0, nu_star(R)) / math.log(R) >= 0.9 * c
 
 
-def test_sigma_inf_rejects_fast_method():
-    # the fast route reads only weight.R; "auto" takes it for nu_star alone
+def test_sigma_inf_rejects_fast_method(nu2):
+    # "auto" (through S1) and "direct" are the only routes
     with pytest.raises(ValueError):
-        sigma_inf(0.0, 1.0, _zero_weight(), method="fast")
-
-
-def test_non_very_clean_rejected():
-    with pytest.raises(ValueError):
-        sigma_inf(0.0, 1.0, _dirty_weight())
-    with pytest.raises(ValueError):
-        density_table(_dirty_weight())
-
-
-def test_zero_weight_all_zero():
-    z = _zero_weight()
-    table = density_table(z, grid_size=64, validation_points=4)
-    assert np.all(table.values == 0.0)
-    assert table.integrate_square() == 0.0
-    assert mixed_l1_moment(z, grid_size=64) == 0.0
-
-
-def test_look_alike_of_nu_star_takes_direct_route():
-    # only nu_star(R) itself takes the S1 fast route, which reads weight.R
-    z = _zero_weight(name="nu_star")
-    assert sigma_inf(0.0, 1.0, z) == 0.0
-    table = density_table(z, grid_size=64, validation_points=4)
-    assert np.all(table.values == 0.0)
+        sigma_inf(0.0, 1.0, nu2, method="fast")
 
 
 def test_pure_equals_mixed_moment(nu2):

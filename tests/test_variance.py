@@ -218,7 +218,7 @@ def test_table_at_another_X_is_rejected(nu2, tab20):
     calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
              lambda: hl_error(30, 1, nu2, table=tab20),
              lambda: sieved_variance(30, 4, hp, nu2, table=tab20),
-             lambda: pair_count(30, 1, None, table=tab20),
+             lambda: pair_count(30, 1, nu2, table=tab20),
              lambda: special_count(30, 1, nu2, table=tab20))
     for call in calls:
         with pytest.raises(ValueError, match="counted at X = 20, not X = 30"):
