@@ -80,9 +80,10 @@ def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
     The product is exactly 0 unless all six forms lie in (1/2, 11), so the
     forms are tested on contiguous 1-d arrays and only the rows that pass
     are sorted and multiplied out; the others stay 0.0, as the full product
-    would give them.
+    would give them.  The live points are gathered into the contiguous rows
+    of a (3, n) array, whose transpose _six_forms reads column by column.
     """
-    z2, z3 = np.ascontiguousarray(pts.T)
+    z2, z3 = (np.ascontiguousarray(pts[:, k]) for k in (0, 1))
     z1 = np.cbrt(b - _cube(z2) - _cube(z3))
     live = np.ones(len(pts), dtype=bool)
     for form in (z1, z2, z3, z1 + z2, z1 + z3, z2 + z3):
@@ -92,7 +93,7 @@ def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(live)
     if idx.size:
         y1 = z1[idx]
-        forms = _six_forms(np.column_stack([y1, z2[idx], z3[idx]]))
+        forms = _six_forms(np.stack([y1, z2[idx], z3[idx]]).T)
         out[idx] = _w2_product(forms, 1.0)[:, 0] / (3.0 * y1 ** 2)
     return out
 
@@ -186,23 +187,30 @@ def _sigma_direct(atil: float, weight: Weight, rel_tol: float,
     return res.value
 
 
-def sigma_inf(a: float, X: float, weight: Weight, rel_tol: float = 1e-6,
-              abs_floor: float = 1e-14, method: str = "auto") -> float:
+def sigma_inf(a: float, X: float, weight: Weight,
+              rel_tol: float | None = None, abs_floor: float | None = None,
+              method: str = "auto") -> float:
     """Density of F0 = a at scale X against the weight, >= 0.
 
     Computed at the rescaled argument a/X^3 (the value is X-invariant).
     method "auto" takes the fast route through the tabulated S1, which reads
-    only weight.R; "direct" is the literal 2-d quadrature, its oracle.
+    only weight.R and takes no tolerance; "direct" is the literal 2-d
+    quadrature, its oracle, to rel_tol (default 1e-6) and abs_floor
+    (default 1e-14).
     """
     if X <= 0:
         raise ValueError("X must be positive")
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and (rel_tol, abs_floor) != (None, None):
+        raise ValueError("rel_tol and abs_floor apply to method='direct' only")
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
     if method == "direct":
-        return _sigma_direct(atil, weight, rel_tol, abs_floor)
+        return _sigma_direct(atil, weight,
+                             1e-6 if rel_tol is None else rel_tol,
+                             1e-14 if abs_floor is None else abs_floor)
     return float(_sigma_fast(atil, weight.R)[0])
 
 

@@ -201,7 +201,8 @@ def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
     forms[i, k] > 10 min_j r[i, j], which the factor 1 - 1e-12 keeps a
     superset of under rounding.  Each band step runs on a gathered,
     contiguous operand, as in bump (numpy's SIMD exp may round strided input
-    differently).
+    differently).  With a scalar r each band factor is multiplied straight
+    into its rows of the one output column.
     """
     per_row = np.ndim(r) == 2
     out = np.ones((len(forms), np.shape(r)[1] if per_row else 1))
@@ -221,9 +222,12 @@ def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
                 x -= 1.0
             else:
                 np.subtract(11.0, x, out=x)
-            sub = out[rows]
-            sub[band] *= _step_core(x)
-            out[rows] = sub
+            if per_row:
+                sub = out[rows]
+                sub[band] *= _step_core(x)
+                out[rows] = sub
+            else:
+                out[rows[band[:, 0]], 0] *= _step_core(x)
     return out
 
 

@@ -1,13 +1,16 @@
 """Archimedean densities: tables, moments, Poisson checks, derivatives."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cubesums import densities
 from cubesums.densities import (
     _chi_integrand,
+    _s1_spline,
     chi_surface,
     density_table,
     derivative_probe,
@@ -44,6 +47,14 @@ def test_chi_surface_frozen_bits():
                     (1.3, "0x1.d68857e51a28bp-3"),
                     (2.9, "0x1.361f3cb9d0416p-2")):
         assert chi_surface(b).hex() == bits, b
+
+
+def test_s1_table_frozen_digest():
+    # all 385 node values and the off-grid validation error of the S1 table
+    _spline, vals, worst = _s1_spline()
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == (
+        "672471044b565720d313fcce8c0ff8a84681ea64e8cce51aa38d1e57d4c465d4")
+    assert float(worst).hex() == "0x1.fc73929b8c6aap-21"
 
 
 def _chi_integrand_unskipped(b, pts):
@@ -160,6 +171,23 @@ def test_sigma_inf_rejects_fast_method(nu2):
         sigma_inf(0.0, 1.0, nu2, method="fast")
 
 
+def test_sigma_inf_tolerances_reach_direct_only(nu2, monkeypatch):
+    # "auto" reads the S1 table, so a tolerance passed to it is an error
+    for kwargs in ({"rel_tol": 1e-3}, {"abs_floor": 1.0},
+                   {"rel_tol": 1e-6, "abs_floor": 1e-14}):
+        with pytest.raises(ValueError, match="direct"):
+            sigma_inf(0.5, 1.0, nu2, **kwargs)
+    assert sigma_inf(0.5, 1.0, nu2, rel_tol=None, abs_floor=None) == (
+        sigma_inf(0.5, 1.0, nu2))
+    seen = []
+    monkeypatch.setattr(densities, "_sigma_direct",
+                        lambda atil, w, rel, floor: seen.append((rel, floor)))
+    sigma_inf(0.5, 1.0, nu2, method="direct")
+    sigma_inf(0.5, 1.0, nu2, method="direct", rel_tol=1e-3)
+    sigma_inf(0.5, 1.0, nu2, method="direct", abs_floor=1e-9)
+    assert seen == [(1e-6, 1e-14), (1e-3, 1e-14), (1e-6, 1e-9)]
+
+
 def test_pure_equals_mixed_moment(nu2):
     pure = pure_l2_moment(nu2)
     mixed = mixed_l1_moment(nu2, rel_tol=1e-4)
@@ -169,6 +197,11 @@ def test_pure_equals_mixed_moment(nu2):
 def test_weight_l2_norm_positive(nu2):
     v = weight_l2_norm_sq(nu2, rel_tol=1e-4)
     assert 0.0 < v < math.log(2.0) ** 2 * 50.0
+
+
+def test_weight_l2_norm_frozen_bits(nu2):
+    # the slab path: outer 2-d adaptive rule around inner y1 Gauss panels
+    assert weight_l2_norm_sq(nu2, rel_tol=1e-1).hex() == "0x1.c63671e7746c9p-3"
 
 
 def test_poisson_check_bands(nu2):

@@ -93,3 +93,64 @@ def test_scaled_gauss_nodes_rowwise():
     assert vals[1] == pytest.approx((27.0 - 8.0) / 3.0, rel=1e-12)
     assert vals[2] == 0.0
     assert np.all(wts[2] == 0.0)
+
+
+def test_adaptive_1d_narrow_bump_frozen_bits():
+    res = adaptive_integrate(lambda p: np.exp(-1000.0 * (p[:, 0] - 0.3) ** 2),
+                             (0.0,), (1.0,), rel_tol=1e-9)
+    assert res.value.hex() == "0x1.cb292f7603cc4p-5"
+
+
+def test_adaptive_3d_gaussian_frozen_bits():
+    def f(p):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        return np.exp(-40.0 * ((x - 0.3) ** 2 + 2.0 * (y - 0.6) ** 2
+                               + 3.0 * (z - 0.5) ** 2))
+
+    res = adaptive_integrate(f, (0.0,) * 3, (1.0,) * 3, rel_tol=1e-8)
+    assert res.value.hex() == "0x1.255ffe6ce9d25p-7"
+
+
+def test_adaptive_budget_is_exact():
+    # a run given its own eval count as the budget still converges, and no
+    # run evaluates more points than its budget
+    def f(p):
+        return np.exp(-1e5 * (p[:, 0] - 0.3) ** 2)
+
+    res = adaptive_integrate(f, (0.0,), (1.0,), rel_tol=1e-12)
+    assert adaptive_integrate(f, (0.0,), (1.0,), rel_tol=1e-12,
+                              max_evals=res.n_evals) == res
+    for budget in (500, 700, 900, res.n_evals - 1):
+        calls = []
+
+        def counted(p):
+            calls.append(len(p))
+            return f(p)
+
+        with pytest.raises(RuntimeError, match="eval budget"):
+            adaptive_integrate(counted, (0.0,), (1.0,), rel_tol=1e-12,
+                               max_evals=budget)
+        assert sum(calls) <= budget
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_integrand_gets_column_contiguous_blocks(dim):
+    # every call holds at most 2^14 rows, each column is contiguous, and the
+    # blocks together hold every node once
+    calls = []
+
+    def f(p):
+        assert p.ndim == 2 and p.shape[1] == dim and p.shape[0] <= 1 << 14
+        for k in range(dim):
+            assert p[:, k].flags.c_contiguous
+        calls.append(len(p))
+        return np.exp(-np.sum((p - 0.4) ** 2, axis=1))
+
+    seed = {1: 3000, 2: 20, 3: 6}[dim]
+    res = adaptive_integrate(f, (0.0,) * dim, (1.0,) * dim, rel_tol=1e-10,
+                             seed=seed)
+    assert max(calls) == 1 << 14
+    assert sum(calls) == res.n_evals
+    assert res.value == pytest.approx(
+        (math.sqrt(math.pi) / 2 * (math.erf(0.6) + math.erf(0.4))) ** dim,
+        rel=1e-9)
