@@ -11,9 +11,9 @@ range), 2 when a verify check failed (any CheckFailed).
 Flags are the primary interface; an optional key=value config file supplies
 defaults that flags override.  The CUBESUMS_CACHE_DIR environment variable
 overrides any cache-dir setting.  Output is deterministic, except the
-wall_time field of variance and sieved, which is the run's own timing: CSV
-carries a header row and 17-significant-digit floats, JSON is emitted with
-sorted keys.
+wall_time field of variance and sieved, which is the run's own timing.
+verify prints text and every other subcommand CSV or JSON: CSV carries a
+header row and 17-significant-digit floats, JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -364,19 +364,20 @@ def _cmd_verify(args, cfg, fmt):
     return "\n".join(lines) + "\n"
 
 
+# each handler with the formats it prints, its default first
 _HANDLERS = {
-    "expsum": (_cmd_expsum, "csv"),
-    "splus": (_cmd_splus, "json"),
-    "series": (_cmd_series, "csv"),
-    "gamma": (_cmd_gamma, "json"),
-    "density": (_cmd_density, "csv"),
-    "count": (_cmd_count, "csv"),
-    "variance": (_cmd_variance, "json"),
-    "sieved": (_cmd_sieved, "json"),
-    "verify": (_cmd_verify, "text"),
-    "scan-exceptional": (_cmd_scan_exceptional, "json"),
-    "scan-primes": (_cmd_scan_primes, "json"),
-    "moments": (_cmd_moments, "json"),
+    "expsum": (_cmd_expsum, ("csv", "json")),
+    "splus": (_cmd_splus, ("json", "csv")),
+    "series": (_cmd_series, ("csv", "json")),
+    "gamma": (_cmd_gamma, ("json", "csv")),
+    "density": (_cmd_density, ("csv", "json")),
+    "count": (_cmd_count, ("csv", "json")),
+    "variance": (_cmd_variance, ("json", "csv")),
+    "sieved": (_cmd_sieved, ("json", "csv")),
+    "verify": (_cmd_verify, ("text",)),
+    "scan-exceptional": (_cmd_scan_exceptional, ("json", "csv")),
+    "scan-primes": (_cmd_scan_primes, ("json", "csv")),
+    "moments": (_cmd_moments, ("json", "csv")),
 }
 
 
@@ -396,8 +397,9 @@ def _build_parser() -> _Parser:
                              "between runs (CUBESUMS_CACHE_DIR overrides)")
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output path, default stdout")
-    common.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("csv", "json", "text"),
+                        default=argparse.SUPPRESS,
+                        help="text for verify, csv or json for the rest")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted and validated (>= 1); every command "
                              "runs in one thread")
@@ -488,10 +490,11 @@ def main(argv=None) -> int:
         args.resolved_seed = _pick(args, cfg, "seed", int, default=0)
         if threads < 1:
             raise CLIError("--threads must be >= 1")
-        handler, default_fmt = _HANDLERS[args.subcommand]
-        fmt = _pick(args, cfg, "format", str, default=default_fmt)
-        if fmt not in ("csv", "json", "text"):
-            raise CLIError(f"unknown format {fmt!r}")
+        handler, formats = _HANDLERS[args.subcommand]
+        fmt = _pick(args, cfg, "format", str, default=formats[0])
+        if fmt not in formats:
+            raise CLIError(f"{args.subcommand} prints "
+                           f"{' or '.join(formats)}, not {fmt!r}")
         _write(handler(args, cfg, fmt), _pick(args, cfg, "output", str))
     except CLIError as exc:
         print(f"cubesums: {exc}", file=sys.stderr)

@@ -32,9 +32,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import cache
-from .quadrature import adaptive_integrate, gauss_rule, scaled_gauss_nodes
-from .weights import (DEFAULT_BUMPS, Weight, bump, f0, nu_star, _six_forms,
-                      _w2_product, sobolev_estimate)
+from .quadrature import (adaptive_integrate, gauss_rule, log_panel_rule,
+                         scaled_gauss_nodes)
+from .weights import (Weight, bump, f0, nu_star, _six_forms, _w2_product,
+                      sobolev_estimate)
 
 if TYPE_CHECKING:
     # importing scipy.interpolate costs more time and memory than the rest of
@@ -59,12 +60,12 @@ __all__ = [
     "weight_l2_norm_sq",
 ]
 
-_INNER_ORDER = 12
-_INNER_PANELS = 4
+# the slab integrals' inner rule in y1: this many Gauss panels of this order
+_INNER_ORDER, _INNER_PANELS = 12, 4
 _S1_EDGE = 3.2  # table the surface density slightly past |b| = 3
 _S1_NODES, _S1_REL_TOL, _S1_SEED, _S1_VALIDATION_SEED = 385, 3e-7, 20, 20240917
 # what the S1 nodes depend on; a stored table must reproduce _S1_PROBES
-_S1_KEY = repr((DEFAULT_BUMPS, _S1_NODES, _S1_EDGE, _S1_REL_TOL, _S1_SEED,
+_S1_KEY = repr((_S1_NODES, _S1_EDGE, _S1_REL_TOL, _S1_SEED,
                 _S1_VALIDATION_SEED)).encode()
 _S1_PROBES = (96, 288)
 
@@ -98,16 +99,16 @@ def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def chi_surface(b: float, rel_tol: float = _S1_REL_TOL) -> float:
-    """S1(b): surface integral of prod w2(six forms)/(3 y1^2) at level b.
+def chi_surface(b: float) -> float:
+    """S1(b): surface integral of prod w2(six forms)/(3 y1^2) at level b,
+    to relative tolerance 3e-7.
 
     chi is even and supported in 1/2 <= |y_l| <= 11, so the domain is
     [-11, 11]^2, and _chi_integrand forms only the points where all six
     forms lie inside the w2 support.  S1 is even in b.
     """
     res = adaptive_integrate(partial(_chi_integrand, b), (-11.0, -11.0),
-                             (11.0, 11.0), rel_tol=rel_tol, abs_floor=1e-14,
-                             seed=_S1_SEED)
+                             (11.0, 11.0), rel_tol=_S1_REL_TOL, seed=_S1_SEED)
     return res.value
 
 
@@ -146,8 +147,6 @@ def _s1_spline() -> tuple[CubicSpline, np.ndarray, float]:
 @lru_cache(maxsize=None)
 def _r_nodes(R: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights in r for int_1^R f(r) dr/r, ample for spline integrands."""
-    from .quadrature import log_panel_rule
-
     panels = max(12, math.ceil(8 * math.log(R)))
     return log_panel_rule(1.0, float(R), panels, 12)
 
@@ -165,8 +164,7 @@ def _sigma_fast(atil: np.ndarray, R: float) -> np.ndarray:
     return out
 
 
-def _sigma_direct(atil: float, weight: Weight, rel_tol: float,
-                  abs_floor: float) -> float:
+def _sigma_direct(atil: float, weight: Weight, rel_tol: float) -> float:
     B = weight.B
     floor1 = 1.0 / (2.0 * B)  # support has |y1| >= 1/B; skip the branch zero
 
@@ -183,34 +181,31 @@ def _sigma_direct(atil: float, weight: Weight, rel_tol: float,
 
     seed = max(16, min(64, round(B / 3)))
     res = adaptive_integrate(integrand, (-B, -B), (B, B), rel_tol=rel_tol,
-                             abs_floor=abs_floor, seed=seed)
+                             seed=seed)
     return res.value
 
 
 def sigma_inf(a: float, X: float, weight: Weight,
-              rel_tol: float | None = None, abs_floor: float | None = None,
-              method: str = "auto") -> float:
+              rel_tol: float | None = None, method: str = "auto") -> float:
     """Density of F0 = a at scale X against the weight, >= 0.
 
     Computed at the rescaled argument a/X^3 (the value is X-invariant).
     method "auto" takes the fast route through the tabulated S1, which reads
     only weight.R and takes no tolerance; "direct" is the literal 2-d
-    quadrature, its oracle, to rel_tol (default 1e-6) and abs_floor
-    (default 1e-14).
+    quadrature, its oracle, to rel_tol (default 1e-6).
     """
     if X <= 0:
         raise ValueError("X must be positive")
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and (rel_tol, abs_floor) != (None, None):
-        raise ValueError("rel_tol and abs_floor apply to method='direct' only")
+    if method == "auto" and rel_tol is not None:
+        raise ValueError("rel_tol applies to method='direct' only")
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
     if method == "direct":
         return _sigma_direct(atil, weight,
-                             1e-6 if rel_tol is None else rel_tol,
-                             1e-14 if abs_floor is None else abs_floor)
+                             1e-6 if rel_tol is None else rel_tol)
     return float(_sigma_fast(atil, weight.R)[0])
 
 
@@ -268,34 +263,25 @@ class DensityTable:
     def derivative(self, k: int):
         return self._spline.derivative(k)
 
-    def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("a_tilde,sigma\n")
-            for g, v in zip(self.grid, self.values):
-                fh.write(f"{g:.17g},{v:.17g}\n")
 
-
-def density_table(weight: Weight, grid_size: int = 256, seed: int = 0,
-                  validation_points: int = 32) -> DensityTable:
+def density_table(weight: Weight, grid_size: int = 256) -> DensityTable:
     """Sample sigma_inf on a grid of a-tilde in [-a_support, a_support].
 
-    Interpolation is validated at random off-grid points against
+    Interpolation is validated at 32 seeded random off-grid points against
     non-interpolated sigma_inf; if the max relative error reaches 1e-3 the
     grid is refined once, and a second failure raises ValueError naming the
-    worst offending a-tilde.  One table is built per weight object and
-    argument tuple, however the arguments are spelled at the call site.
+    worst offending a-tilde.  One table is built per weight object and grid
+    size, however the arguments are spelled at the call site.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
-    return _density_table(weight, grid_size, seed, validation_points)
+    return _density_table(weight, grid_size)
 
 
 @lru_cache(maxsize=None)
-def _density_table(weight: Weight, grid_size: int, seed: int,
-                   validation_points: int) -> DensityTable:
-    rng = np.random.default_rng(seed)
-    probes = rng.uniform(-weight.a_support, weight.a_support,
-                         size=validation_points)
+def _density_table(weight: Weight, grid_size: int) -> DensityTable:
+    rng = np.random.default_rng(0)
+    probes = rng.uniform(-weight.a_support, weight.a_support, size=32)
     size = grid_size
     worst = worst_at = 0.0
     for _ in range(2):
@@ -319,13 +305,11 @@ def _density_table(weight: Weight, grid_size: int, seed: int,
     )
 
 
-def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
-                   order: int = _INNER_ORDER,
-                   panels: int = _INNER_PANELS) -> float:
+def _slab_integral(weight: Weight, inner_fn, rel_tol: float) -> float:
     """Integrate inner_fn(points) over the slab {|F0| <= a_support}.
 
-    Outer 2-d adaptive over (y2, y3); inner composite Gauss over the exact
-    y1-interval, split into `panels` equal pieces (a single Gauss rule
+    Outer 2-d adaptive over (y2, y3) to rel_tol; inner composite Gauss over
+    the exact y1-interval, 4 equal panels of 12 nodes (a single Gauss rule
     converges slowly through the interior onset bands of the weight).
     inner_fn maps (M, 3) points to (M,) values, must vanish where the
     weight does, and must be even under z -> -z (the outer domain is halved
@@ -343,10 +327,10 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
         for lo, hi in ((zlo, np.minimum(zhi, -0.5)),
                        (np.maximum(zlo, 0.5), zhi)):
             width = np.maximum(hi - lo, 0.0)
-            for k in range(panels):
-                nodes, wts = scaled_gauss_nodes(lo + width * (k / panels),
-                                                lo + width * ((k + 1) / panels),
-                                                order)
+            for k in range(_INNER_PANELS):
+                nodes, wts = scaled_gauss_nodes(
+                    lo + width * (k / _INNER_PANELS),
+                    lo + width * ((k + 1) / _INNER_PANELS), _INNER_ORDER)
                 n, m = nodes.shape
                 full = np.empty((n * m, 3))
                 full[:, 0] = nodes.ravel()
@@ -357,24 +341,23 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float = 1e-6,
 
     seed = max(16, min(64, round(B / 3)))
     res = adaptive_integrate(outer, (0.0, -B), (B, B), rel_tol=rel_tol,
-                             abs_floor=1e-14, seed=seed)
+                             seed=seed)
     return 2.0 * res.value
 
 
-def pure_l2_moment(weight: Weight, grid_size: int = 256) -> float:
+def pure_l2_moment(weight: Weight) -> float:
     """Integral over a-tilde of sigma_inf(a-tilde)^2 (X-independent)."""
-    return density_table(weight, grid_size).integrate_square()
+    return density_table(weight).integrate_square()
 
 
 @lru_cache(maxsize=None)
-def mixed_l1_moment(weight: Weight, grid_size: int = 256,
-                    rel_tol: float = 1e-5) -> float:
+def mixed_l1_moment(weight: Weight, rel_tol: float = 1e-5) -> float:
     """Integral of nu(z) * sigma_inf(F0(z)) over z (X-independent).
 
     Evaluates nu pointwise over its 3-d support; agreement with the pure
     moment is a genuine cross-check of the surface quadrature.
     """
-    table = density_table(weight, grid_size)
+    table = density_table(weight)
 
     def fn(pts: np.ndarray) -> np.ndarray:
         vals = weight.evaluate(pts)
@@ -414,13 +397,12 @@ class PoissonTrend:
     decreasing: bool
 
 
-def poisson_check(weight: Weight, X: int, N: int, b: int,
-                  grid_size: int = 256) -> PoissonReport:
+def poisson_check(weight: Weight, X: int, N: int, b: int) -> PoissonReport:
     """Compare sum of sigma^2 over a = b mod N, |a| <= a_support*X^3 with
     X^3/N times the integral of sigma^2 (both from the same table)."""
     if X < 1 or N < 1:
         raise ValueError("X and N must be integers >= 1")
-    table = density_table(weight, grid_size)
+    table = density_table(weight)
     bound = int(math.floor(weight.a_support * X**3))
     start = -bound + ((b - (-bound)) % N)
     a_vals = np.arange(start, bound + 1, N, dtype=float)
@@ -432,11 +414,11 @@ def poisson_check(weight: Weight, X: int, N: int, b: int,
     return PoissonReport(X, N, b, lattice_sum, reference, rel)
 
 
-def poisson_trend(weight: Weight, N: int, b: int, Xs=(20, 40, 80),
-                  grid_size: int = 256) -> PoissonTrend:
+def poisson_trend(weight: Weight, N: int, b: int,
+                  Xs=(20, 40, 80)) -> PoissonTrend:
     """Deviation trend across doubling X; deviations below 1e-12 count as
     floor-level ties (the discrete sum converges superpolynomially)."""
-    reports = tuple(poisson_check(weight, X, N, b, grid_size) for X in Xs)
+    reports = tuple(poisson_check(weight, X, N, b) for X in Xs)
     decreasing = all(
         reports[i + 1].rel_deviation <= reports[i].rel_deviation + 1e-12
         for i in range(len(reports) - 1)
@@ -454,12 +436,12 @@ class DerivativeProbe:
     central_vs_onesided: float
 
 
-def derivative_probe(weight: Weight, k: int, grid_size: int = 256) -> DerivativeProbe:
+def derivative_probe(weight: Weight, k: int) -> DerivativeProbe:
     """Max |d^k/d a-tilde^k sigma| from the density table, compared with the
     sampled Sobolev norm times B^(10+4k); report only."""
     if not 0 <= k <= 3:
         raise ValueError("k must be in 0..3")
-    table = density_table(weight, grid_size)
+    table = density_table(weight)
     dense = np.linspace(table.grid[0], table.grid[-1], 4097)
     deriv = table.derivative(k)(dense) if k else table(dense)
     max_abs = float(np.max(np.abs(deriv)))

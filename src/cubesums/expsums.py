@@ -31,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed, cache
-from .arith import MAX_N as INT64_MAX, divisors, factor, is_prime, lcm, v_p
+from .arith import (MAX_N as INT64_MAX, divisors, factor, is_prime, lcm,
+                    primes_below, v_p)
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
 # kept at 4096 because the Euler products that variance prints depend on this
@@ -384,13 +385,14 @@ class SingularSeriesValue:
     p_max: int
 
 
-def _sigma_p_of_d(p: int, e: int, rel_cut: float = 1e-12) -> float:
+def _sigma_p_of_d(p: int, e: int) -> float:
     """Local 6-variable density sum_j p^{-6j} S+_0(p^j; p^e).
 
-    Truncated at the modulus cap or after two consecutive negligible terms
-    (single zero terms are common: T_a(3) = 0 kills j = 1 at p = 3 while
-    j = 2 contributes 0.74).  A geometric truncation tail of order the last
-    term remains; the exact series value is the primary output elsewhere.
+    Truncated at the modulus cap or after two consecutive terms below 1e-12
+    of the running total (single zero terms are common: T_a(3) = 0 kills
+    j = 1 at p = 3 while j = 2 contributes 0.74).  A geometric truncation
+    tail of order the last term remains; the exact series value is the
+    primary output elsewhere.
     """
     total = 0.0
     j = e
@@ -401,7 +403,7 @@ def _sigma_p_of_d(p: int, e: int, rel_cut: float = 1e-12) -> float:
             break
         term = (_s_plus_prime_power(p, e, j) if j else 1) / q**6
         total += term
-        if j > e and abs(term) < rel_cut * max(abs(total), 1e-300):
+        if j > e and abs(term) < 1e-12 * max(abs(total), 1e-300):
             small_run += 1
             if small_run >= 2:
                 break
@@ -411,9 +413,10 @@ def _sigma_p_of_d(p: int, e: int, rel_cut: float = 1e-12) -> float:
     return total
 
 
-def singular_series_level_d(d: int, n_max: int, p_max: int = 100) -> SingularSeriesValue:
+def singular_series_level_d(d: int, n_max: int) -> SingularSeriesValue:
     """Level-d singular series S(d) = sum_{d | n} n^{-6} S+_0(n; d), truncated
-    at n <= n_max, plus the Euler-product form over p <= p_max."""
+    at n <= n_max, plus the Euler-product form over p <= p_max = 100."""
+    p_max = 100
     if d < 1 or n_max < d:
         raise ValueError("need 1 <= d <= n_max")
     series = Fraction(0)
@@ -424,8 +427,6 @@ def singular_series_level_d(d: int, n_max: int, p_max: int = 100) -> SingularSer
         if n > n_max // 2:
             band += abs(term)
     euler = 1.0
-    from .arith import primes_below
-
     for p in primes_below(p_max + 1):
         euler *= _sigma_p_of_d(p, v_p(d, p) if d % p == 0 else 0)
     return SingularSeriesValue(d, n_max, series, float(series), float(band), euler, p_max)

@@ -245,13 +245,6 @@ class CountTable:
     def total_mass_exact(self) -> int:
         return sum(self.exact.values())
 
-    def export_csv(self, path) -> None:
-        a_vals, masses = self.nonzero_items()
-        with open(path, "w") as fh:
-            fh.write("a,N\n")
-            for a, v in zip(a_vals, masses):
-                fh.write(f"{a},{v:.17g}\n")
-
 
 def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     """Weighted count N_{a,nu}(X) = sum over y in Z^3 of nu(y/X), per a.
@@ -383,7 +376,6 @@ class SpecialCount:
 
     X: int
     d: int
-    weight_name: str
     diag: float  # sum over y of (#distinct permutations of y) * nu(y/X)^2
     formula_value: float  # 3! * sum over y of nu(y/X)^2
     correction: float  # mass the 3!-formula overcounts on repeated coords
@@ -414,7 +406,7 @@ def special_count(X: int, d: int, weight: Weight,
     if diag_i + corr_i != formula_i:  # exact integer identity
         raise CheckFailed(f"special count: diag + correction != formula at X={X}")
     return SpecialCount(
-        X=X, d=d, weight_name=table.weight.name,
+        X=X, d=d,
         diag=exact_to_float(diag_i, 2 * EXACT_SHIFT),
         formula_value=exact_to_float(formula_i, 2 * EXACT_SHIFT),
         correction=exact_to_float(corr_i, 2 * EXACT_SHIFT),

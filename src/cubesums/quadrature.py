@@ -1,9 +1,10 @@
 """Adaptive tensor-product quadrature for smooth compactly supported integrands.
 
-Strategy: recursive bisection over axis-aligned cells with a fixed-order
+Strategy: recursive bisection over axis-aligned cells with a fixed
 Gauss-Legendre rule per cell; the error estimate for a cell is the difference
-between a low- and a high-order rule.  Cells are split along their widest
-axis until the total error estimate meets max(rel_tol * |value|, abs_floor).
+between the 8-point and the 11-point rule.  Cells are split along their
+widest axis until the total error estimate meets
+max(rel_tol * |value|, abs_floor), for at most 60 rounds.
 Integrands are evaluated in batches, so the callable must accept an (N, dim)
 array and return an (N,) array.  It must be pointwise: a row's value may not
 depend on the rows batched with it.  Each rule's nodes are laid out
@@ -30,6 +31,8 @@ __all__ = [
 
 # seed-grid resolution per dimension; a too-coarse seed can miss thin support
 _DEFAULT_SEED = {1: 32, 2: 16, 3: 8}
+# Gauss-Legendre orders of the coarse and the fine rule, and the round cap
+_ORDER, _ORDER_HI, _MAX_ROUNDS = 8, 11, 60
 # nodes per integrand call.  At 2^14 nodes each float64 coordinate column or
 # temporary of the integrand is 128 KB and stays in cache; a whole round
 # (about 48k nodes per rule for the S1 surface) leaves it
@@ -97,11 +100,8 @@ def adaptive_integrate(
     hi,
     rel_tol: float = 1e-6,
     abs_floor: float = 1e-14,
-    order: int = 8,
-    order_hi: int | None = None,
     seed: int | None = None,
     max_evals: int = 80_000_000,
-    max_rounds: int = 60,
 ) -> QuadResult:
     """Integrate f over the box [lo, hi] (dim 1..3) to the given tolerance.
 
@@ -109,7 +109,7 @@ def adaptive_integrate(
     a row's value depends on that row alone.  It is called with blocks of at
     most 2^14 rows whose columns pts[:, k] are contiguous (an F-ordered
     view).  Raises RuntimeError rather than exceed max_evals evaluations or
-    max_rounds rounds of refinement before convergence.
+    60 rounds of refinement before convergence.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -118,10 +118,8 @@ def adaptive_integrate(
         raise ValueError(f"dimension {dim} not supported")
     if np.any(hi <= lo):
         raise ValueError("empty box")
-    if order_hi is None:
-        order_hi = order + 3
     n_seed = seed if seed is not None else _DEFAULT_SEED[dim]
-    per_cell = order**dim + order_hi**dim
+    per_cell = _ORDER**dim + _ORDER_HI**dim
 
     # seed grid: n_seed slices per axis
     edges = [np.linspace(lo[k], hi[k], n_seed + 1) for k in range(dim)]
@@ -134,12 +132,12 @@ def adaptive_integrate(
     n_evals = 0
     where = ""
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if n_evals + len(new_lo) * per_cell > max_evals:
             raise RuntimeError(f"quadrature exceeded eval budget{where}")
         n_evals += len(new_lo) * per_cell
-        coarse = _estimate(f, new_lo, new_hi, order)
-        fine = _estimate(f, new_lo, new_hi, order_hi)
+        coarse = _estimate(f, new_lo, new_hi, _ORDER)
+        fine = _estimate(f, new_lo, new_hi, _ORDER_HI)
         lows = np.concatenate([lows, new_lo])
         highs = np.concatenate([highs, new_hi])
         values = np.concatenate([values, fine])
@@ -164,7 +162,7 @@ def adaptive_integrate(
         left_hi[np.arange(len(s_lo)), axis] = mid[np.arange(len(s_lo)), axis]
         new_lo = np.concatenate([s_lo, mid])
         new_hi = np.concatenate([left_hi, s_hi])
-    raise RuntimeError(f"quadrature failed to converge in {max_rounds} rounds")
+    raise RuntimeError(f"quadrature failed to converge in {_MAX_ROUNDS} rounds")
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,6 @@ import numpy as np
 from .quadrature import gauss_rule
 
 __all__ = [
-    "BumpSpec",
-    "DEFAULT_BUMPS",
     "Weight",
     "bump",
     "f0",
@@ -101,19 +99,6 @@ def _step_core(x: np.ndarray) -> np.ndarray:
     np.exp(d, out=d)
     d += x
     return np.divide(x, d, out=x)
-
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Plateau and support intervals of the named cutoffs."""
-
-    w0_plateau: tuple[float, float] = (-2.0, 2.0)
-    w0_support: tuple[float, float] = (-3.0, 3.0)
-    w2_plateau: tuple[float, float] = (1.0, 10.0)
-    w2_support: tuple[float, float] = (0.5, 11.0)
-
-
-DEFAULT_BUMPS = BumpSpec()
 
 
 def bump(kind: str, t):
@@ -345,14 +330,15 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     return np.column_stack([y1, yz])
 
 
-def nu_star_support_volume(R: float, n: int = 200_000, seed: int = 0,
-                           y1_samples: int = 16) -> float:
+def nu_star_support_volume(R: float, n: int = 200_000,
+                           seed: int = 0) -> float:
     """Monte-Carlo volume of {y: nu_star(R)(y) > 0}.
 
     Importance-samples (y2, y3) log-uniformly, then measures the exact
-    y1-interval where |F0| < 3 and the sampled fraction of it on which some
-    r in [1, R] puts all six forms inside the w2 support.
+    y1-interval where |F0| < 3 and the fraction of 16 midpoint samples of it
+    on which some r in [1, R] puts all six forms inside the w2 support.
     """
+    y1_samples = 16
     rng = np.random.default_rng(seed)
     lo_u, hi_u = math.log(0.5), math.log(11 * R)
     du = hi_u - lo_u
@@ -388,16 +374,16 @@ _STENCILS = {
 
 
 @lru_cache(maxsize=None)
-def sobolev_estimate(weight: Weight, k: int, n_points: int = 500,
-                     h: float = 0.02, seed: int = 7) -> float:
+def sobolev_estimate(weight: Weight, k: int) -> float:
     """Sampled max over |alpha| <= k of sup |partial^alpha nu|.
 
-    Finite differences with spacing h at random near-support points; a
-    heuristic report, not a certified bound.
+    Finite differences with spacing h = 0.02 at 500 random near-support
+    points (seed 7); a heuristic report, not a certified bound.
     """
     if not 0 <= k <= 4:
         raise ValueError("k must be in 0..4")
-    pts = sample_support_candidates(weight.R, n_points, seed=seed)
+    h = 0.02
+    pts = sample_support_candidates(weight.R, 500, seed=7)
     best = 0.0
     for alpha in itertools.product(range(k + 1), repeat=3):
         if sum(alpha) > k:

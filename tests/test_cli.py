@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import cubesums
-from cubesums import cache, expsums
+from cubesums import cache, expsums, lattice
 from cubesums.cli import load_config, main
+from cubesums.densities import density_table
+from cubesums.weights import nu_star
 
 
 def run(argv, capsys):
@@ -62,6 +64,26 @@ def test_moments_json_frozen(capsys):
     rep = json.loads(out.out)
     assert rep["pure_lhs"] == rep["mixed_lhs"] == rep["head"] == "17/32"
     assert rep["n_pairs_vanished"] == 10
+
+
+def test_density_csv_rows(capsys):
+    rc, out = run(["density", "--R", "2"], capsys)
+    assert rc == 0
+    table = density_table(nu_star(2.0))
+    lines = out.out.splitlines()
+    assert lines[0] == "a_tilde,sigma"
+    assert len(lines) == 1 + len(table.grid)
+    g0, v0 = lines[1].split(",")
+    assert float(g0) == table.grid[0] and float(v0) == table.values[0]
+
+
+def test_count_csv_rows(capsys):
+    rc, out = run(["count", "--X", "10"], capsys)
+    assert rc == 0
+    table = lattice.count_weighted(10, nu_star(2.0), exact=False)
+    lines = out.out.splitlines()
+    assert lines[0] == "a,N"
+    assert len(lines) == 1 + len(table.nonzero_items()[0])
 
 
 def test_count_small_csv(capsys):
@@ -197,6 +219,23 @@ def test_config_merge(tmp_path, capsys):
     assert out.out.splitlines() == ["a,T", "0,0", "1,0"]
 
 
+def test_format_must_be_one_the_command_prints(tmp_path, capsys):
+    cfg = tmp_path / "text.cfg"
+    cfg.write_text("format = text\n")
+    for argv, formats in ((["expsum", "--modulus", "7"], "csv or json"),
+                          (["splus", "--n", "4"], "json or csv")):
+        rc, out = run(["--config", str(cfg)] + argv, capsys)
+        assert rc == 1 and out.out == "", argv
+        assert out.err == f"cubesums: {argv[0]} prints {formats}, not 'text'\n"
+    rc, out = run(["verify", "--max-modulus", "2", "--format", "json"],
+                  capsys)
+    assert rc == 1 and out.out == ""
+    assert out.err == "cubesums: verify prints text, not 'json'\n"
+    rc, out = run(["--config", str(cfg), "verify", "--max-modulus", "2"],
+                  capsys)
+    assert rc == 0 and "checks passed" in out.out
+
+
 def test_config_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just words\n")
@@ -260,6 +299,15 @@ def test_variance_rejects_x_zero_before_warning(capsys):
     assert rc == 1
     assert "X must be a positive integer" in out.err
     assert caught == []
+
+
+@pytest.mark.parametrize("X", ["1", "0", "-3"])
+def test_sieved_rejects_x_below_two(X, capsys):
+    # the comparison term divides by log X; the check comes before any
+    # table is built
+    rc, out = run(["sieved", "--X", X, "--K", "1", "--hbar", "0.045"], capsys)
+    assert rc == 1
+    assert out.err == "cubesums: X must be an integer >= 2\n"
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -112,12 +112,6 @@ def test_table_memoized(nu2):
     assert density_table(nu2) is density_table(nu2, grid_size=256)
 
 
-def test_table_memo_keys_on_seed_and_probe_count(nu2):
-    t1 = density_table(nu2, validation_points=4, seed=1)
-    assert t1 is not density_table(nu2, validation_points=4, seed=0)
-    assert t1 is not density_table(nu2, validation_points=2, seed=1)
-
-
 def test_table_memo_keys_on_weight_object():
     # same R, separately built: two weight objects, two equal tables
     w1, w2 = Weight(2.0), nu_star(2.0)
@@ -126,16 +120,6 @@ def test_table_memo_keys_on_weight_object():
     assert t1 is not t2
     assert np.array_equal(t1.values, t2.values)
     assert density_table(nu_star(2)) is density_table(nu_star(2))
-
-
-def test_table_export_csv(table2, tmp_path):
-    path = tmp_path / "table.csv"
-    table2.export_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "a_tilde,sigma"
-    assert len(lines) == 1 + len(table2.grid)
-    g0, v0 = lines[1].split(",")
-    assert float(g0) == table2.grid[0] and float(v0) == table2.values[0]
 
 
 def test_sigma_inf_support_and_rescaling(nu2):
@@ -173,19 +157,16 @@ def test_sigma_inf_rejects_fast_method(nu2):
 
 def test_sigma_inf_tolerances_reach_direct_only(nu2, monkeypatch):
     # "auto" reads the S1 table, so a tolerance passed to it is an error
-    for kwargs in ({"rel_tol": 1e-3}, {"abs_floor": 1.0},
-                   {"rel_tol": 1e-6, "abs_floor": 1e-14}):
+    for rel_tol in (1e-3, 1e-6):
         with pytest.raises(ValueError, match="direct"):
-            sigma_inf(0.5, 1.0, nu2, **kwargs)
-    assert sigma_inf(0.5, 1.0, nu2, rel_tol=None, abs_floor=None) == (
-        sigma_inf(0.5, 1.0, nu2))
+            sigma_inf(0.5, 1.0, nu2, rel_tol=rel_tol)
+    assert sigma_inf(0.5, 1.0, nu2, rel_tol=None) == sigma_inf(0.5, 1.0, nu2)
     seen = []
     monkeypatch.setattr(densities, "_sigma_direct",
-                        lambda atil, w, rel, floor: seen.append((rel, floor)))
+                        lambda atil, w, rel: seen.append(rel))
     sigma_inf(0.5, 1.0, nu2, method="direct")
     sigma_inf(0.5, 1.0, nu2, method="direct", rel_tol=1e-3)
-    sigma_inf(0.5, 1.0, nu2, method="direct", abs_floor=1e-9)
-    assert seen == [(1e-6, 1e-14), (1e-3, 1e-14), (1e-6, 1e-9)]
+    assert seen == [1e-6, 1e-3]
 
 
 def test_pure_equals_mixed_moment(nu2):

@@ -184,14 +184,6 @@ def test_dyadic_int_matches_fraction():
             f.numerator << (EXACT_SHIFT - (f.denominator.bit_length() - 1))
 
 
-def test_count_table_csv(tab10, tmp_path):
-    path = tmp_path / "counts.csv"
-    tab10.export_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "a,N"
-    assert len(lines) == 1 + len(tab10.nonzero_items()[0])
-
-
 def test_pair_count_matches_brute(nu2, tab10):
     for d in (1, 2, 3):
         ex = pair_count_exact(tab10, d)
