@@ -8,12 +8,16 @@ an exact-identity verifier (verify).
 Exit codes: 0 on success, 1 on a validation error (bad flag, parameter out of
 range), 2 when a verify check failed (any CheckFailed).
 
-Flags are the primary interface; an optional key=value config file supplies
-defaults that flags override.  The CUBESUMS_CACHE_DIR environment variable
-overrides any cache-dir setting.  Output is deterministic, except the
-wall_time field of variance and sieved, which is the run's own timing.
-verify prints text and every other subcommand CSV or JSON: CSV carries a
-header row and 17-significant-digit floats, JSON is emitted with sorted keys.
+Each subcommand is declared once, in _COMMANDS: handler, formats (default
+first), help, and flags as (name, type or choices, default or REQUIRED).
+_GLOBAL_FLAGS holds the flags that every subcommand takes, before or after
+its name.  One resolver gives each flag its value: the command line, else the
+key=value file named by --config, else the default.  Switches (--all,
+--no-special) are flag-only.  CUBESUMS_CACHE_DIR overrides any cache-dir
+setting.  Output is deterministic, except the wall_time field of variance
+and sieved, which is the run's own timing.  verify prints text and every
+other subcommand CSV or JSON: CSV carries a header row and
+17-significant-digit floats, JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -124,32 +128,17 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _pick(args, cfg, name, cast, default=None, required=False):
-    """Flag value if given, else config value, else default."""
-    v = getattr(args, name, None)
-    if v is None and name in cfg:
-        try:
-            v = cast(cfg[name])
-        except ValueError as exc:
-            raise CLIError(f"bad config value for {name}: {cfg[name]!r}") from exc
-    if v is None:
-        if required:
-            raise CLIError(f"missing required parameter --{name.replace('_', '-')}")
-        v = default
-    return v
-
-
-def _resolve_cache_dir(args, cfg) -> str | None:
-    flag = args.cache_dir if args.cache_dir is not None else cfg.get("cache_dir")
-    return os.environ.get("CUBESUMS_CACHE_DIR") or flag
-
-
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns the output text
+# subcommand handlers; each takes the resolved flags and the format and
+# returns the output text
 
 
-def _cmd_expsum(args, cfg, fmt):
-    n = _pick(args, cfg, "modulus", int, required=True)
+def _report(rep, fmt, drop=()) -> str:
+    return _record_csv(rep, drop) if fmt == "csv" else _json_text(rep)
+
+
+def _cmd_expsum(args, fmt):
+    n = args.modulus
     if args.a is not None and args.all:
         raise CLIError("give either --a or --all, not both")
     t = expsums.t_full(n)
@@ -162,20 +151,15 @@ def _cmd_expsum(args, cfg, fmt):
     return _csv_text(("a", "T"), rows)
 
 
-def _cmd_splus(args, cfg, fmt):
-    n = _pick(args, cfg, "n", int, required=True)
-    d = _pick(args, cfg, "d", int, default=1)
-    val = expsums.s_plus_zero(n, d)
+def _cmd_splus(args, fmt):
+    val = expsums.s_plus_zero(args.n, args.d)
     if fmt == "csv":
-        return _csv_text(("n", "d", "s_plus"), [(n, d, val)])
-    return _json_text({"n": n, "d": d, "s_plus": val})
+        return _csv_text(("n", "d", "s_plus"), [(args.n, args.d, val)])
+    return _json_text({"n": args.n, "d": args.d, "s_plus": val})
 
 
-def _cmd_series(args, cfg, fmt):
-    K = _pick(args, cfg, "K", int, required=True)
-    a_lo = _pick(args, cfg, "a_lo", int, default=0)
-    a_hi = _pick(args, cfg, "a_hi", int, required=True)
-    mode = _pick(args, cfg, "mode", str, default="double")
+def _cmd_series(args, fmt):
+    K, a_lo, a_hi, mode = args.K, args.a_lo, args.a_hi, args.mode
     win = series.series_window(K, a_lo, a_hi, mode=mode)
     rows = [(a, win.s_at(a), win.m_at(a)) for a in range(a_lo, a_hi + 1)]
     if fmt == "json":
@@ -185,22 +169,14 @@ def _cmd_series(args, cfg, fmt):
     return _csv_text(("a", "s", "M"), rows)
 
 
-def _cmd_gamma(args, cfg, fmt):
-    a = _pick(args, cfg, "a", int, required=True)
-    p = _pick(args, cfg, "p", int)
-    if p is not None:
-        rep = series.gamma_factor(a, p)
-    else:
-        rep = series.gamma_product(a, _pick(args, cfg, "p_max", int, default=1000))
-    if fmt == "csv":
-        return _record_csv(rep, drop=("factors",))
-    return _json_text(rep)
+def _cmd_gamma(args, fmt):
+    rep = (series.gamma_factor(args.a, args.p) if args.p is not None
+           else series.gamma_product(args.a, args.p_max))
+    return _report(rep, fmt, drop=("factors",))
 
 
-def _cmd_density(args, cfg, fmt):
-    R = _pick(args, cfg, "R", float, default=2.0)
-    grid = _pick(args, cfg, "grid", int, default=256)
-    table = density_table(nu_star(R), grid_size=grid)
+def _cmd_density(args, fmt):
+    table = density_table(nu_star(args.R), grid_size=args.grid)
     if fmt == "json":
         return _json_text({"weight": table.weight.name, "R": table.weight.R,
                            "grid": table.grid, "sigma": table.values,
@@ -209,59 +185,34 @@ def _cmd_density(args, cfg, fmt):
     return _csv_text(("a_tilde", "sigma"), rows)
 
 
-def _cmd_count(args, cfg, fmt):
-    X = _pick(args, cfg, "X", int, required=True)
-    R = _pick(args, cfg, "R", float, default=2.0)
-    table = lattice.count_weighted(X, nu_star(R), exact=False)
+def _cmd_count(args, fmt):
+    table = lattice.count_weighted(args.X, nu_star(args.R), exact=False)
     a_vals, masses = table.nonzero_items()
     if fmt == "json":
-        return _json_text({"X": X, "R": R, "n_alive": table.n_alive,
+        return _json_text({"X": args.X, "R": args.R, "n_alive": table.n_alive,
                            "N": {str(int(a)): float(v)
                                  for a, v in zip(a_vals, masses)}})
     return _csv_text(("a", "N"), zip(a_vals.tolist(), masses.tolist()))
 
 
-def _cmd_variance(args, cfg, fmt):
-    X = _pick(args, cfg, "X", int, required=True)
-    K = _pick(args, cfg, "K", int, required=True)
-    d = _pick(args, cfg, "d", int, default=1)
-    R = _pick(args, cfg, "R", float, default=2.0)
-    rep = variance.variance(X, K, d, nu_star(R),
-                            with_special=not args.no_special)
-    if fmt == "csv":
-        return _record_csv(rep)
-    return _json_text(rep)
+def _cmd_variance(args, fmt):
+    return _report(variance.variance(args.X, args.K, args.d, nu_star(args.R),
+                                     with_special=not args.no_special), fmt)
 
 
-def _cmd_sieved(args, cfg, fmt):
-    X = _pick(args, cfg, "X", int, required=True)
-    K = _pick(args, cfg, "K", int, required=True)
-    hp = variance.HypothesisParams(
-        delta=_pick(args, cfg, "delta", float, default=0.1),
-        hbar=_pick(args, cfg, "hbar", float, required=True),
-    )
-    R = _pick(args, cfg, "R", float, default=2.0)
-    rep = variance.sieved_variance(X, K, hp, nu_star(R))
-    if fmt == "csv":
-        return _record_csv(rep)
-    return _json_text(rep)
+def _cmd_sieved(args, fmt):
+    hp = variance.HypothesisParams(delta=args.delta, hbar=args.hbar)
+    return _report(variance.sieved_variance(args.X, args.K, hp,
+                                            nu_star(args.R)), fmt)
 
 
-def _cmd_moments(args, cfg, fmt):
-    K = _pick(args, cfg, "K", int, required=True)
-    d = _pick(args, cfg, "d", int, default=1)
-    rep = variance.nonarch_moment_check(K, d)
-    if fmt == "csv":
-        return _record_csv(rep)
-    return _json_text(rep)
+def _cmd_moments(args, fmt):
+    return _report(variance.nonarch_moment_check(args.K, args.d), fmt)
 
 
-def _cmd_scan_exceptional(args, cfg, fmt):
-    A = _pick(args, cfg, "A", int, required=True)
-    K = _pick(args, cfg, "K", int, required=True)
-    eta = _pick(args, cfg, "eta", float, required=True)
-    bw = _pick(args, cfg, "bin_width", float, default=0.25)
-    rep = series.exceptional_scan(A, K, eta, bin_width=bw)
+def _cmd_scan_exceptional(args, fmt):
+    rep = series.exceptional_scan(args.A, args.K, args.eta,
+                                  bin_width=args.bin_width)
     if fmt == "csv":
         rows = zip(rep.hist_edges[:-1].tolist(), rep.hist_edges[1:].tolist(),
                    rep.hist_counts.tolist())
@@ -269,12 +220,8 @@ def _cmd_scan_exceptional(args, cfg, fmt):
     return _json_text(rep)
 
 
-def _cmd_scan_primes(args, cfg, fmt):
-    A = _pick(args, cfg, "A", int, required=True)
-    rep = lattice.prime_demo(A)
-    if fmt == "csv":
-        return _record_csv(rep)
-    return _json_text(rep)
+def _cmd_scan_primes(args, fmt):
+    return _report(lattice.prime_demo(args.A), fmt)
 
 
 # --------------------------------------------------------------------------
@@ -345,43 +292,91 @@ def _verify_lattice() -> list[str]:
     return lines
 
 
-def _cmd_verify(args, cfg, fmt):
-    suite = _pick(args, cfg, "suite", str, default="local")
-    if suite not in ("local", "moments", "lattice", "all"):
-        raise CLIError(f"unknown suite {suite!r}")
-    max_modulus = _pick(args, cfg, "max_modulus", int, default=50)
-    if max_modulus < 1:
+def _cmd_verify(args, fmt):
+    if args.max_modulus < 1:
         raise CLIError("--max-modulus must be >= 1")
-    rng = np.random.default_rng(args.resolved_seed)
+    rng = np.random.default_rng(args.seed)
     lines: list[str] = []
-    if suite in ("local", "all"):
-        lines += _verify_local(max_modulus, rng)
-    if suite in ("moments", "all"):
-        lines += _verify_moments(min(max_modulus, 12))
-    if suite in ("lattice", "all"):
+    if args.suite in ("local", "all"):
+        lines += _verify_local(args.max_modulus, rng)
+    if args.suite in ("moments", "all"):
+        lines += _verify_moments(min(args.max_modulus, 12))
+    if args.suite in ("lattice", "all"):
         lines += _verify_lattice()
-    lines.append(f"verify {suite}: {len(lines)} checks passed")
+    lines.append(f"verify {args.suite}: {len(lines)} checks passed")
     return "\n".join(lines) + "\n"
 
 
-# each handler with the formats it prints, its default first
-_HANDLERS = {
-    "expsum": (_cmd_expsum, ("csv", "json")),
-    "splus": (_cmd_splus, ("json", "csv")),
-    "series": (_cmd_series, ("csv", "json")),
-    "gamma": (_cmd_gamma, ("json", "csv")),
-    "density": (_cmd_density, ("csv", "json")),
-    "count": (_cmd_count, ("csv", "json")),
-    "variance": (_cmd_variance, ("json", "csv")),
-    "sieved": (_cmd_sieved, ("json", "csv")),
-    "verify": (_cmd_verify, ("text",)),
-    "scan-exceptional": (_cmd_scan_exceptional, ("json", "csv")),
-    "scan-primes": (_cmd_scan_primes, ("json", "csv")),
-    "moments": (_cmd_moments, ("json", "csv")),
+# --------------------------------------------------------------------------
+# the flag tables: the one declaration of every subcommand and flag
+
+REQUIRED = object()  # the default of a flag that must be given
+
+# a flag is (name, type, default) or (name, choices, default); a bool flag
+# is a switch, set on the command line only
+_GLOBAL_FLAGS = (  # with their help text
+    ("config", str, None, "key=value config file; flags win"),
+    ("cache_dir", str, None, "directory that keeps the S1 surface table "
+                             "between runs (CUBESUMS_CACHE_DIR overrides)"),
+    ("output", str, None, "output path, default stdout"),
+    ("format", ("csv", "json", "text"), None,
+     "text for verify, csv or json for the rest"),
+    ("threads", int, 1, "accepted and validated (>= 1); every command runs "
+                        "in one thread"),
+    ("seed", int, 0, None),
+)
+
+
+_R = ("R", float, 2.0)  # the nu_star(R) weight of every weighted subcommand
+# each subcommand: (handler, the formats it prints with its default first,
+# help text, flags)
+_COMMANDS = {
+    "expsum": (_cmd_expsum, ("csv", "json"), "complete sum T_a(n)", (
+        ("modulus", int, REQUIRED), ("a", int, None), ("all", bool, False))),
+    "splus": (_cmd_splus, ("json", "csv"), "twisted diagonal sum S+_0(n; d)",
+              (("n", int, REQUIRED), ("d", int, 1))),
+    "series": (_cmd_series, ("csv", "json"), "truncated series s_a(K), M_a(K)",
+               (("K", int, REQUIRED), ("a_lo", int, 0), ("a_hi", int, REQUIRED),
+                ("mode", ("double", "exact"), "double"))),
+    "gamma": (_cmd_gamma, ("json", "csv"),
+              "local factor gamma_p(a) or its product",
+              (("a", int, REQUIRED), ("p", int, None), ("p_max", int, 1000))),
+    "density": (_cmd_density, ("csv", "json"), "archimedean density table",
+                (_R, ("grid", int, 256))),
+    "count": (_cmd_count, ("csv", "json"), "weighted lattice counts N_w(a; X)",
+              (("X", int, REQUIRED), _R)),
+    "variance": (_cmd_variance, ("json", "csv"),
+                 "K-approximate variance decomposition",
+                 (("X", int, REQUIRED), ("K", int, REQUIRED), ("d", int, 1),
+                  _R, ("no_special", bool, False))),
+    "sieved": (_cmd_sieved, ("json", "csv"),
+               "variance with small-prime sieve filter",
+               (("X", int, REQUIRED), ("K", int, REQUIRED),
+                ("hbar", float, REQUIRED), ("delta", float, 0.1), _R)),
+    "verify": (_cmd_verify, ("text",), "exact identity suites", (
+        ("suite", ("local", "moments", "lattice", "all"), "local"),
+        ("max_modulus", int, 50))),
+    "scan-exceptional": (_cmd_scan_exceptional, ("json", "csv"),
+                         "histogram of s_a(K) near 0",
+                         (("A", int, REQUIRED), ("K", int, REQUIRED),
+                          ("eta", float, REQUIRED), ("bin_width", float, 0.25))),
+    "scan-primes": (_cmd_scan_primes, ("json", "csv"),
+                    "r_3 statistics over primes up to A", (("A", int, REQUIRED),)),
+    "moments": (_cmd_moments, ("json", "csv"),
+                "exact truncated-moment regrouping",
+                (("K", int, REQUIRED), ("d", int, 1))),
 }
 
 
-_GLOBAL_FLAGS = ("config", "cache_dir", "output", "format", "threads", "seed")
+def _add_flag(parser, name, kind, default=None, help=None):
+    if kind is bool:
+        opts = {"action": "store_true"}
+    elif isinstance(kind, tuple):
+        opts = {"choices": kind, "default": default}
+    else:
+        opts = {"type": kind, "default": default}
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, help=help,
+                        **opts)
 
 
 def _build_parser() -> _Parser:
@@ -389,117 +384,58 @@ def _build_parser() -> _Parser:
     # shared parent uses SUPPRESS so a subparser never clobbers a value that
     # was given before the subcommand
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key=value config file; flags win")
-    common.add_argument("--cache-dir", dest="cache_dir",
-                        default=argparse.SUPPRESS,
-                        help="directory that keeps the S1 surface table "
-                             "between runs (CUBESUMS_CACHE_DIR overrides)")
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="output path, default stdout")
-    common.add_argument("--format", choices=("csv", "json", "text"),
-                        default=argparse.SUPPRESS,
-                        help="text for verify, csv or json for the rest")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="accepted and validated (>= 1); every command "
-                             "runs in one thread")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-
+    for name, kind, _default, help_text in _GLOBAL_FLAGS:
+        _add_flag(common, name, kind, argparse.SUPPRESS, help_text)
     ap = _Parser(prog="cubesums", parents=[common],
                  description="local and global statistics of x^3+y^3+z^3 = a")
     sub = ap.add_subparsers(dest="subcommand")
-
-    def add(name, help_text):
-        return sub.add_parser(name, parents=[common], help=help_text)
-
-    p = add("expsum", "complete sum T_a(n)")
-    p.add_argument("--modulus", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--all", action="store_true")
-
-    p = add("splus", "twisted diagonal sum S+_0(n; d)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-
-    p = add("series", "truncated series s_a(K), M_a(K)")
-    p.add_argument("--K", type=int)
-    p.add_argument("--a-lo", dest="a_lo", type=int)
-    p.add_argument("--a-hi", dest="a_hi", type=int)
-    p.add_argument("--mode", choices=("double", "exact"))
-
-    p = add("gamma", "local factor gamma_p(a) or its product")
-    p.add_argument("--a", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--p-max", dest="p_max", type=int)
-
-    p = add("density", "archimedean density table")
-    p.add_argument("--R", type=float)
-    p.add_argument("--grid", type=int)
-
-    p = add("count", "weighted lattice counts N_w(a; X)")
-    p.add_argument("--X", type=int)
-    p.add_argument("--R", type=float)
-
-    p = add("variance", "K-approximate variance decomposition")
-    p.add_argument("--X", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--no-special", action="store_true")
-
-    p = add("sieved", "variance with small-prime sieve filter")
-    p.add_argument("--X", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--hbar", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--R", type=float)
-
-    p = add("verify", "exact identity suites")
-    p.add_argument("--suite", choices=("local", "moments", "lattice", "all"))
-    p.add_argument("--max-modulus", dest="max_modulus", type=int)
-
-    p = add("scan-exceptional", "histogram of s_a(K) near 0")
-    p.add_argument("--A", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--bin-width", dest="bin_width", type=float)
-
-    p = add("scan-primes", "r_3 statistics over primes up to A")
-    p.add_argument("--A", type=int)
-
-    p = add("moments", "exact truncated-moment regrouping")
-    p.add_argument("--K", type=int)
-    p.add_argument("--d", type=int)
+    for command, (_handler, _formats, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name, kind, _default in flags:
+            _add_flag(p, name, kind)
     return ap
+
+
+def _resolve(args, cfg, flags) -> None:
+    """Give each flag its value: the command line, else the config file,
+    else the default.  Switches take no config value."""
+    for name, kind, default, *_help in flags:
+        v = getattr(args, name, None)  # SUPPRESS leaves unset globals absent
+        if v is None and name in cfg and kind is not bool:
+            raw = cfg[name]
+            try:  # tuple.index raises ValueError for a value not a choice
+                v = kind[kind.index(raw)] if isinstance(kind, tuple) else kind(raw)
+            except ValueError as exc:
+                raise CLIError(f"bad config value for {name}: {raw!r}") from exc
+        if v is None:
+            if default is REQUIRED:
+                raise CLIError(
+                    f"missing required parameter --{name.replace('_', '-')}")
+            v = default
+        setattr(args, name, v)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in _GLOBAL_FLAGS:  # SUPPRESS leaves unset flags absent
-            if not hasattr(args, name):
-                setattr(args, name, None)
         if args.subcommand is None:
             raise CLIError("a subcommand is required")
-        cfg = load_config(args.config) if args.config else {}
-        cache_dir = _resolve_cache_dir(args, cfg)
+        cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        _resolve(args, cfg, _GLOBAL_FLAGS)
+        cache_dir = os.environ.get("CUBESUMS_CACHE_DIR") or args.cache_dir
         if cache_dir is not None:
             expsums.configure_cache(cache_dir)
-        threads = _pick(args, cfg, "threads", int, default=1)
-        args.resolved_seed = _pick(args, cfg, "seed", int, default=0)
-        if threads < 1:
+        if args.threads < 1:
             raise CLIError("--threads must be >= 1")
-        handler, formats = _HANDLERS[args.subcommand]
-        fmt = _pick(args, cfg, "format", str, default=formats[0])
+        handler, formats, _help, flags = _COMMANDS[args.subcommand]
+        fmt = args.format or formats[0]
         if fmt not in formats:
             raise CLIError(f"{args.subcommand} prints "
                            f"{' or '.join(formats)}, not {fmt!r}")
-        _write(handler(args, cfg, fmt), _pick(args, cfg, "output", str))
-    except CLIError as exc:
-        print(f"cubesums: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        _resolve(args, cfg, flags)
+        _write(handler(args, fmt), args.output)
+    except (CLIError, ValueError) as exc:
         print(f"cubesums: {exc}", file=sys.stderr)
         return 1
     except CheckFailed as exc:

@@ -4,7 +4,7 @@ Strategy: recursive bisection over axis-aligned cells with a fixed
 Gauss-Legendre rule per cell; the error estimate for a cell is the difference
 between the 8-point and the 11-point rule.  Cells are split along their
 widest axis until the total error estimate meets
-max(rel_tol * |value|, abs_floor), for at most 60 rounds.
+max(rel_tol * |value|, 1e-14), for at most 60 rounds.
 Integrands are evaluated in batches, so the callable must accept an (N, dim)
 array and return an (N,) array.  It must be pointwise: a row's value may not
 depend on the rows batched with it.  Each rule's nodes are laid out
@@ -33,6 +33,7 @@ __all__ = [
 _DEFAULT_SEED = {1: 32, 2: 16, 3: 8}
 # Gauss-Legendre orders of the coarse and the fine rule, and the round cap
 _ORDER, _ORDER_HI, _MAX_ROUNDS = 8, 11, 60
+_ABS_FLOOR = 1e-14  # the error target never falls below this
 # nodes per integrand call.  At 2^14 nodes each float64 coordinate column or
 # temporary of the integrand is 128 KB and stays in cache; a whole round
 # (about 48k nodes per rule for the S1 surface) leaves it
@@ -99,7 +100,6 @@ def adaptive_integrate(
     lo,
     hi,
     rel_tol: float = 1e-6,
-    abs_floor: float = 1e-14,
     seed: int | None = None,
     max_evals: int = 80_000_000,
 ) -> QuadResult:
@@ -144,7 +144,7 @@ def adaptive_integrate(
         errors = np.concatenate([errors, np.abs(fine - coarse)])
 
         total = math.fsum(values)
-        tol = max(rel_tol * abs(total), abs_floor)
+        tol = max(rel_tol * abs(total), _ABS_FLOOR)
         total_err = float(np.sum(errors))
         if total_err <= tol:
             return QuadResult(total, total_err, n_evals, len(values))

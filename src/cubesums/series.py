@@ -51,6 +51,8 @@ def series_window(K: int, a_lo: int, a_hi: int, mode: str = "double") -> SeriesW
     if mode not in ("double", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     width = a_hi - a_lo + 1
+    if width > 1 << 27:  # variance's widest: lattice's table has 2^27 bins
+        raise ValueError(f"window of {width} values exceeds the limit {1 << 27}")
     offsets = a_lo + np.arange(width)
     if mode == "double":
         s = np.zeros(width)

@@ -85,6 +85,16 @@ class VarianceReport:
     wall_time: float
 
 
+# the level-d singular series of the main term is truncated at n <= 48, so
+# it has a term only for d <= 48
+_SERIES_N_MAX = 48
+
+
+def _check_level(d: int) -> None:
+    if not 1 <= d <= _SERIES_N_MAX:
+        raise ValueError(f"need 1 <= d <= {_SERIES_N_MAX}, got d={d}")
+
+
 def _window_vectors(table: CountTable, K: int, d: int, dtable):
     """Aligned (a, N, s, sigma) vectors over a in dZ, |a| <= table.offset."""
     a_cap = table.offset
@@ -105,6 +115,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
         raise ValueError("X must be a positive integer")
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
+    _check_level(d)
     if K * d > X ** 0.9:
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
@@ -121,7 +132,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
     sigma3 = float(np.dot(ssig, ssig))
     decomposed = sigma1 - 2.0 * sigma2 + sigma3
     rel = abs(var_direct - decomposed) / max(var_direct, 1e-300)
-    series = singular_series_level_d(d, n_max=48)
+    series = singular_series_level_d(d, n_max=_SERIES_N_MAX)
     main_term = series.euler * pure_l2_moment(weight) * float(X) ** 3
     if with_special:
         special = special_count(X, d, weight, table=table).diag
@@ -149,9 +160,10 @@ class HLErrorReport:
 def hl_error(X: int, d: int, weight: Weight,
              table: CountTable | None = None) -> HLErrorReport:
     """E(X; d) = pair_count - singular_series * pure_moment * X^3 - special."""
+    _check_level(d)
     table = table_at(X, weight, table)
     pair = pair_count(X, d, weight, table=table)
-    series = singular_series_level_d(d, n_max=48)
+    series = singular_series_level_d(d, n_max=_SERIES_N_MAX)
     main = series.euler * pure_l2_moment(weight) * float(X) ** 3
     diag = special_count(X, d, weight, table=table).diag
     E = pair - main - diag

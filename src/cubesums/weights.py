@@ -314,18 +314,23 @@ def nu_star(R: float) -> Weight:
 _nu_star = lru_cache(maxsize=None)(Weight)
 
 
+def _support_draw(R: float, n: int, seed: int):
+    """The generator, n signed (y2, y3) drawn log-uniformly on [1/2, 11R],
+    and the ends of the exact y1-interval on which |F0| < 3."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(math.log(0.5), math.log(11 * R), size=(n, 2))
+    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
+    s = yz[:, 0] ** 3 + yz[:, 1] ** 3
+    return rng, yz, np.cbrt(-3.0 - s), np.cbrt(3.0 - s)
+
+
 def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     """Random points concentrated where nu_star(R) can be nonzero.
 
     (y2, y3) are drawn log-uniformly on [1/2, 11R] with random signs; y1 is
     then drawn uniformly from the exact interval making |F0| < 3.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(math.log(0.5), math.log(11 * R), size=(n, 2))
-    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
-    s = yz[:, 0] ** 3 + yz[:, 1] ** 3
-    lo = np.cbrt(-3.0 - s)
-    hi = np.cbrt(3.0 - s)
+    rng, yz, lo, hi = _support_draw(R, n, seed)
     y1 = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=n)
     return np.column_stack([y1, yz])
 
@@ -339,14 +344,8 @@ def nu_star_support_volume(R: float, n: int = 200_000,
     on which some r in [1, R] puts all six forms inside the w2 support.
     """
     y1_samples = 16
-    rng = np.random.default_rng(seed)
-    lo_u, hi_u = math.log(0.5), math.log(11 * R)
-    du = hi_u - lo_u
-    u = rng.uniform(lo_u, hi_u, size=(n, 2))
-    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
-    s = yz[:, 0] ** 3 + yz[:, 1] ** 3
-    a1 = np.cbrt(-3.0 - s)
-    b1 = np.cbrt(3.0 - s)
+    _rng, yz, a1, b1 = _support_draw(R, n, seed)
+    du = math.log(11 * R) - math.log(0.5)
     length = b1 - a1
     t = (np.arange(y1_samples) + 0.5) / y1_samples
     y1 = a1[:, None] + length[:, None] * t[None, :]

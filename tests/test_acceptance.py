@@ -202,7 +202,7 @@ def test_criterion_04_pure_vs_mixed_and_rescaling(nu2):
 def test_criterion_05_poisson_deviation_trend(nu2):
     worst_at_80 = 0.0
     for N in range(1, 9):
-        trend = poisson_trend(nu2, N, 0, Xs=(20, 40, 80))
+        trend = poisson_trend(nu2, N, 0)
         assert trend.decreasing, N
         worst_at_80 = max(worst_at_80, trend.reports[-1].rel_deviation)
     assert worst_at_80 < POISSON_REGRESSION_AT_80

@@ -11,7 +11,7 @@ import pytest
 
 import cubesums
 from cubesums import cache, expsums, lattice
-from cubesums.cli import load_config, main
+from cubesums.cli import _COMMANDS, load_config, main
 from cubesums.densities import density_table
 from cubesums.weights import nu_star
 
@@ -158,6 +158,15 @@ def test_validation_errors(capsys):
         assert "density table failed validation after refinement" in out.err
         assert "Traceback" not in out.err
         assert "np.float64" not in out.err  # a plain float, not a numpy repr
+    # sizes that would reach an allocation of many GiB are refused first
+    for argv, message in (
+            (["series", "--K", "1", "--a-hi", "3000000000"],
+             "window of 3000000001 values exceeds the limit 134217728"),
+            (["scan-exceptional", "--A", "2000000000", "--K", "1", "--eta",
+              "0.1"], "window of 4000000001 values exceeds the limit"),
+            (["density", "--grid", "100000000"], "grid_size must be <= 65536")):
+        rc, out = run(argv, capsys)
+        assert rc == 1 and message in out.err, argv
     # v_p(n, 1) never terminates, so p = 1 runs in a process with a timeout
     proc = _python("-m", "cubesums.cli", "gamma", "--a", "2", "--p", "1",
                    timeout=60)
@@ -236,6 +245,67 @@ def test_format_must_be_one_the_command_prints(tmp_path, capsys):
     assert rc == 0 and "checks passed" in out.out
 
 
+# one run of each fast subcommand, every valued flag set; the resolver test
+# moves one flag at a time into a config file
+_FLAG_CASES = (
+    ("expsum", {"modulus": "7", "a": "3", "format": "json"}),
+    ("splus", {"n": "4", "d": "2", "format": "csv"}),
+    ("series", {"K": "4", "a_lo": "-2", "a_hi": "3", "mode": "exact"}),
+    ("gamma", {"a": "5", "p_max": "50"}),
+    ("gamma", {"a": "2", "p": "7"}),
+    ("moments", {"K": "4", "d": "2"}),
+    ("count", {"X": "3", "R": "2.5"}),
+    ("scan-primes", {"A": "300"}),
+    ("scan-exceptional", {"A": "300", "K": "4", "eta": "0.2",
+                          "bin_width": "0.5"}),
+    ("verify", {"suite": "local", "max_modulus": "6", "seed": "3",
+                "threads": "2"}),
+)
+
+
+def test_flag_cases_cover_the_table():
+    for command, (_handler, _formats, _help, flags) in _COMMANDS.items():
+        valued = {name for name, kind, _ in flags if kind is not bool}
+        cases = [set(v) for c, v in _FLAG_CASES if c == command]
+        if cases:
+            assert set().union(*cases) >= valued, command
+
+
+_CONFIG_CASES = [(command, flags, name) for command, flags in _FLAG_CASES
+                 for name in flags]
+
+
+@pytest.mark.parametrize("command, flags, name", _CONFIG_CASES,
+                         ids=[f"{c}-{name}" for c, _, name in _CONFIG_CASES])
+def test_config_value_matches_flag(command, flags, name, tmp_path, capsys):
+    def argv(values):
+        return [command] + [x for k, v in values.items()
+                            for x in ("--" + k.replace("_", "-"), v)]
+
+    rc, by_flag = run(argv(flags), capsys)
+    assert rc == 0, by_flag.err
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{name} = {flags[name]}\n")
+    rest = {k: v for k, v in flags.items() if k != name}
+    rc, by_config = run(["--config", str(cfg)] + argv(rest), capsys)
+    assert rc == 0, by_config.err
+    assert by_config.out == by_flag.out
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("mode = bogus", ["series", "--K", "4", "--a-hi", "3"]),
+    ("suite = nope", ["verify", "--max-modulus", "2"]),
+    ("K = four", ["moments"]),
+])
+def test_bad_config_value_names_key(line, argv, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc, out = run(["--config", str(cfg)] + argv, capsys)
+    key, value = (t.strip() for t in line.split("="))
+    assert rc == 1 and out.out == ""
+    assert out.err == f"cubesums: bad config value for {key}: {value!r}\n"
+
+
 def test_config_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just words\n")
@@ -293,12 +363,17 @@ def test_unusable_cache_dir_keeps_output(tmp_path, capsys):
 
 
 def test_variance_rejects_x_zero_before_warning(capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, out = run(["variance", "--X", "0", "--K", "1", "--d", "1"], capsys)
-    assert rc == 1
-    assert "X must be a positive integer" in out.err
-    assert caught == []
+    # d = 49 is past the singular series' truncation n <= 48, and K*d would
+    # warn; both are refused before any table is built
+    for argv, message in (
+            (["--X", "0", "--K", "1", "--d", "1"], "X must be a positive integer"),
+            (["--X", "30", "--K", "1", "--d", "49"], "need 1 <= d <= 48, got d=49")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out = run(["variance"] + argv, capsys)
+        assert rc == 1
+        assert message in out.err
+        assert caught == []
 
 
 @pytest.mark.parametrize("X", ["1", "0", "-3"])

@@ -55,6 +55,8 @@ def test_window_bounds_checked():
         S.series_window(0, 0, 10)
     with pytest.raises(ValueError):
         S.series_window(4, 0, 10, mode="float32")
+    with pytest.raises(ValueError, match="exceeds the limit 134217728"):
+        S.series_window(1, 0, 1 << 27)  # one value past lattice's table
 
 
 def test_c_coeff_multiplicative_matches_definitional():

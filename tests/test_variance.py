@@ -213,6 +213,20 @@ def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
     assert walks == [20, 20]
 
 
+def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
+    # the main term's singular series is truncated at n <= 48; the level is
+    # checked before the lattice is walked
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the lattice")
+
+    monkeypatch.setattr(lattice, "_iter_orbits", no_walk)
+    for call, d in ((lambda: variance(30, 1, 49, nu2), 49),
+                    (lambda: hl_error(30, 49, nu2), 49),
+                    (lambda: hl_error(30, 0, nu2), 0)):
+        with pytest.raises(ValueError, match=rf"need 1 <= d <= 48, got d={d}"):
+            call()
+
+
 def test_table_at_another_X_is_rejected(nu2, tab20):
     hp = HypothesisParams(delta=0.1, hbar=0.045)
     calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
