@@ -438,6 +438,11 @@ def main(argv=None) -> int:
     except (CLIError, ValueError) as exc:
         print(f"cubesums: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # the backstop for sizes that pass their bounds but not the machine
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"cubesums: out of memory{detail}", file=sys.stderr)
+        return 1
     except CheckFailed as exc:
         print(f"cubesums: FAIL {exc}", file=sys.stderr)
         return 2

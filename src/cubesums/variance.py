@@ -330,6 +330,8 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
     """Variance over a coprime to all primes below X^hbar (exact filter)."""
     if X < 2:  # the comparison term divides by log X
         raise ValueError("X must be an integer >= 2")
+    if K < 1:
+        raise ValueError("need K >= 1")
     t0 = time.perf_counter()
     threshold = float(X) ** hparams.hbar
     if threshold > 20.0:

@@ -47,6 +47,9 @@ _CHUNK_CELLS = 1 << 15
 # the support reaches |y_l| = 11 R, so nu_star(R) needs 11 R finite; this is
 # the largest such R
 _R_MAX = sys.float_info.max / 11
+# the (form, rise) bands of the w2 product in the order its factors are
+# multiplied: form k's rise band t < 1, then its fall band t > 10
+_BANDS = tuple((k, rise) for k in range(6) for rise in (True, False))
 
 
 def f0(y: np.ndarray) -> np.ndarray:
@@ -91,7 +94,8 @@ def _step_core(x: np.ndarray) -> np.ndarray:
     x = 1/745 exp(-1/x) underflows to exactly 0, so step is exactly 0 there,
     and above 1 - 1/745 the other ramp does, so step is exactly 1.
     """
-    np.clip(x, 1e-3, 1.0 - 1e-3, out=x)
+    np.maximum(x, 1e-3, out=x)
+    np.minimum(x, 1.0 - 1e-3, out=x)
     d = 1.0 - x
     np.divide(-1.0, x, out=x)
     np.exp(x, out=x)
@@ -174,65 +178,100 @@ def _sort_six_rows(rows: list[np.ndarray]) -> None:
         np.maximum(rows[lo], rows[hi], out=rows[lo])
 
 
-def _w2_product(forms: np.ndarray, r: np.ndarray | float) -> np.ndarray:
+def _w2_product(forms: np.ndarray, r: np.ndarray | float,
+                bands=_BANDS, out: np.ndarray | None = None) -> np.ndarray:
     """prod_k w2(forms[:, k] / r) over the columns of forms, shape (n, m)
-    for an (n, m) array r of scales and (n, 1) for a scalar r.
+    for an (n, m) array r of scales and (n, 1) for the unit scale r = 1.0.
 
     Equal bit for bit to the product of bump("w2", forms[:, k][:, None] / r)
-    taken in k order: a factor on the plateau [1, 10] is exactly 1.0, so only
-    the band factors are multiplied in, and t <= 1/2 and t >= 11 give 0.
-    Column k is divided and masked only on the rows whose scales can reach a
-    band: t < 1 needs forms[i, k] < max_j r[i, j], and t > 10 needs
-    forms[i, k] > 10 min_j r[i, j], which the factor 1 - 1e-12 keeps a
-    superset of under rounding.  Each band step runs on a gathered,
-    contiguous operand, as in bump (numpy's SIMD exp may round strided input
-    differently).  With a scalar r each band factor is multiplied straight
-    into its rows of the one output column.
+    taken in k order, given that `bands` holds every (k, rise) band that
+    some cell reaches (t < 1 for rise, t > 10 for fall): a factor on the
+    plateau [1, 10] is exactly 1.0, so only band factors are multiplied in,
+    and t <= 1/2 and t >= 11 give 0.  At the unit scale t is forms[:, k]
+    itself, with no division.
+
+    The product starts from form 0's rise step taken on every cell, not
+    from ones: _step_core clips its argument to [1e-3, 1 - 1e-3], where the
+    step is exactly 0.0 or 1.0, so that factor is exactly 1.0 where t >= 1
+    and the band's value where t < 1.  Every later band factor is multiplied
+    into its band's cells, each step running on a gathered, contiguous
+    operand, as in bump (numpy's SIMD exp may round strided input
+    differently).  `out`, if given, receives the product.
     """
-    per_row = np.ndim(r) == 2
-    out = np.ones((len(forms), np.shape(r)[1] if per_row else 1))
-    r_max = r.max(axis=1) if per_row else r
-    fall_min = 10.0 * (1.0 - 1e-12) * (r.min(axis=1) if per_row else r)
-    for k in range(forms.shape[1]):
-        f = forms[:, k]
-        for rows, rise in ((np.flatnonzero(f < r_max), True),
-                           (np.flatnonzero(f > fall_min), False)):
-            if not rows.size:
-                continue
-            t = f[rows, None] / (r[rows] if per_row else r)
-            band = t < 1.0 if rise else t > 10.0
-            x = t[band]
-            if rise:
-                x *= 2.0
-                x -= 1.0
-            else:
-                np.subtract(11.0, x, out=x)
-            if per_row:
-                sub = out[rows]
-                sub[band] *= _step_core(x)
-                out[rows] = sub
-            else:
-                out[rows[band[:, 0]], 0] *= _step_core(x)
+    unit = np.ndim(r) == 0
+    if unit and r != 1.0:
+        raise ValueError(f"a scalar scale must be 1.0, got {r}")
+    if out is None:
+        out = np.empty((len(forms), 1 if unit else np.shape(r)[1]))
+    t = None if unit else np.empty_like(out)
+
+    def quotient(k):
+        return forms[:, k, None] if unit else np.divide(forms[:, k, None], r,
+                                                        out=t)
+
+    if bands and bands[0] == (0, True):
+        np.multiply(quotient(0), 2.0, out=out)
+        out -= 1.0
+        _step_core(out)
+        bands = bands[1:]
+    else:
+        out.fill(1.0)
+    for k, rise in bands:
+        q = quotient(k)
+        band = q < 1.0 if rise else q > 10.0
+        x = q[band]
+        if not x.size:
+            continue
+        if rise:
+            x *= 2.0
+            x -= 1.0
+        else:
+            np.subtract(11.0, x, out=x)
+        out[band] *= _step_core(x)
     return out
 
 
 def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       panels: int, order: int) -> np.ndarray:
-    """int_{lo_i}^{hi_i} prod_k w2(forms[i,k]/r) dr/r, composite GL in log r."""
+    """int_{lo_i}^{hi_i} prod_k w2(forms[i,k]/r) dr/r, composite GL in log r.
+
+    Row order changes no bit: a row's r-grid is formed elementwise from its
+    lo and hi, and einsum reduces each row on its own.  So the rows are
+    stably sorted by reach, the set of _BANDS their r-grid can touch, and
+    each chunk of one reach forms only those bands, over whole chunk
+    arrays.  The nodes r lie in [lo, hi] up to a few ulps, so the reach
+    tests forms < hi (1 + 1e-9) for rise and forms > 10 lo (1 - 1e-9) for
+    fall are a superset of the cells in each band.
+    """
     x, w = gauss_rule(order)
     offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
     wts = np.tile(np.asarray(w), panels) / panels
-    out = np.empty(len(forms))
+    top, bottom = hi * (1.0 + 1e-9), 10.0 * (1.0 - 1e-9) * lo
+    reach = np.zeros(len(forms), dtype=np.int64)
+    for bit, (k, rise) in enumerate(_BANDS):
+        reach[forms[:, k] < top if rise else forms[:, k] > bottom] |= 1 << bit
+    perm = np.argsort(reach, kind="stable")
+    reach, forms = reach[perm], forms[perm]
+    log_lo = np.log(lo[perm])
+    span = np.log(hi[perm]) - log_lo
+    vals = np.empty(len(forms))
     rows = max(1, _CHUNK_CELLS // len(offs))
-    for start in range(0, len(forms), rows):
-        sl = slice(start, start + rows)
-        span = np.log(hi[sl]) - np.log(lo[sl])
-        r = np.exp(np.log(lo[sl])[:, None] + span[:, None] * offs[None, :])
-        prod = _w2_product(forms[sl], r)
-        # einsum reduces each row on its own; a BLAS matrix-vector product
-        # rounds differently with the batch size, and the orbit walk in
-        # lattice needs nu(y) to be a pure function of y
-        out[sl] = np.einsum("ij,j->i", prod, wts) * span
+    prod = np.empty((rows, len(offs)))
+    edges = np.flatnonzero(np.diff(reach, prepend=-1, append=-1))
+    for start, end in itertools.pairwise(edges):
+        bands = [b for bit, b in enumerate(_BANDS) if reach[start] >> bit & 1]
+        for c in range(start, end, rows):
+            sl = slice(c, min(c + rows, end))
+            r = np.multiply(span[sl, None], offs)
+            r += log_lo[sl, None]
+            np.exp(r, out=r)
+            p = _w2_product(forms[sl], r, bands, prod[:len(r)])
+            # einsum reduces each row on its own; a BLAS matrix-vector
+            # product rounds differently with the batch size, and the orbit
+            # walk in lattice needs nu(y) to be a pure function of y
+            vals[sl] = np.einsum("ij,j->i", p, wts) * span[sl]
+    out = np.empty(len(forms))
+    out[perm] = vals
     return out
 
 

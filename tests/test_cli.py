@@ -174,6 +174,35 @@ def test_validation_errors(capsys):
     assert proc.stderr == "cubesums: p must be a prime, got p=1\n"
 
 
+def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
+    from cubesums import densities
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before K was checked")
+
+    monkeypatch.setattr(lattice, "count_weighted", unreachable)
+    monkeypatch.setattr(densities, "_s1_spline", unreachable)
+    for K in ("0", "-3"):
+        rc, out = run(["sieved", "--X", "20", "--K", K, "--hbar", "0.045"],
+                      capsys)
+        assert rc == 1 and out.out == ""
+        assert out.err == "cubesums: need K >= 1\n"
+
+
+def test_memory_error_exits_one(monkeypatch, capsys):
+    from cubesums import series
+
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(series, "series_window", too_big)
+    rc, out = run(["series", "--K", "4", "--a-lo", "0", "--a-hi", "3"],
+                  capsys)
+    assert rc == 1 and out.out == ""
+    assert out.err == ("cubesums: out of memory "
+                       "(Unable to allocate 1.00 GiB for an array)\n")
+
+
 def test_unwritable_output_exits_one(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     rc, out = run(["count", "--X", "5", "--output", str(target)], capsys)

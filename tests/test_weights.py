@@ -27,6 +27,7 @@ from cubesums.weights import (
     _w2_product,
 )
 from cubesums import weights
+from cubesums.quadrature import gauss_rule
 
 
 def test_ramp_and_step_basics():
@@ -183,8 +184,8 @@ def test_w2_product_equals_bump_product(monkeypatch):
     panels, order = _r_rule_params(2.0)
     seen = []
 
-    def checked(forms, r):
-        got = _w2_product(forms, r)
+    def checked(forms, r, *args):
+        got = _w2_product(forms, r, *args)
         assert np.array_equal(got, _w2_product_by_bump(forms, r))
         seen.append((forms, r))
         return got
@@ -205,6 +206,88 @@ def test_w2_product_equals_bump_product(monkeypatch):
     in_band = ((t < 1.0) | (t > 10.0)).any(axis=2)  # (row, column)
     # rows with a band column beside a column that has no band cell
     assert np.any(in_band.any(axis=1) & ~in_band.all(axis=1))
+
+
+def _r_integral_by_bump(forms, lo, hi, panels, order):
+    # definitional: every row's r-grid at once, in _r_integral_fixed's node
+    # layout, the bump product, and a weighted sum per row
+    x, w = gauss_rule(order)
+    offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
+    wts = np.tile(np.asarray(w), panels) / panels
+    span = np.log(hi) - np.log(lo)
+    r = np.exp(np.log(lo)[:, None] + span[:, None] * offs[None, :])
+    return np.einsum("ij,j->i", _w2_product_by_bump(forms, r), wts) * span
+
+
+def _checked_chunks(monkeypatch):
+    """Patch _w2_product to check each chunk of _r_integral_fixed against
+    the bump product, and that its bands hold every band a cell reaches;
+    returns the list of the chunks' bands."""
+    seen = []
+
+    def checked(forms, r, bands, out):
+        got = _w2_product(forms, r, bands, out)
+        assert np.array_equal(got, _w2_product_by_bump(forms, r))
+        t = forms[:, :, None] / r[:, None, :]
+        for k, rise in weights._BANDS:
+            if np.any(t[:, k] < 1.0 if rise else t[:, k] > 10.0):
+                assert (k, rise) in bands
+        seen.append(tuple(bands))
+        return got
+
+    monkeypatch.setattr(weights, "_w2_product", checked)
+    return seen
+
+
+def test_r_integral_reach_at_band_edges(monkeypatch):
+    # forms a few ulps either side of hi and of 10 lo, on r-ranges as narrow
+    # as a few ulps, where the rounded r-grid can step past lo or hi
+    rng = np.random.default_rng(31)
+    n = 1200
+    lo = rng.uniform(1.0, 2.0, n)
+    hi = lo + np.where(np.arange(n) % 2 == 0, rng.integers(1, 5, n)
+                       * np.spacing(lo), rng.uniform(1e-6, 0.3, n) * lo)
+    edge = np.where(rng.random((n, 6)) < 0.5, hi[:, None], 10.0 * lo[:, None])
+    forms = edge + rng.integers(-4, 5, (n, 6)) * np.spacing(edge)
+    panels, order = _r_rule_params(2.0)
+    seen = _checked_chunks(monkeypatch)
+    got = _r_integral_fixed(forms, lo, hi, panels, order)
+    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels,
+                                                   order))
+    assert len(seen) > 1
+    assert {b for bands in seen for b in bands} == set(weights._BANDS)
+
+
+def test_r_integral_groups_rows_by_reach(monkeypatch):
+    # rows of many reach groups in one call, plateau rows that reach no band
+    # among them, sorted and unsorted forms: every value is the bump
+    # product's, and so is each row's position in the output
+    rng = np.random.default_rng(41)
+    n = 3000
+    lo = rng.uniform(0.5, 2.0, n)
+    hi = lo * rng.uniform(1.0001, 3.0, n)
+    forms = rng.uniform(0.3, 24.0, (n, 6))
+    forms[::2].sort(axis=1)
+    plateau = np.arange(n) % 5 == 0
+    forms[plateau] = rng.uniform(1.01 * hi[plateau, None],
+                                 0.99 * 10.0 * lo[plateau, None],
+                                 (plateau.sum(), 6))
+    panels, order = _r_rule_params(2.0)
+    seen = _checked_chunks(monkeypatch)
+    got = _r_integral_fixed(forms, lo, hi, panels, order)
+    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels,
+                                                   order))
+    assert len(set(seen)) > 20 and () in seen
+    assert {b for bands in seen for b in bands} == set(weights._BANDS)
+
+
+def test_nu_star_evaluate_commutes_with_row_order():
+    nu = nu_star(2.0)
+    pts = sample_support_candidates(2.0, 20000, seed=5)
+    whole = nu.evaluate(pts)
+    assert np.count_nonzero(whole) > 1000
+    perm = np.random.default_rng(37).permutation(len(pts))
+    assert np.array_equal(nu.evaluate(pts[perm]), whole[perm])
 
 
 def _six_forms_by_sort(y):
