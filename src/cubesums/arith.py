@@ -8,6 +8,7 @@ cofactor.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -29,19 +30,16 @@ def _grow_sieve(limit: int) -> None:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    _sieve_primes = [int(p) for p in np.nonzero(mask)[0]]
+    # Python ints: factor divides by them, and is_prime's pow() rejects the
+    # numpy int cofactor that a numpy prime would leave
+    _sieve_primes = np.flatnonzero(mask).tolist()
     _SIEVE_LIMIT = limit
 
 
 def primes_below(limit: int) -> list[int]:
     """All primes < limit, ascending."""
     _grow_sieve(limit)
-    out = []
-    for p in _sieve_primes:
-        if p >= limit:
-            break
-        out.append(p)
-    return out
+    return _sieve_primes[:bisect_left(_sieve_primes, limit)]
 
 
 # deterministic Miller-Rabin witnesses, sufficient for n < 2^64

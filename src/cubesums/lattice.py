@@ -20,9 +20,13 @@ The plain walk over every support point (_iter_alive, with a choice of loop
 order) is the oracle behind pair_count_bruteforce and the tests.
 
 Both walks buffer their candidates and evaluate nu once per block of them
-(_alive_rows), not once per leading coordinate: a call carries a fixed
-numpy cost, and one leading coordinate has only a few dozen candidates.
-nu_star.evaluate is row-pure, so the block changes no bit of any value.
+(_alive_rows): a call carries a fixed numpy cost, and one leading
+coordinate has only a few dozen candidates.  nu_star.evaluate is row-pure,
+so the block changes no bit of any value.  The orbit walk also forms its
+candidates for many leading coordinates at once: it takes the (y1, y2)
+pairs in pieces of up to _PAIR_PIECE (_pair_pieces) and the y3 ranges of a
+whole piece with one ragged arange, in the order of a loop over y1, then
+y2, then y3, so the table's float sums add in that loop's order.
 
 Weighted masses are floats, but every mass is a dyadic rational, so exact
 arithmetic is available on demand: each nu value converts losslessly to an
@@ -62,6 +66,7 @@ EXACT_SHIFT = 1100  # nu values have denominator at most 2^1074
 _ENUM_BOUND = 10**5
 _MAX_BINS = 1 << 27
 _WITNESS_CAP = 1000
+_PAIR_PIECE = 1 << 14  # most (y1, y2) pairs in one piece of the orbit walk
 # distinct permutations of a sorted triple with 0, 1, 2 adjacent equalities
 _ORBIT_SIZE = np.array([6, 3, 1], dtype=np.int64)
 
@@ -85,14 +90,28 @@ def _band_values(X: int, weight: Weight) -> np.ndarray:
 def _ragged_arange(lo: np.ndarray, hi: np.ndarray):
     """Concatenate arange(lo_i, hi_i + 1) for every row; also row indices."""
     n = np.maximum(hi - lo + 1, 0)
-    ends = np.cumsum(n)
-    total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    t = np.arange(total, dtype=np.int64)
-    row = np.searchsorted(ends, t, side="right")
-    starts = ends - n
-    return lo[row] + (t - starts[row]), row
+    starts = np.cumsum(n) - n
+    row = np.repeat(np.arange(len(n), dtype=np.int64), n)
+    # element t of row r is lo_r + (t - starts_r)
+    return np.arange(len(row), dtype=np.int64) + np.repeat(lo - starts, n), row
+
+
+def _pair_pieces(m: int, size: int):
+    """Yield (i, j) index arrays over the pairs 0 <= i <= j < m.
+
+    The pairs come in lexicographic order, at most size of them per piece; a
+    piece spans several leading indices i, or part of one whose j-range
+    alone is longer than size.
+    """
+    # first[i] is the flat position of the pair (i, i)
+    first = np.concatenate([[0], np.cumsum(np.arange(m, 0, -1))])
+    for t0 in range(0, int(first[-1]), size):
+        # the whole rows i0..i1 that hold the flat positions [t0, t0 + size)
+        i0, i1 = np.searchsorted(first, [t0, t0 + size], side="right") - 1
+        lead = np.arange(i0, min(i1 + 1, m), dtype=np.int64)
+        j, row = _ragged_arange(lead, np.full(len(lead), m - 1))
+        cut = slice(t0 - first[i0], t0 - first[i0] + size)
+        yield lead[row[cut]], j[cut]
 
 
 def _alive_rows(candidates, X: int, weight: Weight, block: int):
@@ -173,39 +192,34 @@ def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
     reps are the sorted points y1 <= y2 <= y3 with 0 < F0(y) = a <= a_cap;
     nu is evaluated once per rep, in one call per block of candidates, and k
     in {6, 3, 1} counts its distinct permutations.  The orbit is those k
-    points at a and their negatives at -a, all of weight nu.  block bounds
-    the v-slice and sets the candidates per nu call.  count_weighted checks
-    X and the weight.
+    points at a and their negatives at -a, all of weight nu.  block sets the
+    candidates per nu call and bounds the (y1, y2) pairs of one walk piece,
+    which never exceed _PAIR_PIECE.  count_weighted checks X and the weight.
     """
     band = _band_values(X, weight)
+    cubes = band**3
     a_cap = int(math.floor(weight.a_support * X**3))
     m = len(band)
     # y3 is the largest coordinate and F0 > 0, so y3 lies in the positive band
     y3_min, y3_max = int(band[m // 2]), int(band[-1])
 
     def candidates():
-        for i in range(m):
-            u = int(band[i])
-            u3 = u**3
-            for start in range(i, m, block):  # y2 >= y1
-                v = band[start:start + block]
-                s = u3 + v**3
-                sf = s.astype(float)
-                # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt
-                # rounding
-                lo_i = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1,
-                                  v)
-                hi_i = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
-                w, row = _ragged_arange(np.maximum(lo_i, y3_min),
-                                        np.minimum(hi_i, y3_max))
-                if not len(w):
-                    continue
-                a = s[row] + w**3  # exact int64
-                keep = (a > 0) & (a <= a_cap)
-                if not keep.any():
-                    continue
-                w, row, a = w[keep], row[keep], a[keep]
-                yield a, np.column_stack([np.full(len(w), u), v[row], w])
+        for i, j in _pair_pieces(m, min(block, _PAIR_PIECE)):  # y2 >= y1
+            s = cubes[i] + cubes[j]
+            sf = s.astype(float)
+            # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt
+            # rounding
+            lo_i = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1,
+                              band[j])
+            hi_i = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
+            w, row = _ragged_arange(np.maximum(lo_i, y3_min),
+                                    np.minimum(hi_i, y3_max))
+            a = s[row] + w**3  # exact int64
+            keep = (a > 0) & (a <= a_cap)
+            if not keep.any():
+                continue
+            w, row, a = w[keep], row[keep], a[keep]
+            yield a, np.column_stack([band[i[row]], band[j[row]], w])
 
     for a, nu, pts in _alive_rows(candidates(), X, weight, block):
         n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) \
@@ -470,9 +484,8 @@ def prime_demo(A: int) -> PrimeDemo:
     top = int(round(A ** (1.0 / 3.0))) + 1
     r3 = np.zeros(len(ps), dtype=np.int64)
     for z in range(top + 1):
-        rem = ps - z**3
-        ok = rem >= 0
-        r3[ok] += lookup[rem[ok]]
+        i0 = np.searchsorted(ps, z**3)  # the primes p >= z^3
+        r3[i0:] += lookup[ps[i0:] - z**3]
     sum_r3 = int(r3.sum())
     admissible = ps % 9
     adm = (admissible != 4) & (admissible != 5)

@@ -95,3 +95,21 @@ def test_admissible_classes():
 def test_primes_below():
     assert arith.primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(arith.primes_below(10**5)) == 9592
+    # the sieve starts at 2^16 and grows to the largest limit asked for;
+    # every answer is a slice of it, of Python ints: factor hands the
+    # cofactor left by its trial division to pow()
+    limits = (0, 1, 2, 3, 65521, 65522, 1 << 16, (1 << 16) + 1, 10**6 + 1, 30)
+    for limit in limits:
+        got = arith.primes_below(limit)
+        assert all(type(p) is int for p in got)
+        lo = max(limit - 70_000, 0)  # all of [0, limit) up to 2^16 + 1
+        assert [p for p in got if p >= lo] == \
+            [n for n in range(lo, limit) if arith.is_prime(n)], limit
+    # the rest below 10^6 + 1: ascending, pi(10^6) in all
+    got = arith.primes_below(10**6 + 1)
+    head = arith.primes_below(65537)
+    assert got[:len(head)] == head and len(got) == 78498
+    assert all(p < q for p, q in zip(got, got[1:]))
+    assert arith.is_prime(65521)
+    big = (1 << 61) - 1  # a prime cofactor, checked by is_prime's pow()
+    assert arith.factor(big * 3).factors == ((3, 1), (big, 1))

@@ -1,6 +1,8 @@
 """Lattice-point counting, pair counts, special counts, and r3 demos."""
 
+import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,14 @@ import pytest
 
 from cubesums.lattice import (
     EXACT_SHIFT,
+    _ORBIT_SIZE,
+    _PAIR_PIECE,
+    _band_values,
     _dyadic_int,
     _iter_alive,
     _iter_orbits,
+    _pair_pieces,
+    _ragged_arange,
     count_weighted,
     exact_to_float,
     pair_count,
@@ -20,8 +27,8 @@ from cubesums.lattice import (
     r3_nonneg,
     special_count,
 )
-from cubesums import weights
-from cubesums.arith import primes_below
+from cubesums import lattice, weights
+from cubesums.arith import is_prime, primes_below
 from cubesums.weights import _r_rule_params, nu_star
 
 
@@ -33,6 +40,47 @@ def nu2():
 @pytest.fixture(scope="module")
 def tab10(nu2):
     return count_weighted(10, nu2)
+
+
+def _table_digest(table):
+    h = hashlib.sha256()
+    for arr in (table.bins, table.point_counts, table.witnesses,
+                table.orbit_a, table.orbit_k, table.orbit_nu):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(list(table.exact.items())).encode())
+    return h.hexdigest()
+
+
+# frozen from the per-leading-coordinate walk: the float bins are np.add.at
+# sums in walk order, so they pin the order along with every value
+_TABLE_DIGESTS = {
+    (8, False): "914e512e52f287ef001c458202617fbc7093645f7e4962e1e20cf3d0252af877",
+    (8, True): "30b13fab9d836fdbf50847792b40908b963167beca5dd10dd51f9025bbddcf2f",
+    (16, False): "01a2ea1ce91708f8df56bf08c6dd6744756d76356b8966a59f709fd6412ac132",
+    (16, True): "5e909e9149467d3b63de40e42fd02dfd31f59a0f2166d762dd398c92bbb54deb",
+    (20, False): "5fc3e3fb8156afac5c5868ab93cd6b1aa3321a9372e33c9fef01215a72079731",
+    (20, True): "8f5a98ab8a0a222856f93c9cf3bc01f82ec599c039d578f2640ab5dd967dd042",
+}
+_PRIME_DEMO_DIGESTS = {
+    2: "fa6d867d6b08e0fcf43372dfcbe5f697f22ecfabb59aaff6a704b391471e9150",
+    3: "5ea9bb3cef619a4ba24ed99e0c8a5f88171e86e28184361af43f9fae1014173d",
+    1000: "8af901fc444379c92885a7fd6e6eafa0afcbb507e0af27c30d54c293acbc08dd",
+    998063: "b9928cf7c3fd9d9d4af48fcca7901ef729e6945a08623cd47269a88ac6b2d4d8",
+    10**6: "a8a3d23cb8a6e3ae2690e1e14bfe7219e9bc519af89e50209fd8326263decb18",
+}
+
+
+@pytest.mark.parametrize("X,exact", sorted(_TABLE_DIGESTS))
+def test_count_weighted_frozen_digest(nu2, X, exact):
+    table = count_weighted(X, nu2, exact=exact)
+    assert _table_digest(table) == _TABLE_DIGESTS[X, exact]
+
+
+@pytest.mark.parametrize("A", sorted(_PRIME_DEMO_DIGESTS))
+def test_prime_demo_frozen_digest(A):
+    digest = hashlib.sha256(repr(prime_demo(A)).encode()).hexdigest()
+    assert digest == _PRIME_DEMO_DIGESTS[A]
 
 
 def test_r3_frozen_values():
@@ -123,10 +171,107 @@ def _rows(walk):
     return [np.concatenate(col) for col in zip(*walk)]
 
 
+def _ragged_reference(lo, hi):
+    pairs = [(x, r) for r, (lo_r, hi_r) in enumerate(zip(lo, hi))
+             for x in range(lo_r, hi_r + 1)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def test_ragged_arange_matches_python():
+    rng = np.random.default_rng(11)
+    lo = rng.integers(-50, 50, 200)
+    cases = [(lo, lo + rng.integers(-5, 12, 200)),  # some rows have hi < lo
+             (lo, lo - 1 - rng.integers(0, 3, 200)),  # every row empty
+             (lo[:0], lo[:0]),  # no rows
+             (lo[:1], lo[:1] + 9)]  # a single row
+    for lo_c, hi_c in cases:
+        got, row = _ragged_arange(lo_c, hi_c)
+        assert got.dtype == row.dtype == np.int64
+        assert (got.tolist(), row.tolist()) == _ragged_reference(lo_c, hi_c)
+
+
+def test_pair_pieces_cover_the_triangle_in_order():
+    for m, size in ((1, 1), (5, 1), (5, 3), (9, 9), (9, 10), (40, 7),
+                    (40, 100), (40, 2000)):
+        pieces = list(_pair_pieces(m, size))
+        assert all(1 <= len(i) <= size for i, _j in pieces)
+        i, j = (np.concatenate(col) for col in zip(*pieces))
+        assert list(zip(i.tolist(), j.tolist())) == \
+            [(a, b) for a in range(m) for b in range(a, m)]
+
+
+def _orbits_by_leading_coordinate(X, weight):
+    """The orbit walk as one loop per leading coordinate: the order reference.
+
+    Candidates come in (y1, y2, y3) lexicographic order, y1 <= y2 <= y3,
+    each y3 from the widened cube-root interval and kept when
+    0 < F0 <= a_cap; nu is evaluated in one call.
+    """
+    band = _band_values(X, weight)
+    a_cap = int(math.floor(weight.a_support * X**3))
+    m = len(band)
+    y3_min, y3_max = int(band[m // 2]), int(band[-1])
+    a_rows, pts_rows = [], []
+    for i in range(m):
+        u = int(band[i])
+        v = band[i:]
+        s = u**3 + v**3
+        sf = s.astype(float)
+        lo = np.maximum(np.ceil(np.cbrt(-sf)).astype(np.int64) - 1, v)
+        hi = np.floor(np.cbrt(a_cap - sf)).astype(np.int64) + 1
+        lo, hi = np.maximum(lo, y3_min), np.minimum(hi, y3_max)
+        for r in np.flatnonzero(lo <= hi).tolist():
+            for w in range(int(lo[r]), int(hi[r]) + 1):
+                a = int(s[r]) + w**3
+                if 0 < a <= a_cap:
+                    a_rows.append(a)
+                    pts_rows.append((u, int(v[r]), w))
+    a = np.array(a_rows, dtype=np.int64)
+    pts = np.array(pts_rows, dtype=np.int64)
+    nu = weight.evaluate(pts.astype(float) / X)
+    alive = nu > 0.0
+    a, nu, pts = a[alive], nu[alive], pts[alive]
+    n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) + (pts[:, 1] == pts[:, 2])
+    return [a, _ORBIT_SIZE[n_eq], nu, pts]
+
+
+def _assert_same_rows(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_orbit_walk_pieces_keep_rows_and_order(nu2, monkeypatch):
+    # the walk takes its (y1, y2) pairs in pieces of at most
+    # min(block, _PAIR_PIECE); any block gives the rows of the
+    # per-leading-coordinate walk, in its order, with every bit of nu
+    sizes = []
+
+    def spied(m, size):
+        for piece in pair_pieces(m, size):
+            sizes.append(len(piece[0]))
+            yield piece
+
+    pair_pieces = _pair_pieces
+    monkeypatch.setattr(lattice, "_pair_pieces", spied)
+    m = len(_band_values(16, nu2))  # the first leading coordinate's pairs
+    want = _orbits_by_leading_coordinate(16, nu2)
+    assert len(want[0]) > 64 * 20
+    for block in (7, 64, m - 1, m, m + 1, 1 << 17):
+        sizes.clear()
+        _assert_same_rows(_rows(_iter_orbits(16, nu2, block=block)), want)
+        assert max(sizes) == min(block, _PAIR_PIECE)
+        assert sum(sizes) == m * (m + 1) // 2
+    # one pair per piece: 237k pieces at X = 16, so a smaller lattice
+    sizes.clear()
+    _assert_same_rows(_rows(_iter_orbits(4, nu2, block=1)),
+                      _orbits_by_leading_coordinate(4, nu2))
+    assert max(sizes) == 1
+
+
 def test_walks_are_block_invariant(nu2):
     # nu is evaluated once per block of buffered candidates; a small block
-    # cuts the v-slices and the buffer into many pieces, and every row,
-    # its walk order and every bit of nu stay the same
+    # cuts the pair pieces, the v-slices and the buffer into many pieces,
+    # and every row, its walk order and every bit of nu stay the same
     small, whole = _rows(_iter_orbits(16, nu2, block=64)), \
         _rows(_iter_orbits(16, nu2))
     assert len(whole[0]) > 64 * 20
@@ -255,15 +400,17 @@ def test_pair_counts_reject_d_zero(nu2, tab10):
 
 
 def test_prime_demo_against_r3_oracle():
-    demo = prime_demo(100)
-    ps = primes_below(101)
-    vals = [r3_nonneg(p) for p in ps]
-    assert demo.n_primes == len(ps)
-    assert demo.sum_r3 == sum(vals)
-    assert demo.sum_r3_sq == sum(v * v for v in vals)
-    assert demo.n_admissible_represented == sum(
-        1 for p, v in zip(ps, vals) if p % 9 not in (4, 5) and v > 0)
-    assert demo.fitted_constant > 0.0
+    assert is_prime(1009)  # A itself is one of the primes counted
+    for A in (2, 3, 100, 1009):
+        demo = prime_demo(A)
+        ps = primes_below(A + 1)
+        vals = [r3_nonneg(p) for p in ps]
+        assert demo.n_primes == len(ps)
+        assert demo.sum_r3 == sum(vals)
+        assert demo.sum_r3_sq == sum(v * v for v in vals)
+        assert demo.n_admissible_represented == sum(
+            1 for p, v in zip(ps, vals) if p % 9 not in (4, 5) and v > 0)
+        assert demo.fitted_constant > 0.0
 
 
 def test_prime_demo_monotone():
