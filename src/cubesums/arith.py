@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,10 +204,6 @@ def sq_cub_parts(n: int) -> PartDecomposition:
         if e >= 3:
             cub *= p**e
     return PartDecomposition(n, sq, cub)
-
-
-def lcm(*ns: int) -> int:
-    return reduce(math.lcm, ns, 1)
 
 
 def admissible(a: int) -> bool:

@@ -34,8 +34,7 @@ import numpy as np
 from . import cache
 from .quadrature import (adaptive_integrate, gauss_rule, log_panel_rule,
                          scaled_gauss_nodes)
-from .weights import (Weight, bump, f0, nu_star, _six_forms, _w2_product,
-                      sobolev_estimate)
+from .weights import Weight, bump, f0, _six_forms, _w2_product
 
 if TYPE_CHECKING:
     # importing scipy.interpolate costs more time and memory than the rest of
@@ -45,13 +44,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DensityTable",
-    "DerivativeProbe",
     "PoissonReport",
     "PoissonTrend",
     "chi_surface",
     "density_table",
-    "derivative_probe",
-    "fast_route_deviation",
     "mixed_l1_moment",
     "poisson_check",
     "poisson_trend",
@@ -209,18 +205,6 @@ def sigma_inf(a: float, X: float, weight: Weight,
     return float(_sigma_fast(atil, weight.R)[0])
 
 
-def fast_route_deviation(R: float = 2.0, probes=(0.0, 0.9, 2.2)) -> float:
-    """Max relative gap between the fast and direct sigma routes at the
-    probe a-tilde values; exercises the Fubini/scaling identity end to end."""
-    nu = nu_star(R)
-    worst = 0.0
-    for atil in probes:
-        fast = sigma_inf(atil, 1.0, nu)
-        direct = sigma_inf(atil, 1.0, nu, method="direct")
-        worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-12))
-    return worst
-
-
 @dataclass
 class DensityTable:
     """Uniform a-tilde samples of sigma_inf with cubic interpolation."""
@@ -259,9 +243,6 @@ class DensityTable:
         vals = self._spline(nodes.ravel()).reshape(nodes.shape)
         per_cell = (vals**2 @ w) * (b - a)
         return math.fsum(per_cell.tolist())
-
-    def derivative(self, k: int):
-        return self._spline.derivative(k)
 
 
 def density_table(weight: Weight, grid_size: int = 256) -> DensityTable:
@@ -425,36 +406,3 @@ def poisson_trend(weight: Weight, N: int, b: int) -> PoissonTrend:
         for i in range(len(reports) - 1)
     )
     return PoissonTrend(reports, decreasing)
-
-
-@dataclass(frozen=True)
-class DerivativeProbe:
-    k: int
-    max_abs: float
-    sobolev: float
-    bound_scale: float
-    ratio: float
-    central_vs_onesided: float
-
-
-def derivative_probe(weight: Weight, k: int) -> DerivativeProbe:
-    """Max |d^k/d a-tilde^k sigma| from the density table, compared with the
-    sampled Sobolev norm times B^(10+4k); report only."""
-    if not 0 <= k <= 3:
-        raise ValueError("k must be in 0..3")
-    table = density_table(weight)
-    dense = np.linspace(table.grid[0], table.grid[-1], 4097)
-    deriv = table.derivative(k)(dense) if k else table(dense)
-    max_abs = float(np.max(np.abs(deriv)))
-    sob = sobolev_estimate(weight, k)
-    bound_scale = sob * float(weight.B) ** (10 + 4 * k)
-    # consistency of two first-derivative estimators at the steepest point
-    d1 = table.derivative(1)(dense)
-    i = int(np.argmax(np.abs(d1)))
-    x0 = float(np.clip(dense[i], table.grid[0] + 0.1, table.grid[-1] - 0.1))
-    h = 2e-3
-    central = (table(x0 + h) - table(x0 - h)) / (2 * h)
-    onesided = (-3 * table(x0) + 4 * table(x0 + h) - table(x0 + 2 * h)) / (2 * h)
-    rel = abs(central - onesided) / max(abs(central), 1e-12)
-    return DerivativeProbe(k, max_abs, sob, bound_scale,
-                           max_abs / bound_scale, rel)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed, cache
-from .arith import (MAX_N as INT64_MAX, divisors, factor, is_prime, lcm,
+from .arith import (MAX_N as INT64_MAX, divisors, factor, is_prime,
                     primes_below, v_p)
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
@@ -305,7 +305,7 @@ def s_plus_zero_bruteforce(n: int, d: int) -> tuple[int, float]:
     keep = np.arange(n) % d == 0
     total = 0.0
     for m in divisors(n):
-        if lcm(m, d) != n:
+        if math.lcm(m, d) != n:
             continue
         hm = np.zeros(m)
         np.add.at(hm, np.arange(n)[keep] % m, hist[keep])

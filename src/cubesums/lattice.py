@@ -66,6 +66,7 @@ EXACT_SHIFT = 1100  # nu values have denominator at most 2^1074
 _ENUM_BOUND = 10**5
 _MAX_BINS = 1 << 27
 _WITNESS_CAP = 1000
+_BLOCK = 1 << 17  # candidates per nu call of either walk
 _PAIR_PIECE = 1 << 14  # most (y1, y2) pairs in one piece of the orbit walk
 # distinct permutations of a sorted triple with 0, 1, 2 adjacent equalities
 _ORBIT_SIZE = np.array([6, 3, 1], dtype=np.int64)
@@ -114,11 +115,11 @@ def _pair_pieces(m: int, size: int):
         yield lead[row[cut]], j[cut]
 
 
-def _alive_rows(candidates, X: int, weight: Weight, block: int):
+def _alive_rows(candidates, X: int, weight: Weight):
     """Yield (a, nu_values, points) for the live rows of the candidates.
 
     candidates yields (a, points) pieces in walk order.  nu is evaluated
-    once per run of pieces holding at least block candidates, and once more
+    once per run of pieces holding at least _BLOCK candidates, and once more
     for the rest, and the live rows come out in walk order.  nu_star is
     row-pure, so every block size gives the same values.
     """
@@ -126,7 +127,7 @@ def _alive_rows(candidates, X: int, weight: Weight, block: int):
     for piece in candidates:
         buf.append(piece)
         n_buf += len(piece[0])
-        if n_buf >= block:
+        if n_buf >= _BLOCK:
             yield from _evaluate_alive(buf, X, weight)
             buf, n_buf = [], 0
     if buf:
@@ -141,7 +142,7 @@ def _evaluate_alive(pieces, X: int, weight: Weight):
         yield a[alive], nu[alive], pts[alive]
 
 
-def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
+def _iter_alive(X: int, weight: Weight, order=(0, 1, 2)):
     """Yield (a, nu_values, points) blocks over every support lattice point.
 
     The oracle walk: nu is evaluated at each point, once per block of
@@ -160,8 +161,8 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
         for i in range(m):
             u = int(band[i])
             u3 = u**3
-            for start in range(0, m, block):
-                v = band[start:start + block]
+            for start in range(0, m, _BLOCK):
+                v = band[start:start + _BLOCK]
                 s = u3 + v**3
                 lo_f = np.cbrt(float(-a_cap) - s.astype(float))
                 hi_f = np.cbrt(float(a_cap) - s.astype(float))
@@ -183,18 +184,18 @@ def _iter_alive(X: int, weight: Weight, order=(0, 1, 2), block: int = 1 << 17):
                     pts[:, order[2]] = w
                     yield a, pts
 
-    return _alive_rows(candidates(), X, weight, block)
+    return _alive_rows(candidates(), X, weight)
 
 
-def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
+def _iter_orbits(X: int, weight: Weight):
     """Yield (a, k, nu_values, reps) blocks, one row per S3 x {+-1} orbit.
 
     reps are the sorted points y1 <= y2 <= y3 with 0 < F0(y) = a <= a_cap;
-    nu is evaluated once per rep, in one call per block of candidates, and k
+    nu is evaluated once per rep, in one call per _BLOCK candidates, and k
     in {6, 3, 1} counts its distinct permutations.  The orbit is those k
-    points at a and their negatives at -a, all of weight nu.  block sets the
-    candidates per nu call and bounds the (y1, y2) pairs of one walk piece,
-    which never exceed _PAIR_PIECE.  count_weighted checks X and the weight.
+    points at a and their negatives at -a, all of weight nu.  A walk piece
+    holds at most _PAIR_PIECE (y1, y2) pairs.  count_weighted checks X and
+    the weight.
     """
     band = _band_values(X, weight)
     cubes = band**3
@@ -204,7 +205,7 @@ def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
     y3_min, y3_max = int(band[m // 2]), int(band[-1])
 
     def candidates():
-        for i, j in _pair_pieces(m, min(block, _PAIR_PIECE)):  # y2 >= y1
+        for i, j in _pair_pieces(m, _PAIR_PIECE):  # y2 >= y1
             s = cubes[i] + cubes[j]
             sf = s.astype(float)
             # y3 >= y2 and 0 < s + y3^3 <= a_cap, widened against cbrt
@@ -221,7 +222,7 @@ def _iter_orbits(X: int, weight: Weight, block: int = 1 << 17):
             w, row, a = w[keep], row[keep], a[keep]
             yield a, np.column_stack([band[i[row]], band[j[row]], w])
 
-    for a, nu, pts in _alive_rows(candidates(), X, weight, block):
+    for a, nu, pts in _alive_rows(candidates(), X, weight):
         n_eq = (pts[:, 0] == pts[:, 1]).astype(np.int64) \
             + (pts[:, 1] == pts[:, 2])
         yield a, _ORBIT_SIZE[n_eq], nu, pts
@@ -252,12 +253,6 @@ class CountTable:
     def nonzero_items(self):
         idx = np.nonzero(self.bins)[0]
         return idx - self.offset, self.bins[idx]
-
-    def total_mass(self) -> float:
-        return float(self.bins.sum())
-
-    def total_mass_exact(self) -> int:
-        return sum(self.exact.values())
 
 
 def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
@@ -442,12 +437,10 @@ def _pair_sums(limit: int) -> dict:
     return dict(zip(vals.tolist(), cnt.tolist()))
 
 
-def r3_nonneg(a: int, cap: int | None = None) -> int:
+def r3_nonneg(a: int) -> int:
     """Ordered representations a = x^3 + y^3 + z^3 with x, y, z >= 0."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if cap is not None and a > 3 * cap**3:
-        raise ValueError(f"a = {a} exceeds 3*cap^3 = {3 * cap**3}")
     pairs = _pair_sums(a)
     total = 0
     z = 0

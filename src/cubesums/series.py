@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import factor, mobius, primes_below, sq_cub_parts
+from .arith import factor, mobius, primes_below, rad, sq_cub_parts
 from .expsums import MAX_MODULUS, sigma_p_a, t_full, t_single
 
 
@@ -357,7 +357,7 @@ def moment_report(p_list: list[int], l_caps: int | dict[int, int] = 2, r: int = 
         abs_mean, signed = moment_tuple(mods)
         total = math.prod(mods)
         cub = math.prod(sq_cub_parts(m).cube_full for m in mods)
-        shape = math.sqrt(cub) * float(total) ** (0.5 + eps) / math.prod(p for p, _ in factor(total).factors)
+        shape = math.sqrt(cub) * float(total) ** (0.5 + eps) / rad(total)
         ratio = abs_mean / shape if shape else 0.0
         if ratio > best[0]:
             best = (ratio, mods)

@@ -38,18 +38,15 @@ from .series import series_window
 from .weights import Weight, nu_star
 
 __all__ = [
-    "HLErrorReport",
     "HypothesisParams",
     "MomentCheckReport",
     "PipelineReport",
     "PipelineRow",
     "SievedReport",
     "VarianceReport",
-    "hl_error",
     "nonarch_moment_check",
     "pipeline_demo",
     "sieved_variance",
-    "singular_series_positive_scan",
     "variance",
 ]
 
@@ -90,11 +87,6 @@ class VarianceReport:
 _SERIES_N_MAX = 48
 
 
-def _check_level(d: int) -> None:
-    if not 1 <= d <= _SERIES_N_MAX:
-        raise ValueError(f"need 1 <= d <= {_SERIES_N_MAX}, got d={d}")
-
-
 def _window_vectors(table: CountTable, K: int, d: int, dtable):
     """Aligned (a, N, s, sigma) vectors over a in dZ, |a| <= table.offset."""
     a_cap = table.offset
@@ -115,7 +107,8 @@ def variance(X: int, K: int, d: int, weight: Weight,
         raise ValueError("X must be a positive integer")
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
-    _check_level(d)
+    if d > _SERIES_N_MAX:
+        raise ValueError(f"need 1 <= d <= {_SERIES_N_MAX}, got d={d}")
     if K * d > X ** 0.9:
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
@@ -144,41 +137,6 @@ def variance(X: int, K: int, d: int, weight: Weight,
         special_term=special, residual=sigma1 - main_term - special,
         decomposition_rel_err=rel, wall_time=time.perf_counter() - t0,
     )
-
-
-@dataclass(frozen=True)
-class HLErrorReport:
-    X: int
-    d: int
-    pair: float
-    main_term: float
-    special_diag: float
-    E: float
-    E_over_X3: float
-
-
-def hl_error(X: int, d: int, weight: Weight,
-             table: CountTable | None = None) -> HLErrorReport:
-    """E(X; d) = pair_count - singular_series * pure_moment * X^3 - special."""
-    _check_level(d)
-    table = table_at(X, weight, table)
-    pair = pair_count(X, d, weight, table=table)
-    series = singular_series_level_d(d, n_max=_SERIES_N_MAX)
-    main = series.euler * pure_l2_moment(weight) * float(X) ** 3
-    diag = special_count(X, d, weight, table=table).diag
-    E = pair - main - diag
-    return HLErrorReport(X=X, d=d, pair=pair, main_term=main,
-                         special_diag=diag, E=E, E_over_X3=E / float(X) ** 3)
-
-
-def singular_series_positive_scan(d_max: int = 50) -> float:
-    """Min of the level-d singular series over d <= d_max (all positive)."""
-    vals = [singular_series_level_d(d, n_max=max(24, d)).euler
-            for d in range(1, d_max + 1)]
-    low = min(vals)
-    if low <= 0.0:
-        raise CheckFailed(f"nonpositive singular series in d <= {d_max}")
-    return low
 
 
 # --------------------------------------------------------------------------

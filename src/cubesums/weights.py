@@ -32,10 +32,8 @@ __all__ = [
     "bump",
     "f0",
     "nu_star",
-    "nu_star_support_volume",
     "ramp",
     "sample_support_candidates",
-    "sobolev_estimate",
     "step",
 ]
 
@@ -353,85 +351,16 @@ def nu_star(R: float) -> Weight:
 _nu_star = lru_cache(maxsize=None)(Weight)
 
 
-def _support_draw(R: float, n: int, seed: int):
-    """The generator, n signed (y2, y3) drawn log-uniformly on [1/2, 11R],
-    and the ends of the exact y1-interval on which |F0| < 3."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(math.log(0.5), math.log(11 * R), size=(n, 2))
-    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
-    s = yz[:, 0] ** 3 + yz[:, 1] ** 3
-    return rng, yz, np.cbrt(-3.0 - s), np.cbrt(3.0 - s)
-
-
 def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     """Random points concentrated where nu_star(R) can be nonzero.
 
     (y2, y3) are drawn log-uniformly on [1/2, 11R] with random signs; y1 is
     then drawn uniformly from the exact interval making |F0| < 3.
     """
-    rng, yz, lo, hi = _support_draw(R, n, seed)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(math.log(0.5), math.log(11 * R), size=(n, 2))
+    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
+    s = yz[:, 0] ** 3 + yz[:, 1] ** 3
+    lo, hi = np.cbrt(-3.0 - s), np.cbrt(3.0 - s)
     y1 = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=n)
     return np.column_stack([y1, yz])
-
-
-def nu_star_support_volume(R: float, n: int = 200_000,
-                           seed: int = 0) -> float:
-    """Monte-Carlo volume of {y: nu_star(R)(y) > 0}.
-
-    Importance-samples (y2, y3) log-uniformly, then measures the exact
-    y1-interval where |F0| < 3 and the fraction of 16 midpoint samples of it
-    on which some r in [1, R] puts all six forms inside the w2 support.
-    """
-    y1_samples = 16
-    _rng, yz, a1, b1 = _support_draw(R, n, seed)
-    du = math.log(11 * R) - math.log(0.5)
-    length = b1 - a1
-    t = (np.arange(y1_samples) + 0.5) / y1_samples
-    y1 = a1[:, None] + length[:, None] * t[None, :]
-    pts = np.empty((n * y1_samples, 3))
-    pts[:, 0] = y1.ravel()
-    pts[:, 1] = np.repeat(yz[:, 0], y1_samples)
-    pts[:, 2] = np.repeat(yz[:, 1], y1_samples)
-    forms = _six_forms(pts)
-    ok = (np.minimum(2.0 * forms[:, 0], R)
-          > np.maximum(forms[:, 5] / 11.0, 1.0)).reshape(n, y1_samples)
-    frac = ok.mean(axis=1)
-    # 4 sign quadrants; |y2 y3| du^2 undoes the log-uniform importance law
-    est = 4.0 * du**2 * np.abs(yz[:, 0] * yz[:, 1]) * length * frac
-    return float(est.mean())
-
-
-# central finite-difference stencils per derivative order
-_STENCILS = {
-    0: ((0,), (1.0,)),
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-}
-
-
-@lru_cache(maxsize=None)
-def sobolev_estimate(weight: Weight, k: int) -> float:
-    """Sampled max over |alpha| <= k of sup |partial^alpha nu|.
-
-    Finite differences with spacing h = 0.02 at 500 random near-support
-    points (seed 7); a heuristic report, not a certified bound.
-    """
-    if not 0 <= k <= 4:
-        raise ValueError("k must be in 0..4")
-    h = 0.02
-    pts = sample_support_candidates(weight.R, 500, seed=7)
-    best = 0.0
-    for alpha in itertools.product(range(k + 1), repeat=3):
-        if sum(alpha) > k:
-            continue
-        acc = np.zeros(len(pts))
-        scale = h ** sum(alpha)
-        for offs_coeffs in itertools.product(*(
-                zip(*_STENCILS[a]) for a in alpha)):
-            offset = np.array([oc[0] for oc in offs_coeffs], dtype=float)
-            coeff = math.prod(oc[1] for oc in offs_coeffs)
-            acc += coeff * weight.evaluate(pts + h * offset)
-        best = max(best, float(np.max(np.abs(acc))) / scale)
-    return best

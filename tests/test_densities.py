@@ -3,9 +3,11 @@
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from test_weights import sobolev_estimate
 
 from cubesums import densities
 from cubesums.densities import (
@@ -13,8 +15,6 @@ from cubesums.densities import (
     _s1_spline,
     chi_surface,
     density_table,
-    derivative_probe,
-    fast_route_deviation,
     mixed_l1_moment,
     poisson_check,
     poisson_trend,
@@ -36,9 +36,12 @@ def table2(nu2):
 
 
 def test_fast_route_matches_direct_quadrature(nu2):
-    # tabulated S1 route vs literal 2-d adaptive surface integral
-    dev = fast_route_deviation(R=2.0, probes=(0.0, 0.9))
-    assert dev < 1e-5
+    # tabulated S1 route vs literal 2-d adaptive surface integral; exercises
+    # the Fubini/scaling identity end to end
+    for atil in (0.0, 0.9):
+        fast = sigma_inf(atil, 1.0, nu2)
+        direct = sigma_inf(atil, 1.0, nu2, method="direct")
+        assert abs(fast - direct) / max(abs(direct), 1e-12) < 1e-5, atil
 
 
 def test_chi_surface_frozen_bits():
@@ -200,6 +203,37 @@ def test_poisson_trend(nu2):
     tr = poisson_trend(nu2, 5, 0)
     assert tr.decreasing
     assert [r.X for r in tr.reports] == [20, 40, 80]
+
+
+@dataclass(frozen=True)
+class DerivativeProbe:
+    k: int
+    max_abs: float
+    sobolev: float
+    bound_scale: float
+    ratio: float
+    central_vs_onesided: float
+
+
+def derivative_probe(weight, k):
+    """Max |d^k/d a-tilde^k sigma| from the density table, compared with the
+    sampled Sobolev norm times B^(10+4k); report only."""
+    table = density_table(weight)
+    dense = np.linspace(table.grid[0], table.grid[-1], 4097)
+    deriv = table._spline.derivative(k)(dense) if k else table(dense)
+    max_abs = float(np.max(np.abs(deriv)))
+    sob = sobolev_estimate(weight, k)
+    bound_scale = sob * float(weight.B) ** (10 + 4 * k)
+    # consistency of two first-derivative estimators at the steepest point
+    d1 = table._spline.derivative(1)(dense)
+    i = int(np.argmax(np.abs(d1)))
+    x0 = float(np.clip(dense[i], table.grid[0] + 0.1, table.grid[-1] - 0.1))
+    h = 2e-3
+    central = (table(x0 + h) - table(x0 - h)) / (2 * h)
+    onesided = (-3 * table(x0) + 4 * table(x0 + h) - table(x0 + 2 * h)) / (2 * h)
+    rel = abs(central - onesided) / max(abs(central), 1e-12)
+    return DerivativeProbe(k, max_abs, sob, bound_scale,
+                           max_abs / bound_scale, rel)
 
 
 def test_derivative_probe(nu2):

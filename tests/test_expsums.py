@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cubesums import expsums as E
-from cubesums.arith import divisors, is_prime, lcm, primes_below, v_p
+from cubesums.arith import divisors, is_prime, primes_below, v_p
 
 
 def tv(a, n):

@@ -98,12 +98,6 @@ def test_r3_obstructed_classes():
         assert r3_nonneg(a) == 0
 
 
-def test_r3_cap_guard():
-    with pytest.raises(ValueError):
-        r3_nonneg(100, cap=2)
-    assert r3_nonneg(24, cap=2) == r3_nonneg(24)
-
-
 def test_r3_orbit_identity():
     # ordered count = 6*(distinct) + 3*(two equal) + (all equal)
     top = 17  # covers all a <= 5000
@@ -140,8 +134,8 @@ def test_count_table_symmetry_and_mass(tab10):
     # nu is even and F0 odd, so the table is symmetric under a -> -a
     assert np.array_equal(tab10.point_counts, tab10.point_counts[::-1])
     assert np.allclose(tab10.bins, tab10.bins[::-1], rtol=1e-12, atol=0)
-    ex = exact_to_float(tab10.total_mass_exact())
-    assert abs(ex - tab10.total_mass()) <= 1e-12 * ex
+    ex = exact_to_float(sum(tab10.exact.values()))
+    assert abs(ex - float(tab10.bins.sum())) <= 1e-12 * ex
 
 
 def test_count_weighted_deterministic(nu2, tab10):
@@ -240,6 +234,13 @@ def _assert_same_rows(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def _set_block(monkeypatch, block):
+    # block candidates per nu call and at most min(block, _PAIR_PIECE)
+    # (y1, y2) pairs per walk piece
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    monkeypatch.setattr(lattice, "_PAIR_PIECE", min(block, _PAIR_PIECE))
+
+
 def test_orbit_walk_pieces_keep_rows_and_order(nu2, monkeypatch):
     # the walk takes its (y1, y2) pairs in pieces of at most
     # min(block, _PAIR_PIECE); any block gives the rows of the
@@ -258,29 +259,32 @@ def test_orbit_walk_pieces_keep_rows_and_order(nu2, monkeypatch):
     assert len(want[0]) > 64 * 20
     for block in (7, 64, m - 1, m, m + 1, 1 << 17):
         sizes.clear()
-        _assert_same_rows(_rows(_iter_orbits(16, nu2, block=block)), want)
+        _set_block(monkeypatch, block)
+        _assert_same_rows(_rows(_iter_orbits(16, nu2)), want)
         assert max(sizes) == min(block, _PAIR_PIECE)
         assert sum(sizes) == m * (m + 1) // 2
     # one pair per piece: 237k pieces at X = 16, so a smaller lattice
     sizes.clear()
-    _assert_same_rows(_rows(_iter_orbits(4, nu2, block=1)),
+    _set_block(monkeypatch, 1)
+    _assert_same_rows(_rows(_iter_orbits(4, nu2)),
                       _orbits_by_leading_coordinate(4, nu2))
     assert max(sizes) == 1
 
 
-def test_walks_are_block_invariant(nu2):
+def test_walks_are_block_invariant(nu2, monkeypatch):
     # nu is evaluated once per block of buffered candidates; a small block
     # cuts the pair pieces, the v-slices and the buffer into many pieces,
     # and every row, its walk order and every bit of nu stay the same
-    small, whole = _rows(_iter_orbits(16, nu2, block=64)), \
-        _rows(_iter_orbits(16, nu2))
+    whole = _rows(_iter_orbits(16, nu2))
+    whole_alive = _rows(_iter_alive(10, nu2))
+    _set_block(monkeypatch, 64)
+    small = _rows(_iter_orbits(16, nu2))
     assert len(whole[0]) > 64 * 20
     for got, want in zip(small, whole, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     # the plain walk takes each v-slice's two w-bands in turn, so its order
     # moves with the slice; compare its rows sorted by point
-    small, whole = _rows(_iter_alive(10, nu2, block=64)), \
-        _rows(_iter_alive(10, nu2))
+    small, whole = _rows(_iter_alive(10, nu2)), whole_alive
     assert len(whole[0]) > 64 * 20
     for got, want in zip(small, whole, strict=True):
         got = got[np.lexsort(small[2].T)]

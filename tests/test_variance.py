@@ -10,15 +10,13 @@ import pytest
 from cubesums import CheckFailed, lattice
 from cubesums import variance as variance_module
 from cubesums.densities import _density_table
-from cubesums.expsums import point_count_vector, t_full
+from cubesums.expsums import point_count_vector, singular_series_level_d, t_full
 from cubesums.lattice import count_weighted, pair_count, special_count
 from cubesums.variance import (
     HypothesisParams,
-    hl_error,
     nonarch_moment_check,
     pipeline_demo,
     sieved_variance,
-    singular_series_positive_scan,
     variance,
 )
 from cubesums.weights import nu_star
@@ -185,15 +183,6 @@ def test_variance_warns_outside_range(nu2):
         variance(2, 4, 1, nu2, with_special=False)
 
 
-def test_hl_error_consistent_with_variance(nu2, tab20):
-    h = hl_error(20, 1, nu2, table=tab20)
-    rep = variance(20, 4, 1, nu2, table=tab20, with_special=True)
-    assert h.pair == rep.sigma1
-    assert h.main_term == pytest.approx(rep.main_term, rel=1e-12)
-    assert h.E == pytest.approx(rep.residual, rel=1e-9)
-    assert math.isfinite(h.E_over_X3)
-
-
 def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
     # the special term reduces the count table: no second walk
     walks = []
@@ -205,11 +194,11 @@ def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
 
     monkeypatch.setattr(lattice, "_iter_orbits", counted)
     variance(20, 4, 1, nu2, table=tab20, with_special=True)
-    hl_error(20, 1, nu2, table=tab20)
+    variance(20, 4, 2, nu2, table=tab20, with_special=True)
     assert walks == []
     variance(20, 4, 1, nu2, with_special=True)
     assert walks == [20]
-    hl_error(20, 1, nu2)
+    variance(20, 4, 2, nu2, with_special=True)
     assert walks == [20, 20]
 
 
@@ -220,17 +209,19 @@ def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
         raise AssertionError("walked the lattice")
 
     monkeypatch.setattr(lattice, "_iter_orbits", no_walk)
-    for call, d in ((lambda: variance(30, 1, 49, nu2), 49),
-                    (lambda: hl_error(30, 49, nu2), 49),
-                    (lambda: hl_error(30, 0, nu2), 0)):
-        with pytest.raises(ValueError, match=rf"need 1 <= d <= 48, got d={d}"):
+    for call, msg in (
+            (lambda: variance(30, 1, 49, nu2), "need 1 <= d <= 48, got d=49"),
+            (lambda: variance(30, 4, 49, nu2, with_special=False),
+             "need 1 <= d <= 48, got d=49"),
+            (lambda: variance(30, 4, 0, nu2), "need K >= 1 and d >= 1")):
+        with pytest.raises(ValueError, match=msg):
             call()
 
 
 def test_table_at_another_X_is_rejected(nu2, tab20):
     hp = HypothesisParams(delta=0.1, hbar=0.045)
     calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
-             lambda: hl_error(30, 1, nu2, table=tab20),
+             lambda: variance(30, 4, 2, nu2, table=tab20, with_special=False),
              lambda: sieved_variance(30, 4, hp, nu2, table=tab20),
              lambda: pair_count(30, 1, nu2, table=tab20),
              lambda: special_count(30, 1, nu2, table=tab20))
@@ -251,7 +242,10 @@ def test_table_of_another_weight_is_rejected(nu2):
 
 
 def test_singular_series_positive():
-    assert singular_series_positive_scan(50) > 0.0
+    # the level-d singular series is positive for every d <= 50
+    low = min(singular_series_level_d(d, n_max=max(24, d)).euler
+              for d in range(1, 51))
+    assert low > 0.0
 
 
 def test_sieved_variance_filter(nu2, tab20):
