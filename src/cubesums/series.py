@@ -5,9 +5,11 @@ their product identity, Euler factors gamma_p(a), and scans for small
     s_a(K) = sum_{n <= K} n^{-3} T_a(n)
     M_a(K) = sum_{n <= K, (n,30)=1} mu(n) n^{-3} T_a(n)
 
-Both have an exact rational mode and a vectorized double mode; the double
-mode scans a window of consecutive a by striding each T-vector across the
-window, so the cost is O(K * window) array work.
+Both have an exact rational mode and a vectorized double mode.  The double
+mode makes one pass over a window of consecutive a: each T-vector is tiled
+once into a cache-sized chunk of whole periods, and the window adds slices
+of it, so the cost is O(K * window) array work with no index arrays.  The
+scan reads s_a(K/4) and s_a(K/2) as checkpoints of the same pass.
 """
 from __future__ import annotations
 
@@ -45,25 +47,57 @@ class SeriesWindow:
         return self.m[self.index(a)]
 
 
+# window values per slice add: a chunk of whole periods of one T-vector
+# that stays in cache while the window streams past it
+_CHUNK = 1 << 14
+_MAX_WIDTH = 1 << 27  # variance's widest: lattice's table has 2^27 bins
+
+
+def _check_window(K: int, width: int) -> None:
+    # every term n <= K reads the T-vector of modulus n
+    if K > MAX_MODULUS:
+        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
+    if width > _MAX_WIDTH:
+        raise ValueError(f"window of {width} values exceeds the limit {_MAX_WIDTH}")
+
+
+def _partial_sums(K: int, a_lo: int, width: int, mollified: bool = True):
+    """Yield (n, s, m) after the n-th term, n = 1..K, of the double s_a(K)
+    and M_a(K) over a in [a_lo, a_lo + width); m is None unless mollified.
+
+    s and m are updated in place.  Each T-vector is tiled once into a chunk
+    that starts at a_lo mod n, and every chunk of the window adds a slice of
+    it: the same float additions, in the same order, as adding t[a mod n]
+    (the -1 Moebius term by subtraction, which is adding -t exactly).
+    """
+    s = np.zeros(width)
+    m = np.zeros(width) if mollified else None
+    for n in range(1, K + 1):
+        t = t_full(n).astype(float) / n**3
+        step = n * max(1, _CHUNK // n)
+        start = a_lo % n
+        chunk = np.tile(t, step // n + 1)[start:start + step]
+        mu = mobius(n) if mollified and math.gcd(n, 30) == 1 else 0
+        for i in range(0, width, step):
+            vals = chunk[:width - i]
+            s[i:i + step] += vals
+            if mu == 1:
+                m[i:i + step] += vals
+            elif mu == -1:
+                m[i:i + step] -= vals
+        yield n, s, m
+
+
 def series_window(K: int, a_lo: int, a_hi: int, mode: str = "double") -> SeriesWindow:
     if K < 1 or a_hi < a_lo:
         raise ValueError("need K >= 1 and a_lo <= a_hi")
     if mode not in ("double", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     width = a_hi - a_lo + 1
-    if width > 1 << 27:  # variance's widest: lattice's table has 2^27 bins
-        raise ValueError(f"window of {width} values exceeds the limit {1 << 27}")
-    offsets = a_lo + np.arange(width)
+    _check_window(K, width)
     if mode == "double":
-        s = np.zeros(width)
-        m = np.zeros(width)
-        for n in range(1, K + 1):
-            t = t_full(n).astype(float) / n**3
-            vals = t[offsets % n]
-            s += vals
-            mu = mobius(n)
-            if mu != 0 and math.gcd(n, 30) == 1:
-                m += mu * vals
+        for _n, s, m in _partial_sums(K, a_lo, width):
+            pass  # s and m hold the sums after the last term
         return SeriesWindow(K, a_lo, a_hi, mode, s, m)
     # exact mode: accumulate integer numerators over the common denominator
     denom = math.lcm(*range(1, K + 1)) ** 3
@@ -266,16 +300,17 @@ def exceptional_scan(A: int, K: int, eta: float, bin_width: float = 0.25) -> Exc
         raise ValueError(f"eta must be a finite number >= 0, got {eta}")
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
-    win = series_window(K, -A, A, mode="double")
+    _check_window(K, 2 * A + 1)
     a = np.arange(-A, A + 1)
     adm = ~np.isin(a % 9, (4, 5))
-    svals = win.s[adm]
-    count = int(np.count_nonzero(np.abs(svals) <= eta))
+    # s_a(K') for K' = K/4, K/2 are checkpoints of the one pass to K
     ks = sorted({max(1, K // 4), max(1, K // 2), K})
     counts_by_K = {}
-    for kk in ks:
-        wk = win if kk == K else series_window(kk, -A, A, mode="double")
-        counts_by_K[kk] = int(np.count_nonzero(np.abs(wk.s[adm]) <= eta))
+    for n, s, _m in _partial_sums(K, -A, 2 * A + 1, mollified=False):
+        if n in ks:
+            counts_by_K[n] = int(np.count_nonzero(np.abs(s[adm]) <= eta))
+    svals = s[adm]
+    count = counts_by_K[K]
     seq = [counts_by_K[kk] for kk in ks]
     non_increasing = all(x >= y for x, y in zip(seq, seq[1:]))
     # a = 0 is admissible, so svals is never empty

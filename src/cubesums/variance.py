@@ -44,6 +44,7 @@ __all__ = [
     "PipelineRow",
     "SievedReport",
     "VarianceReport",
+    "moment_check_levels",
     "nonarch_moment_check",
     "pipeline_demo",
     "sieved_variance",
@@ -157,8 +158,129 @@ class MomentCheckReport:
     groups_checked: int  # complete m-groups matched against S+_0 exactly
 
 
-def _s_plus_over_m6(m: int, d: int) -> Fraction:
-    return Fraction(s_plus_zero(m, d), m**6)
+def _pair_block(reps: list[np.ndarray], n1: int, d: int):
+    """(S, S_m, m12) over the pairs (n1, n2), n2 = 1..n1, from one block.
+
+    reps[n - 1] repeats u_n[j] = T_{dj mod n}(n), j < n, at least n1 times.
+    For b = dj the pair sum over b in dZ/n1 n2 dZ is the prefix of length
+    n1 n2 of P[j] = u_n1[j mod n1] u_n2[j mod n2], and the collapsed sum
+    over dZ/mZ, m = m12 = lcm(n1, n2, d), is its prefix of length m / d.
+    The rows n2 = 1..n1 lie end to end; every row length is a multiple of
+    n1, so u_n1 simply repeats.
+    """
+    ns = np.arange(1, n1 + 1, dtype=np.int64)
+    lengths = n1 * ns
+    starts = np.cumsum(lengths) - lengths
+    u2 = np.concatenate([r[:n1 * n2] for n2, r in enumerate(reps[:n1], 1)])
+    prod = np.tile(reps[n1 - 1][:n1], n1 * (n1 + 1) // 2) * u2
+    csum = np.concatenate(([0], np.cumsum(prod)))
+    m12 = np.lcm(np.lcm(ns, d), n1)
+    S = csum[starts + lengths] - csum[starts]
+    S_m = csum[starts + m12 // d] - csum[starts]
+    return S, S_m, m12
+
+
+def moment_check_levels(levels, d: int):
+    """nonarch_moment_check(K, d) for each K of the increasing levels, from
+    one pass; yields one MomentCheckReport per level.
+
+    Every pair sum, collapse test and balance test is symmetric in
+    (n1, n2), so block n1 forms the pairs n2 <= n1 only and counts the rest
+    twice; a level's sums are prefix sums over the blocks n1 <= K and the
+    mixed terms n <= K.  Level K is checked before block K + 1 is formed,
+    and fails with the message that a call at K alone would give.
+    """
+    levels = list(levels)
+    if not (levels and all(1 <= K <= 48 for K in levels) and 1 <= d <= 8):
+        raise ValueError("need 1 <= K <= 48 and 1 <= d <= 8")
+    if levels != sorted(set(levels)):
+        raise ValueError(f"levels must increase, got {levels}")
+    K_max = levels[-1]
+    t_vecs = {n: t_full(n) for n in range(1, K_max + 1)}
+    reps = [np.tile(t_vecs[n][d * np.arange(n) % n], K_max)
+            for n in range(1, K_max + 1)]
+    ns = np.arange(1, K_max + 1, dtype=np.int64)
+    m2 = np.lcm(ns, d)
+    # per pair: 1 if the modulus collapse failed, 2 if it is unbalanced and
+    # did not vanish
+    bad = np.zeros((K_max, K_max), dtype=np.int8)
+    pure_num: dict[int, int] = {}
+    mixed_num: dict[int, int] = {}
+    refs: dict[int, Fraction] = {}  # S+_0(m; d)/m^6, once per pass
+
+    def ref(m):
+        if m not in refs:
+            refs[m] = Fraction(s_plus_zero(m, d), m**6)
+        return refs[m]
+
+    n_vanished = 0
+    head = Fraction(0)
+    groups_checked = 0
+    done = 0  # the blocks formed and the groups checked so far
+    for K in levels:
+        t_max = max(int(np.abs(r[:n]).max()) for n, r in enumerate(reps[:K], 1))
+        # bounds every block prefix sum (K^3 t_max^2), both sides of the
+        # collapse test (K^4 d t_max^2) and every group numerator
+        # (K^3 d^4 t_max^2)
+        if t_max**2 * K**3 * max(K * d, d**4) > np.iinfo(np.int64).max:
+            raise CheckFailed(f"moment sums at K={K}, d={d} would leave int64")
+        for n1 in range(done + 1, K + 1):
+            S, S_m, m12 = _pair_block(reps, n1, d)
+            # modulus collapse: averaging over dZ/n1 n2 dZ equals averaging
+            # over dZ/mZ with m = lcm(n1, n2, d)
+            collapse_bad = S * m12 != S_m * (n1 * d * ns[:n1])
+            m1 = math.lcm(n1, d)
+            unbalanced = m2[:n1] != m1
+            code = np.where(collapse_bad, 1, 2 * (unbalanced & (S != 0)))
+            bad[n1 - 1, :n1] = bad[:n1, n1 - 1] = code
+            n_vanished += 2 * int(np.count_nonzero(unbalanced))
+            # S / ((n1 n2)^4 d) = S (m/n1)^4 (m/n2)^4 / (d m^8), m = m1 = m2;
+            # the diagonal pair is balanced and counts once, and the others
+            # are doubled as Python ints, outside the int64 bound
+            keep = np.flatnonzero(~unbalanced[:-1])
+            num = 2 * int(np.dot(S[keep], (m1 // ns[keep]) ** 4))
+            num = (num + int(S[-1]) * (m1 // n1) ** 4) * (m1 // n1) ** 4
+            pure_num[m1] = pure_num.get(m1, 0) + num
+            nd = n1 * d
+            counts = point_count_vector(nd)
+            bs = np.arange(0, nd, d, dtype=np.int64)
+            Sx = int(np.sum(counts[bs].astype(object) * t_vecs[n1][bs % n1]))
+            # Sx / (n^6 d^3) = Sx m^8 / (n^6 d^2) / (d m^8), m = lcm(n, d)
+            mixed_num[m1] = mixed_num.get(m1, 0) + Sx * (m1**8 // (n1**6 * d**2))
+        if bad[:K, :K].any():  # name the first failing pair in (n1, n2) order
+            n1, n2 = (int(i) + 1 for i in np.argwhere(bad[:K, :K])[0])
+            if bad[n1 - 1, n2 - 1] == 1:
+                raise CheckFailed(f"modulus collapse failed at {(n1, n2, d)}")
+            raise CheckFailed(f"unbalanced pair ({n1}, {n2}) did not vanish")
+        pure_groups = {m: Fraction(v, d * m**8) for m, v in pure_num.items()}
+        mixed_groups = {m: Fraction(v, d * m**8) for m, v in mixed_num.items()}
+        # complete groups (m <= K) must match S+_0(m; d)/m^6 one by one; a
+        # group is complete once the level reaches m, and stays unchanged
+        for m in range(done // d * d + d, K + 1, d):
+            head += ref(m)
+            for label, groups in (("pure", pure_groups), ("mixed", mixed_groups)):
+                got = groups.get(m, Fraction(0))
+                if got != ref(m):
+                    raise CheckFailed(
+                        f"{label} group m={m} is {got}, expected {ref(m)}")
+            groups_checked += 1
+        done = K
+        pure_lhs = sum(pure_groups.values(), Fraction(0))
+        mixed_lhs = sum(mixed_groups.values(), Fraction(0))
+        if max(pure_num) > K * d:
+            raise CheckFailed("found a regrouped modulus beyond K*d")
+        tail_bound = sum((abs(ref(m)) for m in range(K + 1, K * d + 1)
+                          if m % d == 0), Fraction(0))
+        for label, tail in (("pure", pure_lhs - head), ("mixed", mixed_lhs - head)):
+            if abs(tail) > tail_bound:
+                raise CheckFailed(
+                    f"{label} truncation tail {tail} exceeds the S+ bound")
+        yield MomentCheckReport(
+            K=K, d=d, pure_lhs=pure_lhs, mixed_lhs=mixed_lhs, head=head,
+            tail_pure=pure_lhs - head, tail_mixed=mixed_lhs - head,
+            tail_bound=tail_bound, n_pairs_vanished=n_vanished,
+            groups_checked=groups_checked,
+        )
 
 
 def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
@@ -170,97 +292,9 @@ def nonarch_moment_check(K: int, d: int) -> MomentCheckReport:
                T_{F0(e)}(n) / n^3.
 
     Both regroup by m = lcm(n, d); every identity below is exact in Q.
+    The single-level case of moment_check_levels.
     """
-    if not (1 <= K <= 48 and 1 <= d <= 8):
-        raise ValueError("need 1 <= K <= 48 and 1 <= d <= 8")
-    t_vecs = {n: t_full(n) for n in range(1, K + 1)}
-    ns = np.arange(1, K + 1, dtype=np.int64)
-    # u_n[j] = T_{dj mod n}(n) for j < n, laid end to end from off[n - 1].
-    # For b = dj the pair sum over b in dZ/n1 n2 dZ is the prefix of length
-    # n1 n2 of P[j] = u_n1[j mod n1] u_n2[j mod n2], and the collapsed sum
-    # over dZ/mZ, m = lcm(n1, n2, d), is its prefix of length m / d.
-    u = np.concatenate([t_vecs[n][d * np.arange(n) % n] for n in range(1, K + 1)])
-    off = np.cumsum(ns) - ns
-    t_max = int(np.abs(u).max())
-    # bounds every block prefix sum (K^3 t_max^2), both sides of the collapse
-    # test (K^4 d t_max^2) and every group numerator (K^3 d^4 t_max^2)
-    if t_max**2 * K**3 * max(K * d, d**4) > np.iinfo(np.int64).max:
-        raise CheckFailed(f"moment sums at K={K}, d={d} would leave int64")
-    m2 = np.lcm(ns, d)
-    pure_num: dict[int, int] = {}
-    n_vanished = 0
-    for n1 in range(1, K + 1):
-        # one block: the K rows n2 = 1..K of n1 n2 terms each, end to end;
-        # every row length is a multiple of n1, so u_n1 simply repeats
-        lengths = n1 * ns
-        starts = np.cumsum(lengths) - lengths
-        row = np.repeat(ns - 1, lengths)
-        j = np.arange(int(lengths.sum())) - starts[row]
-        u1 = u[off[n1 - 1]:off[n1 - 1] + n1]
-        prod = np.tile(u1, K * (K + 1) // 2) * u[off[row] + j % (row + 1)]
-        csum = np.concatenate(([0], np.cumsum(prod)))
-        S = csum[starts + lengths] - csum[starts]
-        m12 = np.lcm(m2, n1)
-        S_m = csum[starts + m12 // d] - csum[starts]
-        # modulus collapse: averaging over dZ/n1 n2 dZ equals averaging
-        # over dZ/mZ with m = lcm(n1, n2, d)
-        collapse_bad = S * m12 != S_m * (n1 * d * ns)
-        m1 = math.lcm(n1, d)
-        unbalanced = m2 != m1
-        bad = collapse_bad | (unbalanced & (S != 0))
-        if bad.any():
-            n2 = int(np.argmax(bad)) + 1
-            if collapse_bad[n2 - 1]:
-                raise CheckFailed(f"modulus collapse failed at {(n1, n2, d)}")
-            raise CheckFailed(f"unbalanced pair ({n1}, {n2}) did not vanish")
-        n_vanished += int(np.count_nonzero(unbalanced))
-        # S / ((n1 n2)^4 d) = S (m/n1)^4 (m/n2)^4 / (d m^8), m = m1 = m2
-        keep = ~unbalanced
-        num = int(np.dot(S[keep], (m1 // ns[keep]) ** 4)) * (m1 // n1) ** 4
-        pure_num[m1] = pure_num.get(m1, 0) + num
-    pure_groups = {m: Fraction(v, d * m**8) for m, v in pure_num.items()}
-    mixed_num: dict[int, int] = {}
-    for n in range(1, K + 1):
-        nd = n * d
-        counts = point_count_vector(nd)
-        bs = np.arange(0, nd, d, dtype=np.int64)
-        S = int(np.sum(counts[bs].astype(object) * t_vecs[n][bs % n]))
-        # S / (n^6 d^3) = S m^8 / (n^6 d^2) / (d m^8), m = lcm(n, d)
-        m = math.lcm(n, d)
-        mixed_num[m] = mixed_num.get(m, 0) + S * (m**8 // (n**6 * d**2))
-    mixed_groups = {m: Fraction(v, d * m**8) for m, v in mixed_num.items()}
-    # complete groups (m <= K) must match S+_0(m; d)/m^6 one by one
-    groups_checked = 0
-    head = Fraction(0)
-    for m in range(1, K + 1):
-        if m % d:
-            continue
-        ref = _s_plus_over_m6(m, d)
-        head += ref
-        for label, groups in (("pure", pure_groups), ("mixed", mixed_groups)):
-            got = groups.get(m, Fraction(0))
-            if got != ref:
-                raise CheckFailed(
-                    f"{label} group m={m} is {got}, expected {ref}")
-        groups_checked += 1
-    pure_lhs = sum(pure_groups.values(), Fraction(0))
-    mixed_lhs = sum(mixed_groups.values(), Fraction(0))
-    top = max(list(pure_groups) + list(mixed_groups), default=1)
-    if top > K * d:
-        raise CheckFailed("found a regrouped modulus beyond K*d")
-    tail_bound = sum((abs(_s_plus_over_m6(m, d))
-                      for m in range(K + 1, K * d + 1) if m % d == 0),
-                     Fraction(0))
-    for label, tail in (("pure", pure_lhs - head), ("mixed", mixed_lhs - head)):
-        if abs(tail) > tail_bound:
-            raise CheckFailed(
-                f"{label} truncation tail {tail} exceeds the S+ bound")
-    return MomentCheckReport(
-        K=K, d=d, pure_lhs=pure_lhs, mixed_lhs=mixed_lhs, head=head,
-        tail_pure=pure_lhs - head, tail_mixed=mixed_lhs - head,
-        tail_bound=tail_bound, n_pairs_vanished=n_vanished,
-        groups_checked=groups_checked,
-    )
+    return next(moment_check_levels((K,), d))
 
 
 # --------------------------------------------------------------------------

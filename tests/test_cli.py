@@ -189,6 +189,60 @@ def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
         assert out.err == "cubesums: need K >= 1\n"
 
 
+# each valued flag of the commands that run series or moment code, with a
+# value out of range and one of the wrong type; the other flags stay valid
+_BAD_VALUE_BASE = {
+    "series": {"K": "4", "a_hi": "3"},
+    "scan-exceptional": {"A": "50", "K": "4", "eta": "0.1"},
+    "moments": {"K": "4"},
+    "verify": {"suite": "moments"},
+}
+_PAST_MODULI = str(expsums.MAX_MODULUS + 1)  # no T-vector of this modulus
+_BAD_VALUES = {
+    "series": {"K": ("0", _PAST_MODULI, "4.5"), "a_lo": ("4", "x"),
+               "a_hi": ("3000000000", "3e3"), "mode": ("float32", "1")},
+    "scan-exceptional": {"A": ("-1", "1e3"), "K": ("0", _PAST_MODULI, "four"),
+                         "eta": ("-1", "small"), "bin_width": ("0", "wide")},
+    "moments": {"K": ("49", "4.0"), "d": ("9", "two")},
+    "verify": {"suite": ("everything", "1"),
+               "max_modulus": ("0", _PAST_MODULI, "ten")},
+}
+_BAD_VALUE_CASES = [(command, name, value)
+                    for command, flags in _BAD_VALUES.items()
+                    for name, values in flags.items() for value in values]
+
+
+def test_bad_value_cases_cover_the_table():
+    for command, flags in _BAD_VALUES.items():
+        valued = {name for name, kind, _ in _COMMANDS[command][3]
+                  if kind is not bool}
+        assert set(flags) == valued, command
+
+
+@pytest.mark.parametrize("command, name, value", _BAD_VALUE_CASES,
+                         ids=[f"{c}-{n}-{v}" for c, n, v in _BAD_VALUE_CASES])
+def test_bad_value_exits_one_before_any_work(command, name, value,
+                                             monkeypatch, capsys):
+    from cubesums import series, variance
+
+    def unreachable(n):
+        raise AssertionError(f"t_full({n}) reached before the check")
+
+    # the suite's cache isolation clears the lru after the test
+    unreachable.cache_clear = expsums.t_full.cache_clear
+    for module in (expsums, series, variance):
+        monkeypatch.setattr(module, "t_full", unreachable)
+    flags = dict(_BAD_VALUE_BASE[command], **{name: value})
+    argv = [command] + [x for k, v in flags.items()
+                        for x in ("--" + k.replace("_", "-"), v)]
+    rc, out = run(argv, capsys)
+    assert rc == 1 and out.out == ""
+    # argparse prints its usage first; the message itself is one line
+    messages = [ln for ln in out.err.splitlines() if ln.startswith("cubesums:")]
+    assert len(messages) == 1 and out.err.endswith(messages[0] + "\n")
+    assert "Traceback" not in out.err
+
+
 def test_memory_error_exits_one(monkeypatch, capsys):
     from cubesums import series
 

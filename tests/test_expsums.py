@@ -40,8 +40,17 @@ def test_point_counts_frozen():
 
 def test_point_counts_against_bruteforce():
     # full enumeration oracle at small moduli, including prime powers
-    for m in [1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 30, 32, 36, 49, 64]:
+    for m in [*range(1, 65), 255, 256]:
         assert np.array_equal(E.point_count_vector(m), E.point_counts_bruteforce(m))
+
+
+def test_bruteforce_matches_triple_loop():
+    # the pair-histogram oracle against the plain count over (Z/m)^3
+    for m in range(1, 13):
+        counts = [0] * m
+        for x, y, z in itertools.product(range(m), repeat=3):
+            counts[(x**3 + y**3 + z**3) % m] += 1
+        assert E.point_counts_bruteforce(m).tolist() == counts, m
 
 
 def test_point_counts_total_mass():

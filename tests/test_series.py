@@ -1,13 +1,15 @@
+import hashlib
 import math
 import random
+from array import array
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cubesums import series as S
-from cubesums.arith import admissible, factor
-from cubesums.expsums import t_single
+from cubesums.arith import admissible, factor, mobius
+from cubesums.expsums import t_full
 
 
 def _square_full(n):
@@ -57,6 +59,42 @@ def test_window_bounds_checked():
         S.series_window(4, 0, 10, mode="float32")
     with pytest.raises(ValueError, match="exceeds the limit 134217728"):
         S.series_window(1, 0, 1 << 27)  # one value past lattice's table
+
+
+def test_double_window_frozen_bits():
+    # a window from a negative a that no n <= 32 divides; the digests of the
+    # int64 views pin every bit of s and M
+    a_lo = -1000003
+    w = S.series_window(32, a_lo, a_lo + 100000, "double")
+    assert hashlib.sha256(w.s.view("<i8").tobytes()).hexdigest() == (
+        "9ebd8fd9382a74572319d20baa3d54d027affd516b2443dfe3edc3302036a0dd")
+    assert hashlib.sha256(w.m.view("<i8").tobytes()).hexdigest() == (
+        "d665e3430a46b3d8b6329e6a24ed02d166c846ec97d0d740bc808bb675456162")
+
+
+def _termwise_window(K, a_lo, width):
+    """The reference: per a, add t[a mod n] / n^3 for n = 1..K in order."""
+    s, m = [0.0] * width, [0.0] * width
+    for n in range(1, K + 1):
+        t = [float(x) / n**3 for x in t_full(n).tolist()]
+        mu = mobius(n) if math.gcd(n, 30) == 1 else 0
+        for i in range(width):
+            v = t[(a_lo + i) % n]
+            s[i] += v
+            if mu:
+                m[i] += mu * v
+    return array("d", s).tobytes(), array("d", m).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 64, S._CHUNK])
+def test_double_window_matches_termwise_loop(chunk, monkeypatch):
+    # the same float additions in the same order, whatever the chunk, and
+    # windows shorter than a period or ending inside a chunk
+    monkeypatch.setattr(S, "_CHUNK", chunk)
+    for K, a_lo, width in ((1, 5, 1), (13, -7, 3), (30, -1000003, 500),
+                           (40, 999983, 257)):
+        w = S.series_window(K, a_lo, a_lo + width - 1, "double")
+        assert (w.s.tobytes(), w.m.tobytes()) == _termwise_window(K, a_lo, width)
 
 
 def test_c_coeff_multiplicative_matches_definitional():
@@ -127,6 +165,34 @@ def test_exceptional_scan_frozen():
     assert sc.admissible_total == 17
     sc = S.exceptional_scan(10, 1, 0.5)
     assert sc.count == 0
+
+
+def test_exceptional_scan_frozen_at_20000():
+    sc = S.exceptional_scan(20000, 16, 0.3)
+    assert (sc.count, sc.admissible_total) == (2920, 31113)
+    assert sc.counts_by_K == {4: 0, 8: 0, 16: 2920}
+    assert sc.hist_counts.tolist() == [
+        1316, 1756, 182, 2300, 3176, 1134, 2310, 2904, 3354, 2950, 1292, 2022,
+        2370, 1496, 733, 560, 778, 330, 0, 100, 50]
+    assert sc.hist_edges.tolist() == [0.25 * k for k in range(-3, 19)]
+
+
+def test_exceptional_scan_reads_each_t_vector_once(monkeypatch):
+    # K/4 and K/2 are checkpoints of the one pass, not windows of their own
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return t_full(n)
+
+    monkeypatch.setattr(S, "t_full", counted)
+    sc = S.exceptional_scan(500, 16, 0.2)
+    assert calls == Counter(range(1, 17))
+    for k in (4, 8):
+        w = S.series_window(k, -500, 500)
+        adm = [a % 9 not in (4, 5) for a in range(-500, 501)]
+        assert sc.counts_by_K[k] == sum(
+            1 for s, ok in zip(w.s.tolist(), adm) if ok and abs(s) <= 0.2)
 
 
 def test_exceptional_scan_reports_K_trend():

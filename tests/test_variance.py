@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 
 from cubesums import CheckFailed, lattice
 from cubesums import variance as variance_module
+from cubesums.cli import main
 from cubesums.densities import _density_table
 from cubesums.expsums import point_count_vector, singular_series_level_d, t_full
 from cubesums.lattice import count_weighted, pair_count, special_count
 from cubesums.variance import (
     HypothesisParams,
+    moment_check_levels,
     nonarch_moment_check,
     pipeline_demo,
     sieved_variance,
@@ -139,6 +142,81 @@ def test_moment_check_catches_a_perturbed_t_vector(monkeypatch, K, d, n, b):
         assert str(old) == str(new.value)
     else:
         assert re.match(r"(pure|mixed) group m=\d+ is ", str(new.value))
+
+
+def test_moment_levels_match_single_calls():
+    for d in range(1, 9):
+        assert list(moment_check_levels(range(1, 13), d)) == [
+            nonarch_moment_check(K, d) for K in range(1, 13)], d
+    for d in (1, 5, 8):
+        reps = list(moment_check_levels(range(1, 49), d))
+        assert reps[-1] == nonarch_moment_check(48, d), d
+        # levels may skip; the blocks between them still count
+        assert list(moment_check_levels((5, 17, 48), d)) == [
+            reps[4], reps[16], reps[47]], d
+    for levels in ((3, 2), (4, 4), ()):
+        with pytest.raises(ValueError):
+            next(moment_check_levels(levels, 1))
+
+
+def _perturb_t(monkeypatch, n, changes):
+    good = variance_module.t_full
+
+    def perturbed(m):
+        t = good(m)
+        if m == n:
+            t = t.copy()
+            for b, delta in changes:
+                t[b] += delta
+        return t
+
+    monkeypatch.setattr(variance_module, "t_full", perturbed)
+
+
+@pytest.mark.parametrize("n, changes, first", [
+    (4, ((1, 1),), "unbalanced pair (1, 4)"),
+    # T_b(8) still sums to 0 over b; block 8 finds the pair as (8, 4)
+    (8, ((0, 1), (1, -1)), "unbalanced pair (4, 8)"),
+    (3, ((0, 1), (1, -1)), "pure group m=3 "),
+])
+def test_verify_moments_fails_like_single_calls(monkeypatch, capsys, n,
+                                                changes, first):
+    _perturb_t(monkeypatch, n, changes)
+    expected = None
+    for d in range(1, 5):  # the order of verify --suite moments
+        for K in range(1, 13):
+            try:
+                nonarch_moment_check(K, d)
+            except CheckFailed as exc:
+                expected = (d, K, str(exc))
+                break
+        if expected:
+            break
+    d, K, message = expected
+    assert message.startswith(first)
+    passed = []
+    with pytest.raises(CheckFailed) as exc:
+        for rep in moment_check_levels(range(1, 13), d):
+            passed.append(rep.K)
+    assert passed == list(range(1, K)) and str(exc.value) == message
+    rc = main(["verify", "--suite", "moments", "--max-modulus", "12"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err == f"cubesums: FAIL {message}\n"
+
+
+def test_verify_moments_forms_each_block_once(monkeypatch, capsys):
+    formed = Counter()
+    good = variance_module._pair_block
+
+    def counted(reps, n1, d):
+        formed[n1, d] += 1
+        return good(reps, n1, d)
+
+    monkeypatch.setattr(variance_module, "_pair_block", counted)
+    assert main(["verify", "--suite", "moments", "--max-modulus", "12"]) == 0
+    assert "48 checks passed" in capsys.readouterr().out
+    assert formed == Counter((n1, d) for d in range(1, 5) for n1 in range(1, 13))
 
 
 def test_moment_check_guards():
