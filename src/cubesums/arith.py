@@ -1,9 +1,11 @@
 """Integer arithmetic primitives shared by every other module.
 
-Factorization is fully deterministic: trial division against a cached prime
-sieve, then Miller-Rabin (deterministic witness set, valid below 2^64) plus
-Brent's cycle-finding rho with a fixed parameter schedule for the rare large
-cofactor.
+Factorization is trial division over one cached prime sieve, and that sieve
+is the only primality test.  The sieve starts at 2^16 and grows, at most to
+2^21, only when a cofactor outlasts its primes; a cofactor left below 2^42
+is then prime.  Every modulus the package factors lies below 2^21 or is a
+product of such prime powers, so the one uncertified case, a cofactor at or
+above 2^42, is refused with ValueError.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ _SIEVE_LIMIT = 1 << 16
 _sieve_primes: list[int] = []
 
 MAX_N = (1 << 63) - 1  # factorable range contract; also the int64 range
+# factor grows the sieve to this bound at most; every cofactor with no prime
+# factor up to it and below its square is prime
+_TRIAL_LIMIT = 1 << 21
 
 
 def _grow_sieve(limit: int) -> None:
@@ -30,8 +35,8 @@ def _grow_sieve(limit: int) -> None:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    # Python ints: factor divides by them, and is_prime's pow() rejects the
-    # numpy int cofactor that a numpy prime would leave
+    # Python ints: the factors that factor returns go into powers and
+    # products that would overflow as numpy int64
     _sieve_primes = np.flatnonzero(mask).tolist()
     _SIEVE_LIMIT = limit
 
@@ -42,62 +47,9 @@ def primes_below(limit: int) -> list[int]:
     return _sieve_primes[:bisect_left(_sieve_primes, limit)]
 
 
-# deterministic Miller-Rabin witnesses, sufficient for n < 2^64
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite n; deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for n < 2^63
+    """Primality from the sieve; ValueError where factor has no certificate."""
+    return n >= 2 and factor(n).factors == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -106,12 +58,6 @@ class Factored:
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def v(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     def divisors(self) -> list[int]:
         ds = [1]
@@ -122,33 +68,39 @@ class Factored:
 
 @lru_cache(maxsize=65536)
 def factor(n: int) -> Factored:
-    """Factor 1 <= n <= 2^63 - 1; raises ValueError outside that range."""
+    """Factor 1 <= n <= 2^63 - 1 by trial division over the sieve.
+
+    Raises ValueError outside that range, and when the cofactor left by the
+    primes up to 2^21 is 2^42 or more: trial division certifies no such
+    cofactor.  The answer does not depend on how far the sieve has grown.
+    """
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"factor expects an integer, got {type(n).__name__}")
     n = int(n)
     if n < 1 or n > MAX_N:
         raise ValueError(f"factor argument {n} outside [1, 2^63 - 1]")
-    if n == 1:
-        return Factored(1, ())
     _grow_sieve(_SIEVE_LIMIT)
     m = n
     fac: dict[int, int] = {}
-    for p in _sieve_primes:
-        if p * p > m:
-            break
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        g = _brent_rho(m)
-        stack.extend((g, m // g))
+    stop = min(math.isqrt(m), _TRIAL_LIMIT)  # the largest prime to try
+    while True:
+        for p in _sieve_primes:
+            if p > stop:
+                break
+            while m % p == 0:
+                fac[p] = fac.get(p, 0) + 1
+                m //= p
+                stop = min(math.isqrt(m), _TRIAL_LIMIT)
+        else:
+            if _SIEVE_LIMIT < stop:  # m outlasts the sieve: grow it, go again
+                _grow_sieve(stop)
+                continue
+        break
+    if m >= _TRIAL_LIMIT**2:
+        raise ValueError(f"factor({n}) leaves the cofactor {m} >= 2^42, "
+                         "which trial division to 2^21 does not certify")
+    if m > 1:
+        fac[m] = 1
     return Factored(n, tuple(sorted(fac.items())))
 
 

@@ -42,10 +42,9 @@ class CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; route them through the
-    # validation path (exit 1) instead
+    # argparse prints its usage and exits with status 2 on usage errors;
+    # route them through the validation path (one line, exit 1) instead
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise CLIError(message)
 
 

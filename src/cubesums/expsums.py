@@ -287,10 +287,10 @@ def s_plus_zero(n: int, d: int) -> int:
         raise ValueError("need n, d >= 1")
     if n % d != 0:
         return 0
-    out = 1
-    for p, f in factor(n).factors:
-        out *= _s_plus_prime_power(p, v_p(d, p), f)
-    return out
+    fac = factor(n).factors
+    for p, f in fac:  # every prime power is checked before any is computed
+        _check_modulus(p**f)
+    return math.prod(_s_plus_prime_power(p, v_p(d, p), f) for p, f in fac)
 
 
 def s_plus_zero_bruteforce(n: int, d: int) -> tuple[int, float]:
@@ -345,7 +345,9 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
     """
     if a == 0:
         raise ValueError("sigma_p_a needs a != 0; use sigma_p_zero_levels")
-    if not is_prime(p):
+    # past MAX_MODULUS the level check below refuses p, prime or not, so
+    # primality is only asked inside factor's range
+    if p <= MAX_MODULUS and not is_prime(p):
         raise ValueError(f"p must be a prime, got p={p}")
     level = v_p(3 * a, p) + 1
     if p**level > MAX_MODULUS:

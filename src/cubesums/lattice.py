@@ -343,24 +343,18 @@ def pair_count_exact(table: CountTable, d: int) -> int:
 
 
 def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
-    """Oracle: enumerate ordered pairs (y, z) with F0(y) = F0(z) = a, d | a.
+    """Oracle: the mass of ordered pairs (y, z) with F0(y) = F0(z) = a, d | a.
 
     Groups the points of the plain walk by fiber (_brute_fibers, independent
-    of any CountTable and kept for the last X and weight), and sums
-    nu(y/X) * nu(z/X) over every ordered pair within each fiber with d | a
-    (all cross-fiber terms vanish).  Returns the exact integer at scale
-    2^-(2*EXACT_SHIFT).
+    of any CountTable and kept for the last X and weight).  The sum of
+    nu(y/X) * nu(z/X) over the ordered pairs of one fiber with d | a is the
+    square of the fiber's sum (all cross-fiber terms vanish).  Returns the
+    exact integer at scale 2^-(2*EXACT_SHIFT).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    total = 0
-    for a, vals in _brute_fibers(X, weight).items():
-        if a % d:
-            continue
-        for vi in vals:
-            for vj in vals:
-                total += vi * vj
-    return total
+    return sum(sum(vals) ** 2 for a, vals in _brute_fibers(X, weight).items()
+               if a % d == 0)
 
 
 @lru_cache(maxsize=1)

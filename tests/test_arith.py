@@ -15,7 +15,10 @@ def test_factor_examples():
 
 
 def test_factor_rejects_bad_input():
-    for bad in (0, -5, 1 << 63):
+    # outside [1, 2^63 - 1], and cofactors of 2^42 or more with no prime
+    # factor up to 2^21 (2097169 is the first prime above 2^21)
+    for bad in (0, -5, 1 << 63, (1 << 61) - 1, 3 * ((1 << 61) - 1),
+                2097169**2):
         with pytest.raises(ValueError):
             arith.factor(bad)
     with pytest.raises(ValueError):
@@ -27,8 +30,10 @@ def test_factor_matches_sympy_on_random_values():
     for _ in range(120):
         n = rng.randrange(2, 10**12)
         assert dict(arith.factor(n).factors) == sympy.factorint(n)
-    # a few adversarial shapes: semiprimes with close factors, prime powers
-    for n in [10**12 + 39, 999983**2, 2**61 - 1, 3**39, 600851475143]:
+    # a few adversarial shapes: semiprimes with close factors, prime powers,
+    # and cofactors that outlast the 2^16 sieve and make it grow
+    for n in [10**12 + 39, 999983**2, 3**39, 600851475143, 65537 * 65539,
+              2097143**2, 3 * 65537 * 2097143]:
         assert dict(arith.factor(n).factors) == sympy.factorint(n)
 
 
@@ -96,20 +101,23 @@ def test_primes_below():
     assert arith.primes_below(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(arith.primes_below(10**5)) == 9592
     # the sieve starts at 2^16 and grows to the largest limit asked for;
-    # every answer is a slice of it, of Python ints: factor hands the
-    # cofactor left by its trial division to pow()
+    # every answer is a slice of it, of Python ints
     limits = (0, 1, 2, 3, 65521, 65522, 1 << 16, (1 << 16) + 1, 10**6 + 1, 30)
     for limit in limits:
         got = arith.primes_below(limit)
         assert all(type(p) is int for p in got)
         lo = max(limit - 70_000, 0)  # all of [0, limit) up to 2^16 + 1
         assert [p for p in got if p >= lo] == \
-            [n for n in range(lo, limit) if arith.is_prime(n)], limit
+            [n for n in range(lo, limit) if sympy.isprime(n)], limit
     # the rest below 10^6 + 1: ascending, pi(10^6) in all
     got = arith.primes_below(10**6 + 1)
     head = arith.primes_below(65537)
     assert got[:len(head)] == head and len(got) == 78498
     assert all(p < q for p, q in zip(got, got[1:]))
-    assert arith.is_prime(65521)
-    big = (1 << 61) - 1  # a prime cofactor, checked by is_prime's pow()
-    assert arith.factor(big * 3).factors == ((3, 1), (big, 1))
+
+
+def test_is_prime_matches_sympy():
+    # is_prime reads factor, so the sieve above is checked against sympy;
+    # 4398046511093 is the largest prime below 2^42
+    for n in [*range(-5, 3 * 10**5), 2097143, 4398046511093]:
+        assert arith.is_prime(n) == sympy.isprime(n), n

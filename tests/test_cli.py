@@ -189,9 +189,14 @@ def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
         assert out.err == "cubesums: need K >= 1\n"
 
 
-# each valued flag of the commands that run series or moment code, with a
-# value out of range and one of the wrong type; the other flags stay valid
+# each valued flag of the commands that run arithmetic, series or moment
+# code, with a value out of range (where one exists) and one of the wrong
+# type; the other flags stay valid
 _BAD_VALUE_BASE = {
+    "expsum": {"modulus": "7"},
+    "splus": {"n": "4"},
+    "gamma": {"a": "2"},
+    "scan-primes": {"A": "300"},
     "series": {"K": "4", "a_hi": "3"},
     "scan-exceptional": {"A": "50", "K": "4", "eta": "0.1"},
     "moments": {"K": "4"},
@@ -199,6 +204,11 @@ _BAD_VALUE_BASE = {
 }
 _PAST_MODULI = str(expsums.MAX_MODULUS + 1)  # no T-vector of this modulus
 _BAD_VALUES = {
+    "expsum": {"modulus": ("0", _PAST_MODULI, "abc"), "a": ("x", "1.5")},
+    "splus": {"n": ("0", _PAST_MODULI, "x"), "d": ("0", "x")},
+    "gamma": {"a": ("0", "x"), "p": ("4", _PAST_MODULI, "x"),
+              "p_max": ("1", _PAST_MODULI, "x")},
+    "scan-primes": {"A": ("1", "1000001", "1e3")},
     "series": {"K": ("0", _PAST_MODULI, "4.5"), "a_lo": ("4", "x"),
                "a_hi": ("3000000000", "3e3"), "mode": ("float32", "1")},
     "scan-exceptional": {"A": ("-1", "1e3"), "K": ("0", _PAST_MODULI, "four"),
@@ -226,21 +236,25 @@ def test_bad_value_exits_one_before_any_work(command, name, value,
     from cubesums import series, variance
 
     def unreachable(n):
-        raise AssertionError(f"t_full({n}) reached before the check")
+        raise AssertionError(f"point counts or t_full({n}) reached before "
+                             "the check")
 
-    # the suite's cache isolation clears the lru after the test
-    unreachable.cache_clear = expsums.t_full.cache_clear
-    for module in (expsums, series, variance):
-        monkeypatch.setattr(module, "t_full", unreachable)
+    monkeypatch.setattr(expsums, "point_count_vector", unreachable)
+    # expsum checks its modulus inside t_full, before any point count
+    if command != "expsum":
+        # the suite's cache isolation clears the lru after the test
+        unreachable.cache_clear = expsums.t_full.cache_clear
+        for module in (expsums, series, variance):
+            monkeypatch.setattr(module, "t_full", unreachable)
     flags = dict(_BAD_VALUE_BASE[command], **{name: value})
     argv = [command] + [x for k, v in flags.items()
                         for x in ("--" + k.replace("_", "-"), v)]
     rc, out = run(argv, capsys)
     assert rc == 1 and out.out == ""
-    # argparse prints its usage first; the message itself is one line
-    messages = [ln for ln in out.err.splitlines() if ln.startswith("cubesums:")]
-    assert len(messages) == 1 and out.err.endswith(messages[0] + "\n")
-    assert "Traceback" not in out.err
+    # the message is all of stderr: one line, no argparse usage above it
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cubesums: ")
+    assert out.err == lines[0] + "\n"
 
 
 def test_memory_error_exits_one(monkeypatch, capsys):
@@ -498,26 +512,6 @@ def test_scan_exceptional_csv_header(capsys):
                    "--eta", "0.2", "--format", "csv"], capsys)
     assert rc == 0
     assert out.out.splitlines()[0] == "s_lo,s_hi,count"
-
-
-# record -> CSV output of three handlers, frozen byte for byte
-_FROZEN_CSV = {
-    ("gamma", "--a", "2", "--p", "7"):
-        "a,mollifier,p,sigma,value\n2,71/49,7,27/49,1917/2401\n",
-    ("moments", "--K", "4", "--d", "2"):
-        "K,d,groups_checked,head,mixed_lhs,n_pairs_vanished,pure_lhs,"
-        "tail_bound,tail_mixed,tail_pure\n4,2,2,17/32,17/32,10,17/32,1/16,0,0\n",
-    ("scan-primes", "--A", "1000"):
-        "A,fitted_constant,n_admissible_represented,n_primes,sum_r3,"
-        "sum_r3_sq\n1000,0.98090124961546343,31,168,142,748\n",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(_FROZEN_CSV))
-def test_record_csv_frozen(argv, capsys):
-    rc, out = run(list(argv) + ["--format", "csv"], capsys)
-    assert rc == 0
-    assert out.out == _FROZEN_CSV[argv]
 
 
 _BROKEN_COUNTS = """
