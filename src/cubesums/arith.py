@@ -158,6 +158,8 @@ def sq_cub_parts(n: int) -> PartDecomposition:
     return PartDecomposition(n, sq, cub)
 
 
-def admissible(a: int) -> bool:
-    """No congruence obstruction mod 9: a is not +-4 mod 9."""
-    return a % 9 not in (4, 5)
+def admissible(a):
+    """No congruence obstruction mod 9: a is not +-4 mod 9.  Elementwise on
+    an integer array."""
+    r = a % 9
+    return (r != 4) & (r != 5)

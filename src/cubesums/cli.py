@@ -23,12 +23,14 @@ other subcommand CSV or JSON: CSV carries a header row and
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +94,24 @@ def _record_csv(rep, drop=()) -> str:
     d = {k: v for k, v in _plain(rep).items() if k not in drop}
     keys = sorted(d)
     return _csv_text(keys, [tuple(d[k] for k in keys)])
+
+
+def _check_output(output: str | None) -> None:
+    """Refuse an output path that open() would refuse, before any work; the
+    file is written only at the end, so a failed run leaves no new file."""
+    if output in (None, "-"):
+        return
+    parent = os.path.dirname(output) or os.curdir
+    if os.path.isdir(output):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), output)
+    raise CLIError(f"cannot write output: {exc}")
 
 
 def _write(text: str, output: str | None) -> None:
@@ -341,7 +361,7 @@ _COMMANDS = {
               "local factor gamma_p(a) or its product",
               (("a", int, REQUIRED), ("p", int, None), ("p_max", int, 1000))),
     "density": (_cmd_density, ("csv", "json"), "archimedean density table",
-                (_R, ("grid", int, 256))),
+                (_R, ("grid", int, 512))),
     "count": (_cmd_count, ("csv", "json"), "weighted lattice counts N_w(a; X)",
               (("X", int, REQUIRED), _R)),
     "variance": (_cmd_variance, ("json", "csv"),
@@ -378,6 +398,7 @@ def _add_flag(parser, name, kind, default=None, help=None):
                         **opts)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     # global flags are accepted both before and after the subcommand; the
     # shared parent uses SUPPRESS so a subparser never clobbers a value that
@@ -433,6 +454,7 @@ def main(argv=None) -> int:
             raise CLIError(f"{args.subcommand} prints "
                            f"{' or '.join(formats)}, not {fmt!r}")
         _resolve(args, cfg, flags)
+        _check_output(args.output)
         _write(handler(args, fmt), args.output)
     except (CLIError, ValueError) as exc:
         print(f"cubesums: {exc}", file=sys.stderr)

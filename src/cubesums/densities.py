@@ -245,7 +245,7 @@ class DensityTable:
         return math.fsum(per_cell.tolist())
 
 
-def density_table(weight: Weight, grid_size: int = 256) -> DensityTable:
+def density_table(weight: Weight, grid_size: int = 512) -> DensityTable:
     """Sample sigma_inf on a grid of a-tilde in [-a_support, a_support].
 
     Interpolation is validated at 32 seeded random off-grid points against

@@ -38,6 +38,7 @@ this to assert equality exactly rather than to within a tolerance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed
-from .arith import primes_below
+from .arith import admissible, primes_below
 from .weights import Weight
 
 __all__ = [
@@ -417,29 +418,26 @@ def special_count(X: int, d: int, weight: Weight,
     )
 
 
-def _pair_sums(limit: int) -> dict:
+@lru_cache(maxsize=1)
+def _pair_sums(limit: int) -> Counter:
     """Multiset {x^3 + y^3 <= limit : x, y >= 0} as value -> multiplicity."""
-    top = int(round(limit ** (1.0 / 3.0))) + 1
-    while top**3 > limit:
-        top -= 1
-    while (top + 1) ** 3 <= limit:
-        top += 1
-    cubes = np.arange(top + 1, dtype=np.int64) ** 3
-    sums = (cubes[:, None] + cubes[None, :]).ravel()
-    sums = sums[sums <= limit]
-    vals, cnt = np.unique(sums, return_counts=True)
-    return dict(zip(vals.tolist(), cnt.tolist()))
+    cubes = []
+    while len(cubes) ** 3 <= limit:
+        cubes.append(len(cubes) ** 3)
+    return Counter(u + v for u in cubes for v in cubes if u + v <= limit)
 
 
 def r3_nonneg(a: int) -> int:
-    """Ordered representations a = x^3 + y^3 + z^3 with x, y, z >= 0."""
+    """Ordered representations a = x^3 + y^3 + z^3 with x, y, z >= 0; the
+    oracle of prime_demo, sharing none of its code.  One pair table serves
+    every a below the same power of two."""
     if a < 0:
         raise ValueError("a must be nonnegative")
-    pairs = _pair_sums(a)
+    pairs = _pair_sums(1 << a.bit_length())
     total = 0
     z = 0
     while z**3 <= a:
-        total += pairs.get(a - z**3, 0)
+        total += pairs[a - z**3]
         z += 1
     return total
 
@@ -458,9 +456,10 @@ def prime_demo(A: int) -> PrimeDemo:
     """Exact sum of r3(p) over primes p <= A (nonnegative cubes)."""
     if not 2 <= A <= 10**6:
         raise ValueError("require 2 <= A <= 10^6")
-    pairs = _pair_sums(A)
-    pair_vals = np.fromiter(pairs.keys(), dtype=np.int64)
-    pair_cnt = np.fromiter(pairs.values(), dtype=np.int64)
+    top = int(round(A ** (1.0 / 3.0))) + 1
+    cubes = np.arange(top + 1, dtype=np.int64) ** 3
+    sums = (cubes[:, None] + cubes[None, :]).ravel()
+    pair_vals, pair_cnt = np.unique(sums[sums <= A], return_counts=True)
     # one byte per value keeps the A + 1 table small; r3 and the sums are
     # accumulated in int64
     if pair_cnt.max() > np.iinfo(np.uint8).max:
@@ -468,14 +467,12 @@ def prime_demo(A: int) -> PrimeDemo:
     lookup = np.zeros(A + 1, dtype=np.uint8)
     lookup[pair_vals] = pair_cnt
     ps = np.array(primes_below(A + 1), dtype=np.int64)
-    top = int(round(A ** (1.0 / 3.0))) + 1
     r3 = np.zeros(len(ps), dtype=np.int64)
     for z in range(top + 1):
         i0 = np.searchsorted(ps, z**3)  # the primes p >= z^3
         r3[i0:] += lookup[ps[i0:] - z**3]
     sum_r3 = int(r3.sum())
-    admissible = ps % 9
-    adm = (admissible != 4) & (admissible != 5)
+    adm = admissible(ps)
     return PrimeDemo(
         A=A, n_primes=len(ps), sum_r3=sum_r3,
         sum_r3_sq=int(np.dot(r3, r3)),

@@ -5,11 +5,12 @@ their product identity, Euler factors gamma_p(a), and scans for small
     s_a(K) = sum_{n <= K} n^{-3} T_a(n)
     M_a(K) = sum_{n <= K, (n,30)=1} mu(n) n^{-3} T_a(n)
 
-Both have an exact rational mode and a vectorized double mode.  The double
-mode makes one pass over a window of consecutive a: each T-vector is tiled
-once into a cache-sized chunk of whole periods, and the window adds slices
-of it, so the cost is O(K * window) array work with no index arrays.  The
-scan reads s_a(K/4) and s_a(K/2) as checkpoints of the same pass.
+Both have an exact rational mode and a vectorized double mode, and both make
+one pass over a window of consecutive a: each T-vector is tiled once into a
+cache-sized chunk of whole periods, and the window adds slices of it, so the
+cost is O(K * window) array work with no index arrays.  The exact mode adds
+integer numerators over lcm(1..K)^3 in object arrays.  The scan reads
+s_a(K/4) and s_a(K/2) as checkpoints of the same pass.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import factor, mobius, primes_below, rad, sq_cub_parts
+from .arith import admissible, factor, mobius, primes_below, rad, sq_cub_parts
 from .expsums import MAX_MODULUS, sigma_p_a, t_full, t_single
 
 
@@ -61,20 +62,26 @@ def _check_window(K: int, width: int) -> None:
         raise ValueError(f"window of {width} values exceeds the limit {_MAX_WIDTH}")
 
 
-def _partial_sums(K: int, a_lo: int, width: int, mollified: bool = True):
+def _partial_sums(K: int, a_lo: int, width: int, mollified: bool = True,
+                  denom: int | None = None):
     """Yield (n, s, m) after the n-th term, n = 1..K, of the double s_a(K)
     and M_a(K) over a in [a_lo, a_lo + width); m is None unless mollified.
+    Given denom, a multiple of every n^3, they are object arrays of the
+    exact integer numerators over denom instead.
 
     s and m are updated in place.  Each T-vector is tiled once into a chunk
-    that starts at a_lo mod n, and every chunk of the window adds a slice of
-    it: the same float additions, in the same order, as adding t[a mod n]
-    (the -1 Moebius term by subtraction, which is adding -t exactly).
+    of whole periods (about min(_CHUNK, width) values) that starts at
+    a_lo mod n, and every chunk of the window adds a slice of it: the same
+    additions, in the same order, as adding t[a mod n] (the -1 Moebius term
+    by subtraction, which is adding -t exactly).
     """
-    s = np.zeros(width)
-    m = np.zeros(width) if mollified else None
+    dtype = float if denom is None else object
+    s = np.zeros(width, dtype)
+    m = np.zeros(width, dtype) if mollified else None
     for n in range(1, K + 1):
-        t = t_full(n).astype(float) / n**3
-        step = n * max(1, _CHUNK // n)
+        t = (t_full(n).astype(float) / n**3 if denom is None
+             else t_full(n).astype(object) * (denom // n**3))
+        step = n * max(1, min(_CHUNK, width) // n)
         start = a_lo % n
         chunk = np.tile(t, step // n + 1)[start:start + step]
         mu = mobius(n) if mollified and math.gcd(n, 30) == 1 else 0
@@ -95,27 +102,12 @@ def series_window(K: int, a_lo: int, a_hi: int, mode: str = "double") -> SeriesW
         raise ValueError(f"unknown mode {mode!r}")
     width = a_hi - a_lo + 1
     _check_window(K, width)
-    if mode == "double":
-        for _n, s, m in _partial_sums(K, a_lo, width):
-            pass  # s and m hold the sums after the last term
-        return SeriesWindow(K, a_lo, a_hi, mode, s, m)
-    # exact mode: accumulate integer numerators over the common denominator
-    denom = math.lcm(*range(1, K + 1)) ** 3
-    s_num = [0] * width
-    m_num = [0] * width
-    for n in range(1, K + 1):
-        t = t_full(n)
-        w = denom // n**3
-        mu = mobius(n)
-        molli = mu != 0 and math.gcd(n, 30) == 1
-        for i in range(width):
-            v = int(t[(a_lo + i) % n]) * w
-            s_num[i] += v
-            if molli:
-                m_num[i] += mu * v
-    s = [Fraction(x, denom) for x in s_num]
-    m = [Fraction(x, denom) for x in m_num]
-    return SeriesWindow(K, a_lo, a_hi, "exact", s, m)
+    denom = math.lcm(*range(1, K + 1)) ** 3 if mode == "exact" else None
+    for _n, s, m in _partial_sums(K, a_lo, width, denom=denom):
+        pass  # s and m hold the sums after the last term
+    if denom is not None:
+        s, m = ([Fraction(x, denom) for x in v] for v in (s, m))
+    return SeriesWindow(K, a_lo, a_hi, mode, s, m)
 
 
 def s_value(a: int, K: int) -> Fraction:
@@ -302,7 +294,7 @@ def exceptional_scan(A: int, K: int, eta: float, bin_width: float = 0.25) -> Exc
         raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
     _check_window(K, 2 * A + 1)
     a = np.arange(-A, A + 1)
-    adm = ~np.isin(a % 9, (4, 5))
+    adm = admissible(a)
     # s_a(K') for K' = K/4, K/2 are checkpoints of the one pass to K
     ks = sorted({max(1, K // 4), max(1, K // 2), K})
     counts_by_K = {}

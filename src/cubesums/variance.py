@@ -24,9 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import factor, mobius, primes_below
+from .arith import admissible, factor, mobius, primes_below
 from .densities import density_table, pure_l2_moment, sigma_inf, weight_l2_norm_sq
 from .expsums import (
+    MAX_MODULUS,
     g_density,
     point_count_vector,
     s_plus_zero,
@@ -108,6 +109,8 @@ def variance(X: int, K: int, d: int, weight: Weight,
         raise ValueError("X must be a positive integer")
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
+    if K > MAX_MODULUS:  # series_window's bound, checked before the walk
+        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
     if d > _SERIES_N_MAX:
         raise ValueError(f"need 1 <= d <= {_SERIES_N_MAX}, got d={d}")
     if K * d > X ** 0.9:
@@ -324,6 +327,8 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
         raise ValueError("X must be an integer >= 2")
     if K < 1:
         raise ValueError("need K >= 1")
+    if K > MAX_MODULUS:
+        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
     t0 = time.perf_counter()
     threshold = float(X) ** hparams.hbar
     if threshold > 20.0:
@@ -409,18 +414,18 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
             table = table_at(X, nu)
             dtab = density_table(nu)
             a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
+            diff = N - s * sig  # Var(X, K; 1) as variance forms it
+            var = float(np.dot(diff, diff))
             window = np.abs(a_vec) <= A
             a_w, N_w, s_w = a_vec[window], N[window], s[window]
             sig_w = sig[window]
-            res9 = a_w % 9
-            adm = (res9 != 4) & (res9 != 5)
+            adm = admissible(a_w)
             unrep = adm & (N_w == 0.0)
             exc = unrep & (np.abs(s_w) > eta)
             n_exc = int(np.count_nonzero(exc))
             sigma_min = float(sig_w[exc].min()) if n_exc else 0.0
-            rep = variance(X, K, 1, nu, table=table, with_special=False)
             lhs = n_exc * (eta * sigma_min) ** 2
-            ok = lhs <= rep.var_direct * (1.0 + 1e-12)
+            ok = lhs <= var * (1.0 + 1e-12)
             if not ok:
                 raise CheckFailed(
                     f"Chebyshev inequality failed at X={X}, R={R}")
@@ -431,8 +436,7 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
                 unrepresented_fraction=float(np.count_nonzero(unrep))
                 / max(int(np.count_nonzero(adm)), 1),
                 n_exceptional=n_exc, sigma_min=sigma_min,
-                chebyshev_lhs=lhs, var=rep.var_direct, chebyshev_ok=ok,
-                var_normalized=rep.var_direct
-                / (float(X) ** 3 * (c_cal * math.log(R)) ** 2),
+                chebyshev_lhs=lhs, var=var, chebyshev_ok=ok,
+                var_normalized=var / (float(X) ** 3 * (c_cal * math.log(R)) ** 2),
             ))
     return PipelineReport(j=j, calibration_c=c_cal, rows=rows)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -79,8 +80,7 @@ def test_v_p():
     assert arith.v_p(-24, 2) == 3
     with pytest.raises(ValueError):
         arith.v_p(0, 2)
-    # p = 1 would loop forever; tests/test_cli.py runs it in a subprocess
-    for p in (0, -3):
+    for p in (1, 0, -3):
         with pytest.raises(ValueError, match="p >= 2"):
             arith.v_p(8, p)
 
@@ -95,6 +95,8 @@ def test_admissible_classes():
     bad = [a for a in range(-20, 21) if not arith.admissible(a)]
     assert bad == [a for a in range(-20, 21) if a % 9 in (4, 5)]
     assert arith.admissible(0) and arith.admissible(3) and not arith.admissible(-4)
+    a = np.arange(-20, 21)
+    assert arith.admissible(a).tolist() == [arith.admissible(x) for x in range(-20, 21)]
 
 
 def test_primes_below():

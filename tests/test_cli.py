@@ -11,7 +11,7 @@ import pytest
 
 import cubesums
 from cubesums import cache, expsums, lattice
-from cubesums.cli import _COMMANDS, load_config, main
+from cubesums.cli import _COMMANDS, _GLOBAL_FLAGS, load_config, main
 from cubesums.densities import density_table
 from cubesums.weights import nu_star
 
@@ -75,15 +75,6 @@ def test_density_csv_rows(capsys):
     assert len(lines) == 1 + len(table.grid)
     g0, v0 = lines[1].split(",")
     assert float(g0) == table.grid[0] and float(v0) == table.values[0]
-
-
-def test_count_csv_rows(capsys):
-    rc, out = run(["count", "--X", "10"], capsys)
-    assert rc == 0
-    table = lattice.count_weighted(10, nu_star(2.0), exact=False)
-    lines = out.out.splitlines()
-    assert lines[0] == "a,N"
-    assert len(lines) == 1 + len(table.nonzero_items()[0])
 
 
 def test_count_small_csv(capsys):
@@ -167,11 +158,10 @@ def test_validation_errors(capsys):
             (["density", "--grid", "100000000"], "grid_size must be <= 65536")):
         rc, out = run(argv, capsys)
         assert rc == 1 and message in out.err, argv
-    # v_p(n, 1) never terminates, so p = 1 runs in a process with a timeout
-    proc = _python("-m", "cubesums.cli", "gamma", "--a", "2", "--p", "1",
-                   timeout=60)
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert proc.stderr == "cubesums: p must be a prime, got p=1\n"
+    # sigma_p_a refuses p = 1 before v_p, which raises for every p < 2
+    rc, out = run(["gamma", "--a", "2", "--p", "1"], capsys)
+    assert rc == 1
+    assert out.err == "cubesums: p must be a prime, got p=1\n"
 
 
 def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
@@ -189,9 +179,8 @@ def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
         assert out.err == "cubesums: need K >= 1\n"
 
 
-# each valued flag of the commands that run arithmetic, series or moment
-# code, with a value out of range (where one exists) and one of the wrong
-# type; the other flags stay valid
+# each valued flag of every subcommand, with a value out of range (where one
+# exists) and one of the wrong type; the other flags stay valid
 _BAD_VALUE_BASE = {
     "expsum": {"modulus": "7"},
     "splus": {"n": "4"},
@@ -201,8 +190,13 @@ _BAD_VALUE_BASE = {
     "scan-exceptional": {"A": "50", "K": "4", "eta": "0.1"},
     "moments": {"K": "4"},
     "verify": {"suite": "moments"},
+    "density": {},
+    "count": {"X": "12"},
+    "variance": {"X": "12", "K": "3"},
+    "sieved": {"X": "12", "K": "3", "hbar": "0.045"},
 }
 _PAST_MODULI = str(expsums.MAX_MODULUS + 1)  # no T-vector of this modulus
+_BAD_R = ("1", "nan", "x")  # nu_star needs a finite R >= 2
 _BAD_VALUES = {
     "expsum": {"modulus": ("0", _PAST_MODULI, "abc"), "a": ("x", "1.5")},
     "splus": {"n": ("0", _PAST_MODULI, "x"), "d": ("0", "x")},
@@ -216,30 +210,54 @@ _BAD_VALUES = {
     "moments": {"K": ("49", "4.0"), "d": ("9", "two")},
     "verify": {"suite": ("everything", "1"),
                "max_modulus": ("0", _PAST_MODULI, "ten")},
+    "density": {"R": _BAD_R, "grid": ("63", "65537", "x")},
+    "count": {"X": ("0", "5000", "x"), "R": _BAD_R},
+    "variance": {"X": ("0", "x"), "K": ("0", _PAST_MODULI, "x"),
+                 "d": ("0", "49", "x"), "R": _BAD_R},
+    "sieved": {"X": ("1", "x"), "K": ("0", _PAST_MODULI, "x"),
+               "hbar": ("0", "0.5", "x"), "delta": ("0", "x"), "R": _BAD_R},
+}
+# the global flags, given to count, which would walk the lattice; any
+# cache_dir is usable, since one that cannot be written only costs the
+# S1 rebuild (test_unusable_cache_dir_keeps_output)
+_BAD_GLOBAL_VALUES = {
+    "config": (os.path.join(os.devnull, "x.cfg"),),
+    "output": (os.path.join(os.devnull, "x.csv"), os.curdir),
+    "format": ("text", "xml"),
+    "threads": ("0", "x"),
+    "seed": ("x",),
 }
 _BAD_VALUE_CASES = [(command, name, value)
                     for command, flags in _BAD_VALUES.items()
                     for name, values in flags.items() for value in values]
+_BAD_VALUE_CASES += [("count", name, value)
+                     for name, values in _BAD_GLOBAL_VALUES.items()
+                     for value in values]
 
 
 def test_bad_value_cases_cover_the_table():
-    for command, flags in _BAD_VALUES.items():
-        valued = {name for name, kind, _ in _COMMANDS[command][3]
-                  if kind is not bool}
-        assert set(flags) == valued, command
+    assert set(_BAD_VALUES) == set(_COMMANDS) == set(_BAD_VALUE_BASE)
+    for command, (_handler, _formats, _help, flags) in _COMMANDS.items():
+        valued = {name for name, kind, _ in flags if kind is not bool}
+        assert set(_BAD_VALUES[command]) == valued, command
+    assert set(_BAD_GLOBAL_VALUES) | {"cache_dir"} == {
+        name for name, *_rest in _GLOBAL_FLAGS}
 
 
 @pytest.mark.parametrize("command, name, value", _BAD_VALUE_CASES,
                          ids=[f"{c}-{n}-{v}" for c, n, v in _BAD_VALUE_CASES])
 def test_bad_value_exits_one_before_any_work(command, name, value,
                                              monkeypatch, capsys):
-    from cubesums import series, variance
+    from cubesums import densities, series, variance
 
-    def unreachable(n):
-        raise AssertionError(f"point counts or t_full({n}) reached before "
-                             "the check")
+    def unreachable(*args):
+        raise AssertionError(f"work reached before the check: {args}")
 
     monkeypatch.setattr(expsums, "point_count_vector", unreachable)
+    # the lattice walk and the S1 table; count_weighted's own bound checks
+    # run before its walk
+    monkeypatch.setattr(lattice, "_iter_orbits", unreachable)
+    monkeypatch.setattr(densities, "_s1_spline", unreachable)
     # expsum checks its modulus inside t_full, before any point count
     if command != "expsum":
         # the suite's cache isolation clears the lru after the test
@@ -417,6 +435,20 @@ def test_global_flags_after_subcommand(tmp_path, capsys):
                  "--output", str(out_path)], capsys)
     assert rc == 0
     assert out_path.read_text().startswith("a,T\n0,42\n")
+
+
+def test_parser_built_once_per_process(capsys):
+    from cubesums import cli
+
+    cli._build_parser.cache_clear()
+    rc, out = run(["expsum", "--modulus", "2", "--format", "json"], capsys)
+    assert rc == 0 and json.loads(out.out) == {"modulus": 2,
+                                               "T": {"0": 0, "1": 0}}
+    # the shared parser keeps no value of the call before
+    rc, out = run(["expsum", "--modulus", "2"], capsys)
+    assert rc == 0 and out.out == "a,T\n0,0\n1,0\n"
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cache_dir_env_beats_flag(tmp_path, monkeypatch, capsys):

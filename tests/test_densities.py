@@ -112,7 +112,8 @@ def test_table_validation_and_symmetry(nu2, table2):
 
 def test_table_memoized(nu2):
     assert density_table(nu2) is density_table(nu2)
-    assert density_table(nu2) is density_table(nu2, grid_size=256)
+    assert density_table(nu2) is density_table(nu2, grid_size=512)
+    assert len(density_table(nu2).grid) == 512
 
 
 def test_table_memo_keys_on_weight_object():

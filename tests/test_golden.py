@@ -7,9 +7,18 @@ output of one desk-sized run,
 
     { echo '$ cubesums ARGS'; cubesums ARGS; } > tests/golden/CMD-FMT.txt
 
-and take the pair off _NOT_YET_RECORDED.
+The one field compared loosely is wall_time, the run's own timing, that
+variance and sieved print: its JSON value and its CSV column (the last, as
+columns are in sorted key order) are masked on both sides.
+
+density, variance and sieved need the S1 surface table, and sieved needs
+weight_l2_norm_sq(nu_star(2), 1e-4); inside the suite both are already in
+their lru caches, so the record adds a few seconds.  Run alone, this module
+builds S1 (16-25 s on a 2-core machine) and sieved pays about 11 s for
+the norm.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -22,17 +31,6 @@ GOLDEN = Path(__file__).parent / "golden"
 _DECLARED = {(command, fmt) for command, (_h, formats, _help, _f)
              in _COMMANDS.items() for fmt in formats}
 
-# the pairs with no transcript yet; recording one takes it off this list
-_NOT_YET_RECORDED = {
-    ("series", "csv"), ("series", "json"),
-    ("density", "csv"), ("density", "json"),
-    ("count", "csv"), ("count", "json"),
-    ("variance", "json"), ("variance", "csv"),
-    ("sieved", "json"), ("sieved", "csv"),
-    ("verify", "text"),
-    ("scan-exceptional", "json"), ("scan-exceptional", "csv"),
-}
-
 _TRANSCRIPTS = sorted(GOLDEN.glob("*.txt"))
 
 
@@ -41,12 +39,15 @@ def _pair(path):
     return command, fmt
 
 
-def test_every_declared_pair_is_recorded_or_listed():
-    recorded = {_pair(path) for path in _TRANSCRIPTS}
-    assert recorded <= _DECLARED, recorded - _DECLARED
-    assert not recorded & _NOT_YET_RECORDED, recorded & _NOT_YET_RECORDED
-    assert _DECLARED == recorded | _NOT_YET_RECORDED, \
-        _DECLARED - recorded - _NOT_YET_RECORDED
+def _mask_wall_time(text):
+    lines = text.split("\n")
+    if lines[0].endswith(",wall_time"):
+        return "\n".join(line.rsplit(",", 1)[0] for line in lines)
+    return re.sub(r'("wall_time": )\S+', r"\1-", text)
+
+
+def test_every_declared_pair_is_recorded():
+    assert {_pair(path) for path in _TRANSCRIPTS} == _DECLARED
 
 
 @pytest.mark.parametrize("path", _TRANSCRIPTS, ids=lambda path: path.stem)
@@ -62,4 +63,4 @@ def test_golden_bytes(path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr()
     assert out.err == ""
-    assert out.out == expected
+    assert _mask_wall_time(out.out) == _mask_wall_time(expected)

@@ -97,6 +97,17 @@ def test_double_window_matches_termwise_loop(chunk, monkeypatch):
         assert (w.s.tobytes(), w.m.tobytes()) == _termwise_window(K, a_lo, width)
 
 
+@pytest.mark.parametrize("chunk", [7, 64, S._CHUNK])
+def test_exact_window_matches_oracles(chunk, monkeypatch):
+    # the exact mode runs on the same tiled pass as the double mode
+    monkeypatch.setattr(S, "_CHUNK", chunk)
+    for K, a_lo, width in ((1, 5, 1), (13, -7, 3), (30, -1000003, 40),
+                           (40, 999983, 23)):
+        w = S.series_window(K, a_lo, a_lo + width - 1, "exact")
+        for i, a in enumerate(range(a_lo, a_lo + width)):
+            assert (w.s[i], w.m[i]) == (S.s_value(a, K), S.m_value(a, K)), a
+
+
 def test_c_coeff_multiplicative_matches_definitional():
     rng = random.Random(23)
     cases = [(a, n) for a in (0, 1, 2, 5, -7) for n in (1, 4, 8, 9, 12, 36, 49, 98)]

@@ -358,3 +358,15 @@ def test_pipeline_demo_small(nu2):
     assert isinstance(rep.fractions_non_increasing_in_R(20), bool)
     with pytest.raises(ValueError):
         pipeline_demo(R_list=(2.0,), X_list=(200,), j=2)
+
+
+def test_pipeline_demo_never_calls_variance(nu2, tab20, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("pipeline_demo called variance")
+
+    monkeypatch.setattr(variance_module, "variance", unreachable)
+    (row,) = pipeline_demo(R_list=(2.0,), X_list=(20,), j=2).rows
+    monkeypatch.undo()
+    # the window it already holds gives variance's var_direct, bit for bit
+    rep = variance(20, row.K, 1, nu2, table=tab20, with_special=False)
+    assert row.var == rep.var_direct
