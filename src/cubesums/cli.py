@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import CheckFailed, expsums, lattice, series, variance
+from . import CheckFailed, cache, expsums, lattice, series, variance
 from .densities import density_table
 from .weights import nu_star
 
@@ -445,9 +445,11 @@ def main(argv=None) -> int:
         _resolve(args, cfg, _GLOBAL_FLAGS)
         cache_dir = os.environ.get("CUBESUMS_CACHE_DIR") or args.cache_dir
         if cache_dir is not None:
-            expsums.configure_cache(cache_dir)
+            cache.configure(cache_dir)
         if args.threads < 1:
             raise CLIError("--threads must be >= 1")
+        if args.seed < 0:
+            raise CLIError(f"--seed must be >= 0, got {args.seed}")
         handler, formats, _help, flags = _COMMANDS[args.subcommand]
         fmt = args.format or formats[0]
         if fmt not in formats:

@@ -70,23 +70,22 @@ def _cube(t: np.ndarray) -> np.ndarray:
     return t * t * t
 
 
-def _chi_integrand(b: float, pts: np.ndarray) -> np.ndarray:
+def _chi_integrand(b: float, z2: np.ndarray, z3: np.ndarray) -> np.ndarray:
     """prod w2(six forms)/(3 z1^2) at the surface points (z1, z2, z3) with
-    z1 = cbrt(b - z2^3 - z3^3), for an (N, 2) array of (z2, z3).
+    z1 = cbrt(b - z2^3 - z3^3), for two (N,) arrays z2 and z3.
 
     The product is exactly 0 unless all six forms lie in (1/2, 11), so the
-    forms are tested on contiguous 1-d arrays and only the rows that pass
+    forms are tested on contiguous 1-d arrays and only the points that pass
     are sorted and multiplied out; the others stay 0.0, as the full product
     would give them.  The live points are gathered into the contiguous rows
     of a (3, n) array, whose transpose _six_forms reads column by column.
     """
-    z2, z3 = (np.ascontiguousarray(pts[:, k]) for k in (0, 1))
     z1 = np.cbrt(b - _cube(z2) - _cube(z3))
-    live = np.ones(len(pts), dtype=bool)
+    live = np.ones(len(z2), dtype=bool)
     for form in (z1, z2, z3, z1 + z2, z1 + z3, z2 + z3):
         a = np.abs(form)
         live &= (a > 0.5) & (a < 11.0)
-    out = np.zeros(len(pts))
+    out = np.zeros(len(z2))
     idx = np.flatnonzero(live)
     if idx.size:
         y1 = z1[idx]
@@ -140,9 +139,9 @@ def _s1_spline() -> tuple[CubicSpline, np.ndarray, float]:
     return spline, vals, worst
 
 
-@lru_cache(maxsize=None)
 def _r_nodes(R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights in r for int_1^R f(r) dr/r, ample for spline integrands."""
+    """Nodes/weights in r for int_1^R f(r) dr/r, ample for spline integrands
+    (log_panel_rule caches them)."""
     panels = max(12, math.ceil(8 * math.log(R)))
     return log_panel_rule(1.0, float(R), panels, 12)
 
@@ -164,11 +163,9 @@ def _sigma_direct(atil: float, weight: Weight, rel_tol: float) -> float:
     B = weight.B
     floor1 = 1.0 / (2.0 * B)  # support has |y1| >= 1/B; skip the branch zero
 
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        y2 = pts[:, 0]
-        y3 = pts[:, 1]
+    def integrand(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
         y1 = np.cbrt(atil - _cube(y2) - _cube(y3))
-        out = np.zeros(len(pts))
+        out = np.zeros(len(y2))
         m = np.abs(y1) >= floor1
         if m.any():
             ym = np.column_stack([y1[m], y2[m], y3[m]])
@@ -213,13 +210,12 @@ class DensityTable:
     grid: np.ndarray
     values: np.ndarray
     max_validation_error: float
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
+    _spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
+        from scipy.interpolate import CubicSpline
 
-            self._spline = CubicSpline(self.grid, self.values)
+        self._spline = CubicSpline(self.grid, self.values)
 
     def __call__(self, atil):
         arr = np.atleast_1d(np.asarray(atil, dtype=float))
@@ -302,11 +298,11 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float) -> float:
     B = weight.B
     A = weight.a_support
 
-    def outer(pts: np.ndarray) -> np.ndarray:
-        s = _cube(pts[:, 0]) + _cube(pts[:, 1])
+    def outer(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
+        s = _cube(y2) + _cube(y3)
         zlo = np.cbrt(-A - s)
         zhi = np.cbrt(A - s)
-        total = np.zeros(len(pts))
+        total = np.zeros(len(y2))
         for lo, hi in ((zlo, np.minimum(zhi, -0.5)),
                        (np.maximum(zlo, 0.5), zhi)):
             width = np.maximum(hi - lo, 0.0)
@@ -317,8 +313,8 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float) -> float:
                 n, m = nodes.shape
                 full = np.empty((n * m, 3))
                 full[:, 0] = nodes.ravel()
-                full[:, 1] = np.repeat(pts[:, 0], m)
-                full[:, 2] = np.repeat(pts[:, 1], m)
+                full[:, 1] = np.repeat(y2, m)
+                full[:, 2] = np.repeat(y3, m)
                 total += np.sum(inner_fn(full).reshape(n, m) * wts, axis=1)
         return total
 

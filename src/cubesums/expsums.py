@@ -344,7 +344,7 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
     that level certifies the limit.
     """
     if a == 0:
-        raise ValueError("sigma_p_a needs a != 0; use sigma_p_zero_levels")
+        raise ValueError("sigma_p_a needs a != 0")
     # past MAX_MODULUS the level check below refuses p, prime or not, so
     # primality is only asked inside factor's range
     if p <= MAX_MODULUS and not is_prime(p):
@@ -354,16 +354,6 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
         raise ValueError(f"level {level} at p={p} puts p^{level} above {MAX_MODULUS}")
     count = int(point_count_vector(p**level)[a % p**level])
     return LocalDensity(p, a, Fraction(count, p ** (2 * level)), level, count)
-
-
-def sigma_p_zero_levels(p: int, l_max: int) -> list[tuple[int, Fraction]]:
-    """Level sequence p^{-2l} N_0(p^l) for a = 0; no limit is claimed."""
-    out = []
-    for l in range(1, l_max + 1):
-        if p**l > MAX_MODULUS:
-            break
-        out.append((l, Fraction(int(point_count_vector(p**l)[0]), p ** (2 * l))))
-    return out
 
 
 def g_density(n: int) -> Fraction:

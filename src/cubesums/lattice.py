@@ -246,11 +246,6 @@ class CountTable:
     orbit_k: np.ndarray
     orbit_nu: np.ndarray
 
-    def value(self, a: int) -> float:
-        if abs(a) > self.offset:
-            return 0.0
-        return float(self.bins[a + self.offset])
-
     def nonzero_items(self):
         idx = np.nonzero(self.bins)[0]
         return idx - self.offset, self.bins[idx]

@@ -1,16 +1,14 @@
 """Adaptive tensor-product quadrature for smooth compactly supported integrands.
 
-Strategy: recursive bisection over axis-aligned cells with a fixed
-Gauss-Legendre rule per cell; the error estimate for a cell is the difference
-between the 8-point and the 11-point rule.  Cells are split along their
-widest axis until the total error estimate meets
+Strategy: recursive bisection over axis-aligned cells of a box in R^2 with a
+fixed Gauss-Legendre rule per cell; the error estimate for a cell is the
+difference between the 8-point and the 11-point tensor rule.  Cells are split
+along their wider axis until the total error estimate meets
 max(rel_tol * |value|, 1e-14), for at most 60 rounds.
-Integrands are evaluated in batches, so the callable must accept an (N, dim)
-array and return an (N,) array.  It must be pointwise: a row's value may not
-depend on the rows batched with it.  Each rule's nodes are laid out
-coordinate-major and passed in blocks of at most 2^14 rows, each an
-F-ordered view whose columns pts[:, k] are contiguous; an integrand should
-read columns and must not assume a C-ordered array.
+Integrands are evaluated in batches: the callable is called as f(x, y) with
+two contiguous (N,) arrays of coordinates, N at most 2^14, and returns an
+(N,) array.  It must be pointwise: a node's value may not depend on the
+nodes batched with it.
 """
 
 from __future__ import annotations
@@ -29,12 +27,10 @@ __all__ = [
     "scaled_gauss_nodes",
 ]
 
-# seed-grid resolution per dimension; a too-coarse seed can miss thin support
-_DEFAULT_SEED = {1: 32, 2: 16, 3: 8}
 # Gauss-Legendre orders of the coarse and the fine rule, and the round cap
 _ORDER, _ORDER_HI, _MAX_ROUNDS = 8, 11, 60
 _ABS_FLOOR = 1e-14  # the error target never falls below this
-# nodes per integrand call.  At 2^14 nodes each float64 coordinate column or
+# nodes per integrand call.  At 2^14 nodes each float64 coordinate row or
 # temporary of the integrand is 128 KB and stays in cache; a whole round
 # (about 48k nodes per rule for the S1 surface) leaves it
 _BLOCK_NODES = 1 << 14
@@ -52,15 +48,12 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product rule on [0,1]^dim: nodes (dim, order^dim), one
-    contiguous row per axis, and weights."""
+def _tensor_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product rule on [0,1]^2: nodes (2, order^2), one contiguous
+    row per axis, the second axis running fastest, and weights."""
     x, w = gauss_rule(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    ref = np.stack([g.ravel() for g in grids])
-    wt = np.ones(order**dim)
-    for axis in range(dim):
-        wt *= np.meshgrid(*([w] * dim), indexing="ij")[axis].ravel()
+    ref = np.stack([np.repeat(x, order), np.tile(x, order)])
+    wt = np.outer(w, w).ravel()
     ref.setflags(write=False)
     wt.setflags(write=False)
     return ref, wt
@@ -75,59 +68,48 @@ class QuadResult:
 
 
 def _estimate(f, lows, highs, order):
-    """Per-cell rule values: lows/highs (n, d) -> (n,) estimates."""
-    ref, refw = _tensor_rule(order, lows.shape[1])
+    """Per-cell rule values: lows/highs (n, 2) -> (n,) estimates."""
+    ref, refw = _tensor_rule(order)
     widths = highs - lows
     # row k holds coordinate k of every node, cell by cell
-    nodes = np.empty((len(ref), len(lows), len(refw)))
+    nodes = np.empty((2, len(lows), len(refw)))
     for k, row in enumerate(ref):
         np.multiply(widths[:, k, None], row, out=nodes[k])
         nodes[k] += lows[:, k, None]
-    nodes = nodes.reshape(len(ref), -1)
-    vals = np.empty(nodes.shape[1])
+    x, y = nodes.reshape(2, -1)
+    vals = np.empty(len(x))
     for start in range(0, len(vals), _BLOCK_NODES):
         block = slice(start, start + _BLOCK_NODES)
-        vals[block] = f(nodes[:, block].T)
+        vals[block] = f(x[block], y[block])
     # one product per rule over all its cells: BLAS may round a row
     # differently if the batch of cells changes
-    vals = vals.reshape(lows.shape[0], -1)
-    vol = np.prod(widths, axis=1)
-    return (vals @ refw) * vol
+    vals = vals.reshape(len(lows), -1)
+    return (vals @ refw) * (widths[:, 0] * widths[:, 1])
 
 
-def adaptive_integrate(
-    f,
-    lo,
-    hi,
-    rel_tol: float = 1e-6,
-    seed: int | None = None,
-    max_evals: int = 80_000_000,
-) -> QuadResult:
-    """Integrate f over the box [lo, hi] (dim 1..3) to the given tolerance.
+def adaptive_integrate(f, lo, hi, rel_tol: float, seed: int,
+                       max_evals: int = 80_000_000) -> QuadResult:
+    """Integrate f over the box [lo, hi] in R^2 to the given tolerance,
+    starting from a grid of seed x seed cells.
 
-    f maps an (N, dim) float array to an (N,) array and must be pointwise:
-    a row's value depends on that row alone.  It is called with blocks of at
-    most 2^14 rows whose columns pts[:, k] are contiguous (an F-ordered
-    view).  Raises RuntimeError rather than exceed max_evals evaluations or
+    f(x, y) maps two contiguous (N,) coordinate arrays, N at most 2^14, to
+    an (N,) array and must be pointwise: a node's value depends on that node
+    alone.  Raises RuntimeError rather than exceed max_evals evaluations or
     60 rounds of refinement before convergence.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    dim = lo.size
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dimension {dim} not supported")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.shape != (2,) or hi.shape != (2,):
+        raise ValueError("need a box in R^2")
     if np.any(hi <= lo):
         raise ValueError("empty box")
-    n_seed = seed if seed is not None else _DEFAULT_SEED[dim]
-    per_cell = _ORDER**dim + _ORDER_HI**dim
+    per_cell = _ORDER**2 + _ORDER_HI**2
 
-    # seed grid: n_seed slices per axis
-    edges = [np.linspace(lo[k], hi[k], n_seed + 1) for k in range(dim)]
-    mesh_lo = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    mesh_hi = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-    new_lo = np.stack([m.ravel() for m in mesh_lo], axis=-1)
-    new_hi = np.stack([m.ravel() for m in mesh_hi], axis=-1)
-    lows = highs = np.empty((0, dim))
+    # seed grid: seed slices per axis, the second axis running fastest
+    ex, ey = (np.linspace(lo[k], hi[k], seed + 1) for k in (0, 1))
+    new_lo = np.column_stack([np.repeat(ex[:-1], seed), np.tile(ey[:-1], seed)])
+    new_hi = np.column_stack([np.repeat(ex[1:], seed), np.tile(ey[1:], seed)])
+    lows = highs = np.empty((0, 2))
     values = errors = np.empty(0)
     n_evals = 0
     where = ""

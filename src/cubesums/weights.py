@@ -42,6 +42,8 @@ __all__ = [
 # page-faults heavily, as the allocator hands them back to the system after
 # each chunk and faults them in again for the next
 _CHUNK_CELLS = 1 << 15
+# Gauss-Legendre order of each panel of the r-integral
+_R_ORDER = 8
 # the support reaches |y_l| = 11 R, so nu_star(R) needs 11 R finite; this is
 # the largest such R
 _R_MAX = sys.float_info.max / 11
@@ -230,8 +232,9 @@ def _w2_product(forms: np.ndarray, r: np.ndarray | float,
 
 
 def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      panels: int, order: int) -> np.ndarray:
-    """int_{lo_i}^{hi_i} prod_k w2(forms[i,k]/r) dr/r, composite GL in log r.
+                      panels: int) -> np.ndarray:
+    """int_{lo_i}^{hi_i} prod_k w2(forms[i,k]/r) dr/r, composite GL in log r
+    with `panels` panels of order _R_ORDER.
 
     Row order changes no bit: a row's r-grid is formed elementwise from its
     lo and hi, and einsum reduces each row on its own.  So the rows are
@@ -241,7 +244,7 @@ def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     tests forms < hi (1 + 1e-9) for rise and forms > 10 lo (1 - 1e-9) for
     fall are a superset of the cells in each band.
     """
-    x, w = gauss_rule(order)
+    x, w = gauss_rule(_R_ORDER)
     offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
     wts = np.tile(np.asarray(w), panels) / panels
     top, bottom = hi * (1.0 + 1e-9), 10.0 * (1.0 - 1e-9) * lo
@@ -274,24 +277,33 @@ def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _r_rule_params(R: float) -> tuple[int, int]:
+def _r_rule_params(R: float) -> int:
     """Panel count for the r-integral, validated by panel doubling on a
-    deterministic probe set (target 1e-9 absolute-ish agreement)."""
-    pts = sample_support_candidates(R, 512, seed=1234)
+    deterministic probe set (target 1e-9 absolute-ish agreement).
+
+    Raises ValueError when no probe point is live (as at R = 1e300: past
+    about R = 5e101 the draw overflows, and those points drop out) or when
+    no count up to 64 panels agrees with its double.
+    """
+    # the overflowed rows come out non-finite and fail hi > lo below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = sample_support_candidates(R, 512, seed=1234)
     forms = _six_forms(pts)
     lo = np.maximum(forms[:, 5] / 11.0, 1.0)
     hi = np.minimum(2.0 * forms[:, 0], R)
     live = hi > lo
+    if not live.any():
+        raise ValueError(f"no live probe point to validate the r-rule at "
+                         f"R={R}")
     forms, lo, hi = forms[live], lo[live], hi[live]
-    order = 8
     panels = 8
+    coarse = _r_integral_fixed(forms, lo, hi, panels)
     while panels <= 64:
-        a = _r_integral_fixed(forms, lo, hi, panels, order)
-        b = _r_integral_fixed(forms, lo, hi, 2 * panels, order)
-        if np.max(np.abs(a - b), initial=0.0) <= 1e-9:
-            return panels, order
-        panels *= 2
-    return panels, order
+        fine = _r_integral_fixed(forms, lo, hi, 2 * panels)
+        if np.max(np.abs(coarse - fine)) <= 1e-9:
+            return panels
+        coarse, panels = fine, 2 * panels
+    raise ValueError(f"no r-rule up to 64 panels converged at R={R}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,10 +346,9 @@ class Weight:
         hi = np.minimum(2.0 * forms[:, 0], R)
         live = hi > lo
         if live.any():
-            panels, order = _r_rule_params(R)
             vals = np.zeros(len(y))
             vals[live] = _r_integral_fixed(forms[live], lo[live], hi[live],
-                                           panels, order)
+                                           _r_rule_params(R))
             out[alive] = w0v[alive] * vals
         return out
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubesums import expsums
+from cubesums import cache
 
 
 @pytest.fixture(autouse=True)
@@ -10,6 +10,6 @@ def _isolate_cache(monkeypatch):
     # no test reads or writes a store that CUBESUMS_CACHE_DIR or an earlier
     # test pointed at; a test that wants a store configures its own
     monkeypatch.delenv("CUBESUMS_CACHE_DIR", raising=False)
-    expsums.configure_cache(None)
+    cache.configure(None)
     yield
-    expsums.configure_cache(None)
+    cache.configure(None)

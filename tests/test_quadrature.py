@@ -26,55 +26,74 @@ def test_gauss_rule_cached_read_only():
         x[0] = 0.0
 
 
-def test_adaptive_1d_polynomial():
-    res = adaptive_integrate(lambda p: p[:, 0] ** 2, (0.0,), (1.0,), rel_tol=1e-10)
-    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert res.n_evals > 0 and res.n_cells >= 1
+def _erf_integral(c, m):
+    # integral of exp(-c (t - m)^2) over [0, 1]
+    return math.sqrt(math.pi / c) * 0.5 * (math.erf(math.sqrt(c) * (1.0 - m))
+                                           + math.erf(math.sqrt(c) * m))
 
 
-def test_adaptive_1d_narrow_bump():
-    # integral of exp(-1000 (x - 0.3)^2) over [0, 1]
-    c = 1000.0
-    exact = math.sqrt(math.pi / c) * 0.5 * (math.erf(math.sqrt(c) * 0.7) + math.erf(math.sqrt(c) * 0.3))
-    res = adaptive_integrate(lambda p: np.exp(-c * (p[:, 0] - 0.3) ** 2), (0.0,), (1.0,), rel_tol=1e-9)
-    assert res.value == pytest.approx(exact, rel=1e-8)
+def _narrow_bump(x, y):
+    return np.exp(-1000.0 * (x - 0.3) ** 2 - 500.0 * (y - 0.6) ** 2)
+
+
+def test_adaptive_2d_polynomial_exactness():
+    # the 8-point rule integrates degree <= 15 per axis exactly, so one cell
+    # converges in one round
+    res = adaptive_integrate(lambda x, y: x**15 * y**14, (0.0, 0.0),
+                             (1.0, 1.0), rel_tol=1e-12, seed=1)
+    assert res.value == pytest.approx(1.0 / 240.0, rel=1e-14)
+    assert res.n_cells == 1 and res.n_evals == 8**2 + 11**2
+
+
+def test_adaptive_2d_narrow_bump():
+    res = adaptive_integrate(_narrow_bump, (0.0, 0.0), (1.0, 1.0),
+                             rel_tol=1e-9, seed=4)
+    exact = _erf_integral(1000.0, 0.3) * _erf_integral(500.0, 0.6)
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.n_cells > 16  # the 4 x 4 seed grid was refined
 
 
 def test_adaptive_2d_separable():
-    res = adaptive_integrate(lambda p: p[:, 0] * p[:, 1], (0.0, 0.0), (1.0, 1.0), rel_tol=1e-10)
+    res = adaptive_integrate(lambda x, y: x * y, (0.0, 0.0), (1.0, 1.0),
+                             rel_tol=1e-10, seed=16)
     assert res.value == pytest.approx(0.25, rel=1e-12)
 
 
 def test_adaptive_2d_thin_support():
     # smooth bump confined to a 0.02-wide strip; adaptive must find it
-    def f(p):
-        t = (p[:, 0] - 0.515) / 0.01
-        return np.where(np.abs(t) < 1.0, (1.0 - t**2) ** 2, 0.0) * p[:, 1]
+    def f(x, y):
+        t = (x - 0.515) / 0.01
+        return np.where(np.abs(t) < 1.0, (1.0 - t**2) ** 2, 0.0) * y
 
-    res = adaptive_integrate(f, (0.0, 0.0), (1.0, 1.0), rel_tol=1e-6)
+    res = adaptive_integrate(f, (0.0, 0.0), (1.0, 1.0), rel_tol=1e-6, seed=16)
     assert res.value == pytest.approx(0.01 * (16.0 / 15.0) * 0.5, rel=1e-5)
 
 
-def test_adaptive_3d_product():
-    res = adaptive_integrate(
-        lambda p: p[:, 0] * p[:, 1] * p[:, 2], (0.0,) * 3, (1.0,) * 3, rel_tol=1e-8
-    )
-    assert res.value == pytest.approx(0.125, rel=1e-10)
-
-
 def test_adaptive_zero_function_terminates():
-    res = adaptive_integrate(lambda p: np.zeros(len(p)), (0.0, 0.0), (1.0, 1.0), rel_tol=1e-12)
+    res = adaptive_integrate(lambda x, y: np.zeros(len(x)), (0.0, 0.0),
+                             (1.0, 1.0), rel_tol=1e-12, seed=16)
     assert res.value == 0.0
+    assert res.n_evals == 16**2 * (8**2 + 11**2)
 
 
 def test_adaptive_budget_exhaustion():
     rng = np.random.default_rng(5)
 
-    def noisy(p):
-        return rng.standard_normal(len(p))
+    def noisy(x, y):
+        return rng.standard_normal(len(x))
 
-    with pytest.raises(RuntimeError):
-        adaptive_integrate(noisy, (0.0,), (1.0,), rel_tol=1e-14, max_evals=20000)
+    with pytest.raises(RuntimeError, match="eval budget"):
+        adaptive_integrate(noisy, (0.0, 0.0), (1.0, 1.0), rel_tol=1e-14,
+                           seed=2, max_evals=20000)
+
+
+def test_adaptive_rejects_a_box_not_in_the_plane():
+    for lo, hi in (((0.0,), (1.0,)), ((0.0,) * 3, (1.0,) * 3)):
+        with pytest.raises(ValueError, match="box in R\\^2"):
+            adaptive_integrate(lambda x, y: x, lo, hi, rel_tol=1e-6, seed=4)
+    with pytest.raises(ValueError, match="empty box"):
+        adaptive_integrate(lambda x, y: x, (0.0, 1.0), (1.0, 1.0),
+                           rel_tol=1e-6, seed=4)
 
 
 def test_log_panel_rule():
@@ -95,62 +114,69 @@ def test_scaled_gauss_nodes_rowwise():
     assert np.all(wts[2] == 0.0)
 
 
-def test_adaptive_1d_narrow_bump_frozen_bits():
-    res = adaptive_integrate(lambda p: np.exp(-1000.0 * (p[:, 0] - 0.3) ** 2),
-                             (0.0,), (1.0,), rel_tol=1e-9)
-    assert res.value.hex() == "0x1.cb292f7603cc4p-5"
+def test_adaptive_2d_narrow_bump_frozen_bits():
+    # recorded when the integrand still took an (N, 2) array of points
+    res = adaptive_integrate(_narrow_bump, (0.0, 0.0), (1.0, 1.0),
+                             rel_tol=1e-9, seed=4)
+    assert res.value.hex() == "0x1.232b34eb5a4a1p-8"
+    assert (res.n_evals, res.n_cells) == (14060, 46)
 
 
-def test_adaptive_3d_gaussian_frozen_bits():
-    def f(p):
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        return np.exp(-40.0 * ((x - 0.3) ** 2 + 2.0 * (y - 0.6) ** 2
-                               + 3.0 * (z - 0.5) ** 2))
-
-    res = adaptive_integrate(f, (0.0,) * 3, (1.0,) * 3, rel_tol=1e-8)
-    assert res.value.hex() == "0x1.255ffe6ce9d25p-7"
+def test_adaptive_2d_gaussian_frozen_bits():
+    # a broad anisotropic Gaussian, recorded as above
+    res = adaptive_integrate(
+        lambda x, y: np.exp(-40.0 * ((x - 0.3) ** 2 + 2.0 * (y - 0.6) ** 2)),
+        (0.0, 0.0), (1.0, 1.0), rel_tol=1e-8, seed=4)
+    assert res.value.hex() == "0x1.c54af0f0a106bp-5"
 
 
 def test_adaptive_budget_is_exact():
     # a run given its own eval count as the budget still converges, and no
     # run evaluates more points than its budget
-    def f(p):
-        return np.exp(-1e5 * (p[:, 0] - 0.3) ** 2)
+    def f(x, y):
+        return np.exp(-1e5 * (x - 0.3) ** 2)
 
-    res = adaptive_integrate(f, (0.0,), (1.0,), rel_tol=1e-12)
-    assert adaptive_integrate(f, (0.0,), (1.0,), rel_tol=1e-12,
+    box = (0.0, 0.0), (1.0, 1.0)
+    res = adaptive_integrate(f, *box, rel_tol=1e-12, seed=2)
+    assert res.value.hex() == "0x1.6f5425f80309cp-8"
+    assert adaptive_integrate(f, *box, rel_tol=1e-12, seed=2,
                               max_evals=res.n_evals) == res
-    for budget in (500, 700, 900, res.n_evals - 1):
+    for budget in (500, 1000, 2000, 5000, res.n_evals - 1):
         calls = []
 
-        def counted(p):
-            calls.append(len(p))
-            return f(p)
+        def counted(x, y):
+            calls.append(len(x))
+            return f(x, y)
 
         with pytest.raises(RuntimeError, match="eval budget"):
-            adaptive_integrate(counted, (0.0,), (1.0,), rel_tol=1e-12,
+            adaptive_integrate(counted, *box, rel_tol=1e-12, seed=2,
                                max_evals=budget)
         assert sum(calls) <= budget
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_integrand_gets_column_contiguous_blocks(dim):
-    # every call holds at most 2^14 rows, each column is contiguous, and the
-    # blocks together hold every node once
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_integrand_gets_column_contiguous_blocks(blocks):
+    # each coordinate reaches the integrand as its own contiguous array, in
+    # calls of at most 2^14 nodes that together hold every node once: the
+    # seed grid's 11-point rule spans `blocks` blocks
     calls = []
 
-    def f(p):
-        assert p.ndim == 2 and p.shape[1] == dim and p.shape[0] <= 1 << 14
-        for k in range(dim):
-            assert p[:, k].flags.c_contiguous
-        calls.append(len(p))
-        return np.exp(-np.sum((p - 0.4) ** 2, axis=1))
+    def f(x, y):
+        assert x.ndim == y.ndim == 1 and len(x) == len(y)
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        calls.append(len(x))
+        return np.exp(-((x - 0.4) ** 2 + (y - 0.4) ** 2))
 
-    seed = {1: 3000, 2: 20, 3: 6}[dim]
-    res = adaptive_integrate(f, (0.0,) * dim, (1.0,) * dim, rel_tol=1e-10,
+    seed = {1: 11, 2: 16, 3: 20}[blocks]
+    res = adaptive_integrate(f, (0.0, 0.0), (1.0, 1.0), rel_tol=1e-10,
                              seed=seed)
-    assert max(calls) == 1 << 14
+    assert res.n_cells == seed**2  # converged on the seed grid
+    n8, n11 = 8**2 * seed**2, 11**2 * seed**2
+    expected = [min(1 << 14, n - k) for n in (n8, n11)
+                for k in range(0, n, 1 << 14)]
+    assert calls == expected
+    assert len(expected) - math.ceil(n8 / (1 << 14)) == blocks
     assert sum(calls) == res.n_evals
     assert res.value == pytest.approx(
-        (math.sqrt(math.pi) / 2 * (math.erf(0.6) + math.erf(0.4))) ** dim,
+        (math.sqrt(math.pi) / 2 * (math.erf(0.6) + math.erf(0.4))) ** 2,
         rel=1e-9)

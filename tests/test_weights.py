@@ -126,6 +126,42 @@ def test_nu_star_rejects_non_finite_R():
                 make(R)
 
 
+def test_r_rule_probes_each_level_once(monkeypatch):
+    # each doubling step reuses the finer integral as the next coarse one:
+    # levels 8, 16, 32 and 64 at R = 2 (32 agrees with 64), and 128 too at
+    # R = 4
+    calls = []
+
+    def counted(forms, lo, hi, panels):
+        calls.append(panels)
+        return integral(forms, lo, hi, panels)
+
+    integral = weights._r_integral_fixed
+    monkeypatch.setattr(weights, "_r_integral_fixed", counted)
+    for R, panels, levels in ((2.0, 32, [8, 16, 32, 64]),
+                              (4.0, 64, [8, 16, 32, 64, 128])):
+        _r_rule_params.cache_clear()
+        calls.clear()
+        assert _r_rule_params(R) == panels
+        assert calls == levels
+
+
+def test_r_rule_refuses_what_it_cannot_validate(monkeypatch):
+    # past R = 5e101 the probe draw overflows and no probe point is live;
+    # a live point of nu_star(2) is live for every larger R, so evaluate
+    # reaches the r-rule, which refuses without a RuntimeWarning
+    pts = sample_support_candidates(2.0, 64, seed=3)
+    assert np.count_nonzero(nu_star(2.0).evaluate(pts)) > 0
+    with pytest.raises(ValueError, match=r"no live probe point .* R=1e\+300"):
+        nu_star(1e300).evaluate(pts)
+    # an r-integral that never settles is refused too, not given 128 panels
+    monkeypatch.setattr(weights, "_r_integral_fixed",
+                        lambda forms, lo, hi, panels: np.full(len(forms),
+                                                              1.0 / panels))
+    with pytest.raises(ValueError, match="up to 64 panels .* R=3.0"):
+        _r_rule_params.__wrapped__(3.0)  # past any memo of R = 3
+
+
 def test_nu_star_evaluate_is_row_pure():
     # the lattice orbit walk evaluates nu once per orbit representative, so
     # a row's value must not depend on the rows batched with it
@@ -139,8 +175,8 @@ def test_nu_star_evaluate_is_row_pure():
     assert np.array_equal(nu.evaluate(pts[7:]), whole[7:])
     # every point of y reaches the r-integral, so these batches straddle its
     # chunk boundary at `rows` and shift the rows within a chunk
-    panels, order = _r_rule_params(2.0)
-    rows = _CHUNK_CELLS // (panels * order)
+    panels = _r_rule_params(2.0)
+    rows = _CHUNK_CELLS // (panels * weights._R_ORDER)
     y, vy = pts[live], whole[live]
     assert len(y) > rows + 8
     for lo, hi in ((0, rows), (0, rows + 1), (rows - 1, len(y)),
@@ -180,7 +216,7 @@ def test_w2_product_equals_bump_product(monkeypatch):
     # the r-grids of _r_integral_fixed's own node layout, on r-ranges that
     # straddle 1/2, 1, 10 and 11 and on narrow ones where whole columns
     # stay on the plateau
-    panels, order = _r_rule_params(2.0)
+    panels = _r_rule_params(2.0)
     seen = []
 
     def checked(forms, r, *args):
@@ -196,7 +232,7 @@ def test_w2_product_equals_bump_product(monkeypatch):
     forms = np.sort(rng.choice(np.array([0.6, 1.02, 1.5, 3.0, 5.0, 10.2, 10.8,
                                          20.0]), size=(400, 6)), axis=1)
     forms[:200] = rng.uniform(0.3, 24.0, size=(200, 6))
-    _r_integral_fixed(forms, lo, hi, panels, order)
+    _r_integral_fixed(forms, lo, hi, panels)
     assert len(seen) > 1  # several chunks
     rows = np.concatenate([r for _, r in seen])
     for edge in (0.5, 1.0, 10.0, 11.0):
@@ -207,10 +243,10 @@ def test_w2_product_equals_bump_product(monkeypatch):
     assert np.any(in_band.any(axis=1) & ~in_band.all(axis=1))
 
 
-def _r_integral_by_bump(forms, lo, hi, panels, order):
+def _r_integral_by_bump(forms, lo, hi, panels):
     # definitional: every row's r-grid at once, in _r_integral_fixed's node
     # layout, the bump product, and a weighted sum per row
-    x, w = gauss_rule(order)
+    x, w = gauss_rule(weights._R_ORDER)
     offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
     wts = np.tile(np.asarray(w), panels) / panels
     span = np.log(hi) - np.log(lo)
@@ -248,11 +284,10 @@ def test_r_integral_reach_at_band_edges(monkeypatch):
                        * np.spacing(lo), rng.uniform(1e-6, 0.3, n) * lo)
     edge = np.where(rng.random((n, 6)) < 0.5, hi[:, None], 10.0 * lo[:, None])
     forms = edge + rng.integers(-4, 5, (n, 6)) * np.spacing(edge)
-    panels, order = _r_rule_params(2.0)
+    panels = _r_rule_params(2.0)
     seen = _checked_chunks(monkeypatch)
-    got = _r_integral_fixed(forms, lo, hi, panels, order)
-    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels,
-                                                   order))
+    got = _r_integral_fixed(forms, lo, hi, panels)
+    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels))
     assert len(seen) > 1
     assert {b for bands in seen for b in bands} == set(weights._BANDS)
 
@@ -271,11 +306,10 @@ def test_r_integral_groups_rows_by_reach(monkeypatch):
     forms[plateau] = rng.uniform(1.01 * hi[plateau, None],
                                  0.99 * 10.0 * lo[plateau, None],
                                  (plateau.sum(), 6))
-    panels, order = _r_rule_params(2.0)
+    panels = _r_rule_params(2.0)
     seen = _checked_chunks(monkeypatch)
-    got = _r_integral_fixed(forms, lo, hi, panels, order)
-    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels,
-                                                   order))
+    got = _r_integral_fixed(forms, lo, hi, panels)
+    assert np.array_equal(got, _r_integral_by_bump(forms, lo, hi, panels))
     assert len(set(seen)) > 20 and () in seen
     assert {b for bands in seen for b in bands} == set(weights._BANDS)
 
