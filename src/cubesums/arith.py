@@ -59,12 +59,6 @@ class Factored:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def divisors(self) -> list[int]:
-        ds = [1]
-        for p, e in self.factors:
-            ds = [d * p**k for d in ds for k in range(e + 1)]
-        return sorted(ds)
-
 
 @lru_cache(maxsize=65536)
 def factor(n: int) -> Factored:
@@ -105,7 +99,10 @@ def factor(n: int) -> Factored:
 
 
 def divisors(n: int) -> list[int]:
-    return factor(n).divisors()
+    ds = [1]
+    for p, e in factor(n).factors:
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
 
 
 def v_p(n: int, p: int) -> int:

@@ -161,12 +161,11 @@ def _sigma_fast(atil: np.ndarray, R: float) -> np.ndarray:
 
 def _sigma_direct(atil: float, weight: Weight, rel_tol: float) -> float:
     B = weight.B
-    floor1 = 1.0 / (2.0 * B)  # support has |y1| >= 1/B; skip the branch zero
 
     def integrand(y2: np.ndarray, y3: np.ndarray) -> np.ndarray:
         y1 = np.cbrt(atil - _cube(y2) - _cube(y3))
         out = np.zeros(len(y2))
-        m = np.abs(y1) >= floor1
+        m = np.abs(y1) > 0.5  # nu_star is 0 for |y1| <= 1/2
         if m.any():
             ym = np.column_stack([y1[m], y2[m], y3[m]])
             out[m] = weight.evaluate(ym) / (3.0 * y1[m] ** 2)

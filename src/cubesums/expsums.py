@@ -137,6 +137,17 @@ def _prime_power_counts(p: int, l: int) -> np.ndarray:
     return out
 
 
+def _crt_product(n: int, parts, dtype=np.int64) -> np.ndarray:
+    """The read-only product over a mod n of parts, each a vector mod a
+    divisor of n read at a mod its length; on the prime-power vectors of
+    a multiplicative function this is its CRT assembly."""
+    out = np.ones(n, dtype=dtype)
+    for part in parts:
+        out *= np.tile(part, n // len(part))
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=512)
 def point_count_vector(m: int) -> np.ndarray:
     """N_a(m) for all a mod m, as one array; sums to m^3.
@@ -146,16 +157,8 @@ def point_count_vector(m: int) -> np.ndarray:
     independent oracle.
     """
     m = _check_modulus(m)
-    fac = factor(m).factors
-    if len(fac) == 1:
-        n = _prime_power_counts(*fac[0])
-    else:
-        n = np.ones(m, dtype=np.int64)
-        idx = np.arange(m)
-        for p, e in fac:
-            n *= _prime_power_counts(p, e)[idx % p**e]
-    n.flags.writeable = False
-    return n
+    return _crt_product(m, [_prime_power_counts(p, e)
+                            for p, e in factor(m).factors])
 
 
 def _cube_sum_histogram(n: int) -> np.ndarray:
@@ -213,20 +216,11 @@ def t_prime_power(p: int, l: int) -> np.ndarray:
 def t_full(n: int) -> np.ndarray:
     """Vector of T_a(n) over a mod n, assembled multiplicatively."""
     n = _check_modulus(n)
-    if n == 1:
-        one = np.array([1], dtype=np.int64)
-        one.flags.writeable = False
-        return one
     fac = factor(n).factors
     # |T_a(q)| <= q^4 per factor, so the product bound decides the dtype
     big = math.prod(int(p) ** (4 * e) for p, e in fac) > INT64_MAX
-    out = np.ones(n, dtype=object if big else np.int64)
-    idx = np.arange(n)
-    for p, e in fac:
-        tq = t_prime_power(p, e)
-        out = out * (tq.astype(object) if big else tq)[idx % p**e]
-    out.flags.writeable = False
-    return out
+    return _crt_product(n, [t_prime_power(p, e) for p, e in fac],
+                        object if big else np.int64)
 
 
 def t_single(a: int, n: int):
@@ -234,8 +228,8 @@ def t_single(a: int, n: int):
     return int(t_full(n)[a % n])
 
 
-def t_direct(n: int, a_values: np.ndarray | None = None) -> np.ndarray:
-    """Definitional floating evaluation of T_a(n) (all a mod n by default).
+def t_direct(n: int) -> np.ndarray:
+    """Definitional floating evaluation of T_a(n) for all a mod n.
 
     Enumerates the value histogram of F0 over (Z/n)^3 directly (no
     convolution) and sums unit characters in complex doubles.  Intended as an
@@ -246,12 +240,10 @@ def t_direct(n: int, a_values: np.ndarray | None = None) -> np.ndarray:
         raise ValueError("direct evaluation limited to n <= 128")
     hist = _cube_sum_histogram(n).astype(float)
     units = np.array([u for u in range(n) if math.gcd(u, n) == 1]) if n > 1 else np.array([0])
-    if a_values is None:
-        a_values = np.arange(n)
     root = np.exp(2j * np.pi / n)
     # S_u = sum_t hist[t] e_n(u t);  T_a = Re sum_u S_u e_n(-u a)
     su = (root ** np.outer(units, np.arange(n))) @ hist
-    return (su @ root ** (-np.outer(units, a_values))).real
+    return (su @ root ** (-np.outer(units, np.arange(n)))).real
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import CheckFailed
 from .arith import admissible, factor, mobius, primes_below, rad, sq_cub_parts
-from .expsums import MAX_MODULUS, sigma_p_a, t_full, t_single
+from .expsums import MAX_MODULUS, _crt_product, sigma_p_a, t_full, t_single
 
 
 @dataclass(frozen=True)
@@ -339,10 +339,7 @@ class MomentReport:
 def moment_tuple(moduli: tuple[int, ...]) -> tuple[float, Fraction]:
     """(E_b prod |T~_b(m_i)|, E_b prod T~_b(m_i)) over b mod prod m_i."""
     total = math.prod(moduli)
-    prod = np.ones(total, dtype=object)
-    b = np.arange(total)
-    for m in moduli:
-        prod = prod * t_full(m).astype(object)[b % m]
+    prod = _crt_product(total, [t_full(m) for m in moduli], object)
     denom = total * math.prod(m * m for m in moduli)
     signed = Fraction(int(sum(prod)), denom)
     abs_mean = float(sum(abs(int(x)) for x in prod)) / denom

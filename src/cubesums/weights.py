@@ -276,22 +276,27 @@ def _r_integral_fixed(forms: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
+def _r_range(y: np.ndarray, R: float):
+    """The sorted forms of the rows of y and the r-range [lo, hi] of their
+    r-integral, with live = hi > lo: the integrand vanishes unless all six
+    forms lie in r (1/2, 11) for some r in [1, R]."""
+    forms = _six_forms(y)
+    lo = np.maximum(forms[:, 5] / 11.0, 1.0)
+    hi = np.minimum(2.0 * forms[:, 0], R)
+    return forms, lo, hi, hi > lo
+
+
 @lru_cache(maxsize=None)
 def _r_rule_params(R: float) -> int:
     """Panel count for the r-integral, validated by panel doubling on a
     deterministic probe set (target 1e-9 absolute-ish agreement).
 
-    Raises ValueError when no probe point is live (as at R = 1e300: past
-    about R = 5e101 the draw overflows, and those points drop out) or when
-    no count up to 64 panels agrees with its double.
+    Raises ValueError when the probe draw refuses R (above about 4.07e101),
+    when no probe point is live, or when no count up to 64 panels agrees
+    with its double.
     """
-    # the overflowed rows come out non-finite and fail hi > lo below
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = sample_support_candidates(R, 512, seed=1234)
-    forms = _six_forms(pts)
-    lo = np.maximum(forms[:, 5] / 11.0, 1.0)
-    hi = np.minimum(2.0 * forms[:, 0], R)
-    live = hi > lo
+    forms, lo, hi, live = _r_range(
+        sample_support_candidates(R, 512, seed=1234), R)
     if not live.any():
         raise ValueError(f"no live probe point to validate the r-rule at "
                          f"R={R}")
@@ -339,14 +344,9 @@ class Weight:
         alive = w0v > 0.0
         if not alive.any():
             return out
-        y = pts[alive]
-        forms = _six_forms(y)
-        # integrand vanishes unless all forms lie in r*(1/2, 11)
-        lo = np.maximum(forms[:, 5] / 11.0, 1.0)
-        hi = np.minimum(2.0 * forms[:, 0], R)
-        live = hi > lo
+        forms, lo, hi, live = _r_range(pts[alive], R)
         if live.any():
-            vals = np.zeros(len(y))
+            vals = np.zeros(len(forms))
             vals[live] = _r_integral_fixed(forms[live], lo[live], hi[live],
                                            _r_rule_params(R))
             out[alive] = w0v[alive] * vals
@@ -366,10 +366,15 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     """Random points concentrated where nu_star(R) can be nonzero.
 
     (y2, y3) are drawn log-uniformly on [1/2, 11R] with random signs; y1 is
-    then drawn uniformly from the exact interval making |F0| < 3.
+    then drawn uniformly from the exact interval making |F0| < 3.  Raises
+    ValueError when 2 (11R)^3 overflows a float, that is for R above
+    cbrt(max float / 2) / 11, about 4.07e101.
     """
+    top = 11.0 * float(R)  # Python floats overflow to inf without a warning
+    if not math.isfinite(2.0 * top * top * top):
+        raise ValueError(f"R={R} puts 2 (11R)^3 past the largest float")
     rng = np.random.default_rng(seed)
-    u = rng.uniform(math.log(0.5), math.log(11 * R), size=(n, 2))
+    u = rng.uniform(math.log(0.5), math.log(top), size=(n, 2))
     yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
     s = yz[:, 0] ** 3 + yz[:, 1] ** 3
     lo, hi = np.cbrt(-3.0 - s), np.cbrt(3.0 - s)

@@ -439,3 +439,33 @@ def test_cached_vectors_are_read_only():
     t = E.t_full(12)
     with pytest.raises(ValueError):
         t[0] = 99
+
+
+def test_vectors_at_one_are_read_only_int64_ones():
+    for vec in (E.t_full(1), E.point_count_vector(1)):
+        assert vec.dtype == np.int64 and vec.tolist() == [1]
+        assert not vec.flags.writeable
+
+
+def test_t_full_of_a_prime_power_escalates_by_its_bound():
+    # |T_a(2^16)| <= 2^64 > 2^63 - 1 decides the dtype, although the
+    # prime-power vector itself fits in int64
+    n = 2**16
+    assert n > 55108
+    t = E.t_full(n)
+    assert t.dtype == object and not t.flags.writeable
+    assert np.array_equal(t, E.t_prime_power(2, 16))
+
+
+def test_t_full_at_max_modulus_is_the_crt_product():
+    n = E.MAX_MODULUS  # 7^2 * 127 * 337
+    try:
+        t = E.t_full(n)
+        assert t.dtype == object and isinstance(t[0], int)
+        a = np.arange(n)
+        want = np.ones(n, dtype=object)
+        for p, e in ((7, 2), (127, 1), (337, 1)):
+            want = want * E.t_prime_power(p, e).astype(object)[a % p**e]
+        assert np.array_equal(t, want)
+    finally:
+        E.t_full.cache_clear()  # an object vector of 2^21 Python ints

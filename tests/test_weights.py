@@ -147,12 +147,12 @@ def test_r_rule_probes_each_level_once(monkeypatch):
 
 
 def test_r_rule_refuses_what_it_cannot_validate(monkeypatch):
-    # past R = 5e101 the probe draw overflows and no probe point is live;
-    # a live point of nu_star(2) is live for every larger R, so evaluate
-    # reaches the r-rule, which refuses without a RuntimeWarning
+    # past R = 4.07e101 the probe draw refuses R; a live point of nu_star(2)
+    # is live for every larger R, so evaluate reaches the r-rule, which
+    # refuses without a RuntimeWarning
     pts = sample_support_candidates(2.0, 64, seed=3)
     assert np.count_nonzero(nu_star(2.0).evaluate(pts)) > 0
-    with pytest.raises(ValueError, match=r"no live probe point .* R=1e\+300"):
+    with pytest.raises(ValueError, match=r"R=1e\+300 puts 2 \(11R\)\^3"):
         nu_star(1e300).evaluate(pts)
     # an r-integral that never settles is refused too, not given 128 panels
     monkeypatch.setattr(weights, "_r_integral_fixed",
@@ -160,6 +160,11 @@ def test_r_rule_refuses_what_it_cannot_validate(monkeypatch):
                                                               1.0 / panels))
     with pytest.raises(ValueError, match="up to 64 panels .* R=3.0"):
         _r_rule_params.__wrapped__(3.0)  # past any memo of R = 3
+    # and so is a probe set with no live point
+    monkeypatch.setattr(weights, "sample_support_candidates",
+                        lambda R, n, seed: np.zeros((n, 3)))
+    with pytest.raises(ValueError, match=r"no live probe point .* R=3.0"):
+        _r_rule_params.__wrapped__(3.0)
 
 
 def test_nu_star_evaluate_is_row_pure():
@@ -511,6 +516,17 @@ def test_sobolev_estimates_uniform_in_R():
         vals = [sobolev_estimate(nu_star(R), k) for R in (2.0, 8.0, 32.0)]
         assert all(v > 0.0 and math.isfinite(v) for v in vals)
         assert max(vals) / min(vals) < 2.0
+
+
+def test_sampler_refuses_an_R_whose_cubes_overflow():
+    # 2 (11R)^3 is finite up to cbrt(max float / 2) / 11, about 4.07e101
+    top = np.cbrt(sys.float_info.max / 2) / 11
+    for R in (1e150, _R_MAX, math.nextafter(top, math.inf)):
+        with pytest.raises(ValueError, match="2 \\(11R\\)\\^3"):
+            sample_support_candidates(R, 512, seed=1234)
+    for R in (4e101, math.nextafter(top, 0.0)):
+        pts = sample_support_candidates(R, 512, seed=1234)
+        assert pts.shape == (512, 3) and np.isfinite(pts).all()
 
 
 def test_sample_support_candidates_deterministic():
