@@ -42,6 +42,10 @@ __all__ = [
 # page-faults heavily, as the allocator hands them back to the system after
 # each chunk and faults them in again for the next
 _CHUNK_CELLS = 1 << 15
+# rows per block of Weight.evaluate, so its temporaries stay the size of one
+# block whatever the batch; it equals quadrature's integrand block, whose
+# calls therefore run as one block
+_EVAL_ROWS = 1 << 14
 # Gauss-Legendre order of each panel of the r-integral
 _R_ORDER = 8
 # the support reaches |y_l| = 11 R, so nu_star(R) needs 11 R finite; this is
@@ -336,20 +340,27 @@ class Weight:
         return math.ceil(11 * self.R)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """nu at each row of an (N, 3) array, as an (N,) array."""
+        """nu at each row of an (N, 3) array, as an (N,) array; any other
+        shape raises ValueError.  The rows go through in blocks of
+        _EVAL_ROWS, which changes no bit since nu is row-pure."""
         R = self.R
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"evaluate takes an (N, 3) array of points, "
+                             f"got shape {pts.shape}")
         out = np.zeros(len(pts))
-        w0v = bump("w0", f0(pts))
-        alive = w0v > 0.0
-        if not alive.any():
-            return out
-        forms, lo, hi, live = _r_range(pts[alive], R)
-        if live.any():
-            vals = np.zeros(len(forms))
-            vals[live] = _r_integral_fixed(forms[live], lo[live], hi[live],
-                                           _r_rule_params(R))
-            out[alive] = w0v[alive] * vals
+        for start in range(0, len(pts), _EVAL_ROWS):
+            rows = slice(start, start + _EVAL_ROWS)
+            w0v = bump("w0", f0(pts[rows]))
+            alive = w0v > 0.0
+            if not alive.any():
+                continue
+            forms, lo, hi, live = _r_range(pts[rows][alive], R)
+            if live.any():
+                vals = np.zeros(len(forms))
+                vals[live] = _r_integral_fixed(forms[live], lo[live],
+                                               hi[live], _r_rule_params(R))
+                out[rows][alive] = w0v[alive] * vals
         return out
 
 
@@ -367,10 +378,16 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
 
     (y2, y3) are drawn log-uniformly on [1/2, 11R] with random signs; y1 is
     then drawn uniformly from the exact interval making |F0| < 3.  Raises
-    ValueError when 2 (11R)^3 overflows a float, that is for R above
-    cbrt(max float / 2) / 11, about 4.07e101.
+    ValueError naming R when R is not a positive number, and when 2 (11R)^3
+    overflows a float, that is for R above cbrt(max float / 2) / 11, about
+    4.07e101.
     """
-    top = 11.0 * float(R)  # Python floats overflow to inf without a warning
+    try:
+        top = 11.0 * float(R)  # Python floats overflow to inf, no warning
+    except OverflowError:  # an int past the float range
+        top = math.inf
+    if not top > 0.0:  # NaN fails this test too
+        raise ValueError(f"R={R} is not a positive number")
     if not math.isfinite(2.0 * top * top * top):
         raise ValueError(f"R={R} puts 2 (11R)^3 past the largest float")
     rng = np.random.default_rng(seed)

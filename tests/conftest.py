@@ -1,4 +1,6 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures and helpers."""
+
+import tracemalloc
 
 import pytest
 
@@ -13,3 +15,14 @@ def _isolate_cache(monkeypatch):
     cache.configure(None)
     yield
     cache.configure(None)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs; numpy reports its
+    array buffers there, so this bounds a call's temporaries."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -294,20 +294,26 @@ def test_walks_are_block_invariant(nu2, monkeypatch):
 
 def test_count_evaluates_nu_once_per_block(nu2, monkeypatch):
     # count_weighted(20) has about 40k candidates, under one default block,
-    # so the r-integral runs once (the parent walk made 288 calls, one per
-    # leading coordinate and sign piece)
+    # so nu is evaluated once; evaluate takes its rows in blocks of 2^14, so
+    # no r-integral call receives more rows than that
     _r_rule_params(nu2.R)  # the r-rule probes the integral too
-    calls = []
-    integral = weights._r_integral_fixed
+    calls, rows = [], []
+    evaluate, integral = weights.Weight.evaluate, weights._r_integral_fixed
 
-    def counted(forms, *args):
-        calls.append(len(forms))
+    def counted(self, pts):
+        calls.append(len(pts))
+        return evaluate(self, pts)
+
+    def sized(forms, *args):
+        rows.append(len(forms))
         return integral(forms, *args)
 
-    monkeypatch.setattr(weights, "_r_integral_fixed", counted)
+    monkeypatch.setattr(weights.Weight, "evaluate", counted)
+    monkeypatch.setattr(weights, "_r_integral_fixed", sized)
     table = count_weighted(20, nu2, exact=False)
     assert 1 <= len(calls) <= 2
     assert sum(calls) >= len(table.orbit_a)
+    assert rows and max(rows) <= 1 << 14
 
 
 def test_witnesses_satisfy_F0(tab10):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from cubesums.weights import (
 )
 from cubesums import weights
 from cubesums.quadrature import gauss_rule
+from conftest import traced_peak
 
 
 def test_ramp_and_step_basics():
@@ -390,6 +392,22 @@ def test_nu_star_evaluate_frozen_digest():
         "e9f022a07fbea2dcfded4a46d03571b424e48011c9c54423694a2e548cade209")
 
 
+def test_nu_star_evaluate_takes_only_n_by_3_arrays():
+    nu = nu_star(2.0)
+    for shape in ((2, 2, 3), (3,), (4, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            nu.evaluate(np.ones(shape))
+
+
+def test_nu_star_evaluate_memory_is_bounded_by_its_block():
+    # evaluate works in row blocks, so its temporaries do not grow with the
+    # batch: 200,000 points trace a few MB beyond the 1.6 MB output
+    nu = nu_star(2.0)
+    pts = sample_support_candidates(2.0, 200_000, seed=7)
+    _r_rule_params(nu.R)
+    assert traced_peak(lambda: nu.evaluate(pts)) < 8 * 2 ** 20
+
+
 def test_nu_star_support_examples():
     nu = nu_star(2.0)
     # zero coordinate kills a |y_l| form
@@ -521,8 +539,12 @@ def test_sobolev_estimates_uniform_in_R():
 def test_sampler_refuses_an_R_whose_cubes_overflow():
     # 2 (11R)^3 is finite up to cbrt(max float / 2) / 11, about 4.07e101
     top = np.cbrt(sys.float_info.max / 2) / 11
-    for R in (1e150, _R_MAX, math.nextafter(top, math.inf)):
+    for R in (1e150, _R_MAX, math.nextafter(top, math.inf), 10 ** 400):
         with pytest.raises(ValueError, match="2 \\(11R\\)\\^3"):
+            sample_support_candidates(R, 512, seed=1234)
+    # and an R that is no positive number is refused by name
+    for R in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match=f"R={R} is not a positive"):
             sample_support_candidates(R, 512, seed=1234)
     for R in (4e101, math.nextafter(top, 0.0)):
         pts = sample_support_candidates(R, 512, seed=1234)
