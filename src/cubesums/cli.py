@@ -12,12 +12,11 @@ Each subcommand is declared once, in _COMMANDS: handler, formats (default
 first), help, and flags as (name, type or choices, default or REQUIRED).
 _GLOBAL_FLAGS holds the flags that every subcommand takes, before or after
 its name.  One resolver gives each flag its value: the command line, else the
-key=value file named by --config, else the default.  Switches (--all,
---no-special) are flag-only.  CUBESUMS_CACHE_DIR overrides any cache-dir
-setting.  Output is deterministic, except the wall_time field of variance
-and sieved, which is the run's own timing.  verify prints text and every
-other subcommand CSV or JSON: CSV carries a header row and
-17-significant-digit floats, JSON is emitted with sorted keys.
+key=value file named by --config, else the default.  CUBESUMS_CACHE_DIR
+overrides any cache-dir setting.  Output is deterministic, except the
+wall_time field of variance and sieved, which is the run's own timing.
+verify prints text and every other subcommand CSV or JSON: CSV carries a
+header row and 17-significant-digit floats, JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -158,10 +157,8 @@ def _report(rep, fmt, drop=()) -> str:
 
 def _cmd_expsum(args, fmt):
     n = args.modulus
-    if args.a is not None and args.all:
-        raise CLIError("give either --a or --all, not both")
     t = expsums.t_full(n)
-    if args.all or args.a is None:
+    if args.a is None:
         rows = [(a, int(t[a])) for a in range(n)]
     else:
         rows = [(args.a % n, int(t[args.a % n]))]
@@ -215,8 +212,8 @@ def _cmd_count(args, fmt):
 
 
 def _cmd_variance(args, fmt):
-    return _report(variance.variance(args.X, args.K, args.d, nu_star(args.R),
-                                     with_special=not args.no_special), fmt)
+    return _report(variance.variance(args.X, args.K, args.d, nu_star(args.R)),
+                   fmt)
 
 
 def _cmd_sieved(args, fmt):
@@ -314,6 +311,8 @@ def _verify_lattice() -> list[str]:
 def _cmd_verify(args, fmt):
     if not 1 <= args.max_modulus <= expsums.MAX_MODULUS:
         raise CLIError(f"--max-modulus must be >= 1 and <= {expsums.MAX_MODULUS}")
+    if args.seed < 0:
+        raise CLIError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     lines: list[str] = []
     if args.suite in ("local", "all"):
@@ -331,8 +330,7 @@ def _cmd_verify(args, fmt):
 
 REQUIRED = object()  # the default of a flag that must be given
 
-# a flag is (name, type, default) or (name, choices, default); a bool flag
-# is a switch, set on the command line only
+# a flag is (name, type, default) or (name, choices, default)
 _GLOBAL_FLAGS = (  # with their help text
     ("config", str, None, "key=value config file; flags win"),
     ("cache_dir", str, None, "directory that keeps the S1 surface table "
@@ -342,7 +340,6 @@ _GLOBAL_FLAGS = (  # with their help text
      "text for verify, csv or json for the rest"),
     ("threads", int, 1, "accepted and validated (>= 1); every command runs "
                         "in one thread"),
-    ("seed", int, 0, None),
 )
 
 
@@ -351,7 +348,7 @@ _R = ("R", float, 2.0)  # the nu_star(R) weight of every weighted subcommand
 # help text, flags)
 _COMMANDS = {
     "expsum": (_cmd_expsum, ("csv", "json"), "complete sum T_a(n)", (
-        ("modulus", int, REQUIRED), ("a", int, None), ("all", bool, False))),
+        ("modulus", int, REQUIRED), ("a", int, None))),
     "splus": (_cmd_splus, ("json", "csv"), "twisted diagonal sum S+_0(n; d)",
               (("n", int, REQUIRED), ("d", int, 1))),
     "series": (_cmd_series, ("csv", "json"), "truncated series s_a(K), M_a(K)",
@@ -367,14 +364,14 @@ _COMMANDS = {
     "variance": (_cmd_variance, ("json", "csv"),
                  "K-approximate variance decomposition",
                  (("X", int, REQUIRED), ("K", int, REQUIRED), ("d", int, 1),
-                  _R, ("no_special", bool, False))),
+                  _R)),
     "sieved": (_cmd_sieved, ("json", "csv"),
                "variance with small-prime sieve filter",
                (("X", int, REQUIRED), ("K", int, REQUIRED),
                 ("hbar", float, REQUIRED), ("delta", float, 0.1), _R)),
     "verify": (_cmd_verify, ("text",), "exact identity suites", (
         ("suite", ("local", "moments", "lattice", "all"), "local"),
-        ("max_modulus", int, 50))),
+        ("max_modulus", int, 50), ("seed", int, 0))),
     "scan-exceptional": (_cmd_scan_exceptional, ("json", "csv"),
                          "histogram of s_a(K) near 0",
                          (("A", int, REQUIRED), ("K", int, REQUIRED),
@@ -388,9 +385,7 @@ _COMMANDS = {
 
 
 def _add_flag(parser, name, kind, default=None, help=None):
-    if kind is bool:
-        opts = {"action": "store_true"}
-    elif isinstance(kind, tuple):
+    if isinstance(kind, tuple):
         opts = {"choices": kind, "default": default}
     else:
         opts = {"type": kind, "default": default}
@@ -418,10 +413,10 @@ def _build_parser() -> _Parser:
 
 def _resolve(args, cfg, flags) -> None:
     """Give each flag its value: the command line, else the config file,
-    else the default.  Switches take no config value."""
+    else the default."""
     for name, kind, default, *_help in flags:
         v = getattr(args, name, None)  # SUPPRESS leaves unset globals absent
-        if v is None and name in cfg and kind is not bool:
+        if v is None and name in cfg:
             raw = cfg[name]
             try:  # tuple.index raises ValueError for a value not a choice
                 v = kind[kind.index(raw)] if isinstance(kind, tuple) else kind(raw)
@@ -448,8 +443,6 @@ def main(argv=None) -> int:
             cache.configure(cache_dir)
         if args.threads < 1:
             raise CLIError("--threads must be >= 1")
-        if args.seed < 0:
-            raise CLIError(f"--seed must be >= 0, got {args.seed}")
         handler, formats, _help, flags = _COMMANDS[args.subcommand]
         fmt = args.format or formats[0]
         if fmt not in formats:

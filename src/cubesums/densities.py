@@ -186,8 +186,10 @@ def sigma_inf(a: float, X: float, weight: Weight,
     only weight.R and takes no tolerance; "direct" is the literal 2-d
     quadrature, its oracle, to rel_tol (default 1e-6).
     """
-    if X <= 0:
+    if not X > 0:  # NaN included
         raise ValueError("X must be positive")
+    if math.isnan(a):
+        raise ValueError("a must be a number, got nan")
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and rel_tol is not None:

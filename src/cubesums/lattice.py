@@ -319,11 +319,17 @@ def table_at(X: int, weight: Weight,
     return table
 
 
+def _check_d(d) -> None:
+    # a float d would pass a % d == 0 on another progression: for d = 1.5,
+    # on the multiples of 3
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError("d must be a positive integer")
+
+
 def pair_count(X: int, d: int, weight: Weight,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_d(d)
     a_vals, masses = table_at(X, weight, table).nonzero_items()
     keep = a_vals % d == 0
     return float(np.dot(masses[keep], masses[keep]))
@@ -331,8 +337,7 @@ def pair_count(X: int, d: int, weight: Weight,
 
 def pair_count_exact(table: CountTable, d: int) -> int:
     """Exact pair count as an integer at scale 2^-(2*EXACT_SHIFT)."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_d(d)
     if not table.exact:
         raise ValueError("table was built with exact=False")
     return sum(n * n for a, n in table.exact.items() if a % d == 0)
@@ -347,8 +352,7 @@ def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
     square of the fiber's sum (all cross-fiber terms vanish).  Returns the
     exact integer at scale 2^-(2*EXACT_SHIFT).
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_d(d)
     return sum(sum(vals) ** 2 for a, vals in _brute_fibers(X, weight).items()
                if a % d == 0)
 
@@ -391,8 +395,7 @@ def special_count(X: int, d: int, weight: Weight,
     the orbit rows of the table at X (table_at builds one if none is given):
     orb is the row's k, and the 2k points of a row share one nu value.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_d(d)
     table = table_at(X, weight, table)
     keep = table.orbit_a % d == 0  # d | a exactly when d | -a
     k, nu = table.orbit_k[keep], table.orbit_nu[keep]

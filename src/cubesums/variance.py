@@ -102,8 +102,7 @@ def _window_vectors(table: CountTable, K: int, d: int, dtable):
 
 
 def variance(X: int, K: int, d: int, weight: Weight,
-             table: CountTable | None = None,
-             with_special: bool = True) -> VarianceReport:
+             table: CountTable | None = None) -> VarianceReport:
     """K-approximate variance over the progression dZ, with decomposition."""
     if X < 1:
         raise ValueError("X must be a positive integer")
@@ -131,10 +130,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
     rel = abs(var_direct - decomposed) / max(var_direct, 1e-300)
     series = singular_series_level_d(d, n_max=_SERIES_N_MAX)
     main_term = series.euler * pure_l2_moment(weight) * float(X) ** 3
-    if with_special:
-        special = special_count(X, d, weight, table=table).diag
-    else:
-        special = 0.0
+    special = special_count(X, d, weight, table=table).diag
     return VarianceReport(
         X=X, K=K, d=d, R=weight.R, var_direct=var_direct, sigma1=sigma1,
         sigma2=sigma2, sigma3=sigma3, main_term=main_term,

@@ -211,7 +211,7 @@ def test_criterion_05_poisson_deviation_trend(nu2):
 
 def test_criterion_06_variance_decomposition(nu2):
     for X, K, d in ((30, 4, 1), (40, 8, 2)):
-        rep = V.variance(X, K, d, nu2, with_special=False)
+        rep = V.variance(X, K, d, nu2)
         assert rep.decomposition_rel_err < TOL_VARIANCE_DECOMP, (X, K, d)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,8 @@ import pytest
 
 import cubesums
 from cubesums import cache, expsums, lattice
-from cubesums.cli import _COMMANDS, _GLOBAL_FLAGS, load_config, main
+from cubesums.cli import (_COMMANDS, _GLOBAL_FLAGS, _build_parser, _resolve,
+                          load_config, main)
 from cubesums.densities import density_table
 from cubesums.weights import nu_star
 
@@ -22,7 +24,7 @@ def run(argv, capsys):
 
 
 def test_expsum_all_csv(capsys):
-    rc, out = run(["expsum", "--modulus", "7", "--all"], capsys)
+    rc, out = run(["expsum", "--modulus", "7"], capsys)
     assert rc == 0
     assert out.out == ("a,T\n0,42\n1,287\n2,-154\n3,-154\n"
                        "4,-154\n5,-154\n6,287\n")
@@ -105,6 +107,27 @@ def _python(*args, timeout=120):
     env.pop("CUBESUMS_CACHE_DIR", None)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _readme_examples():
+    """The cubesums lines of the README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines()
+            if line.startswith("cubesums ")]
+
+
+def test_readme_examples_parse():
+    # every example names only declared flags and gives every required one;
+    # nothing runs
+    shown = set()
+    for line in _readme_examples():
+        _program, *argv = shlex.split(line, comments=True)
+        args = _build_parser().parse_args(argv)
+        _resolve(args, {}, _COMMANDS[args.subcommand][3])
+        shown.add(args.subcommand)
+    assert shown == set(_COMMANDS)
 
 
 def test_validation_errors(capsys):
@@ -209,7 +232,7 @@ _BAD_VALUES = {
                          "eta": ("-1", "small"), "bin_width": ("0", "wide")},
     "moments": {"K": ("49", "4.0"), "d": ("9", "two")},
     "verify": {"suite": ("everything", "1"),
-               "max_modulus": ("0", _PAST_MODULI, "ten")},
+               "max_modulus": ("0", _PAST_MODULI, "ten"), "seed": ("-1", "x")},
     "density": {"R": _BAD_R, "grid": ("63", "65537", "x")},
     "count": {"X": ("0", "5000", "x"), "R": _BAD_R},
     "variance": {"X": ("0", "x"), "K": ("0", _PAST_MODULI, "x"),
@@ -225,7 +248,6 @@ _BAD_GLOBAL_VALUES = {
     "output": (os.path.join(os.devnull, "x.csv"), os.curdir),
     "format": ("text", "xml"),
     "threads": ("0", "x"),
-    "seed": ("-1", "x"),
 }
 _BAD_VALUE_CASES = [(command, name, value)
                     for command, flags in _BAD_VALUES.items()
@@ -238,8 +260,8 @@ _BAD_VALUE_CASES += [("count", name, value)
 def test_bad_value_cases_cover_the_table():
     assert set(_BAD_VALUES) == set(_COMMANDS) == set(_BAD_VALUE_BASE)
     for command, (_handler, _formats, _help, flags) in _COMMANDS.items():
-        valued = {name for name, kind, _ in flags if kind is not bool}
-        assert set(_BAD_VALUES[command]) == valued, command
+        assert set(_BAD_VALUES[command]) == {name for name, *_ in flags}, \
+            command
     assert set(_BAD_GLOBAL_VALUES) | {"cache_dir"} == {
         name for name, *_rest in _GLOBAL_FLAGS}
 
@@ -274,12 +296,18 @@ def test_bad_value_exits_one_before_any_work(command, name, value,
 
 
 def test_negative_seed_is_refused_by_name(capsys):
-    # verify would hand it to numpy, which names neither flag nor value;
-    # the other commands ignore the seed and accepted it
-    for argv in (["verify", "--suite", "moments"], ["expsum", "--modulus", "7"]):
-        rc, out = run(argv + ["--seed", "-1"], capsys)
-        assert rc == 1 and out.out == ""
-        assert out.err == "cubesums: --seed must be >= 0, got -1\n", argv
+    # verify would hand a negative seed to numpy, which names neither flag
+    # nor value
+    rc, out = run(["verify", "--suite", "moments", "--seed", "-1"], capsys)
+    assert rc == 1 and out.out == ""
+    assert out.err == "cubesums: --seed must be >= 0, got -1\n"
+    # no other command reads a seed, so none takes one
+    for argv in (["expsum", "--modulus", "7", "--seed", "1"],
+                 ["--seed", "1", "verify", "--suite", "moments"]):
+        rc, out = run(argv, capsys)
+        assert rc == 1 and out.out == "", argv
+        assert len(out.err.splitlines()) == 1, argv
+        assert out.err.startswith("cubesums: "), argv
 
 
 def test_memory_error_exits_one(monkeypatch, capsys):
@@ -387,10 +415,10 @@ _FLAG_CASES = (
 
 def test_flag_cases_cover_the_table():
     for command, (_handler, _formats, _help, flags) in _COMMANDS.items():
-        valued = {name for name, kind, _ in flags if kind is not bool}
         cases = [set(v) for c, v in _FLAG_CASES if c == command]
         if cases:
-            assert set().union(*cases) >= valued, command
+            assert set().union(*cases) >= {name for name, *_ in flags}, \
+                command
 
 
 _CONFIG_CASES = [(command, flags, name) for command, flags in _FLAG_CASES
@@ -438,8 +466,8 @@ def test_config_bad_line(tmp_path):
 
 def test_global_flags_after_subcommand(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
-    rc, _ = run(["expsum", "--modulus", "7", "--all",
-                 "--output", str(out_path)], capsys)
+    rc, _ = run(["expsum", "--modulus", "7", "--output", str(out_path)],
+                capsys)
     assert rc == 0
     assert out_path.read_text().startswith("a,T\n0,42\n")
 
@@ -462,16 +490,16 @@ def test_cache_dir_env_beats_flag(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "env_cache"
     flag_dir = tmp_path / "flag_cache"
     monkeypatch.setenv("CUBESUMS_CACHE_DIR", str(env_dir))
-    rc, _ = run(["expsum", "--modulus", "11", "--all",
-                 "--cache-dir", str(flag_dir)], capsys)
+    rc, _ = run(["expsum", "--modulus", "11", "--cache-dir", str(flag_dir)],
+                capsys)
     assert rc == 0
     assert cache.s1_path() == env_dir / "s1_table.bin"
 
 
 def test_cache_dir_flag_used_without_env(tmp_path, capsys):
     flag_dir = tmp_path / "flag_cache"
-    rc, _ = run(["expsum", "--modulus", "13", "--all",
-                 "--cache-dir", str(flag_dir)], capsys)
+    rc, _ = run(["expsum", "--modulus", "13", "--cache-dir", str(flag_dir)],
+                capsys)
     assert rc == 0
     assert cache.s1_path() == flag_dir / "s1_table.bin"
     # T-vectors are recomputed, never written

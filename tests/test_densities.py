@@ -160,6 +160,18 @@ def test_sigma_inf_rejects_fast_method(nu2):
         sigma_inf(0.0, 1.0, nu2, method="fast")
 
 
+def test_sigma_inf_rejects_nan(nu2):
+    # every comparison with NaN is false, so a NaN X or a would slip past
+    # the X and support checks and come back as 0.0
+    with pytest.raises(ValueError, match="X must be positive"):
+        sigma_inf(1.0, math.nan, nu2)
+    with pytest.raises(ValueError, match="a must be a number, got nan"):
+        sigma_inf(math.nan, 1.0, nu2)
+    # an infinite a lies outside the support
+    for a in (math.inf, -math.inf):
+        assert sigma_inf(a, 1.0, nu2) == 0.0
+
+
 def test_sigma_inf_tolerances_reach_direct_only(nu2, monkeypatch):
     # "auto" reads the S1 table, so a tolerance passed to it is an error
     for rel_tol in (1e-3, 1e-6):

@@ -394,19 +394,28 @@ def test_special_count_guards(nu2):
         special_count(0, 1, nu2)  # an empty band, not an IndexError
     with pytest.raises(ValueError):
         special_count(5000, 1, nu2)  # B*X = 110000 over the bound
-    with pytest.raises(ValueError):
-        special_count(2, 0, nu2)
+    for d in (0, 1.5):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            special_count(2, d, nu2)
 
 
 def test_pair_counts_reject_d_zero(nu2, tab10):
-    # d = 0 would divide by zero in a % d; pair_count and special_count
-    # already reject it
-    with pytest.raises(ValueError, match="d must be a positive integer"):
-        pair_count_bruteforce(2, 0, nu2)
-    with pytest.raises(ValueError, match="d must be a positive integer"):
-        pair_count_exact(tab10, 0)
-    with pytest.raises(ValueError, match="d must be a positive integer"):
-        pair_count(10, 0, nu2, table=tab10)
+    # d = 0 would divide by zero in a % d, and d = 1.5 would count the
+    # multiples of 3
+    for d in (0, 1.5):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            pair_count_bruteforce(2, d, nu2)
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            pair_count_exact(tab10, d)
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            pair_count(10, d, nu2, table=tab10)
+    # a numpy integer is an integer
+    d = np.int64(3)
+    assert pair_count_exact(tab10, d) == pair_count_exact(tab10, 3)
+    assert pair_count(10, d, nu2, table=tab10) == pair_count(
+        10, 3, nu2, table=tab10)
+    assert special_count(10, d, nu2, table=tab10) == special_count(
+        10, 3, nu2, table=tab10)
 
 
 def test_prime_demo_against_r3_oracle():

@@ -227,18 +227,18 @@ def test_moment_check_guards():
 
 
 def test_variance_decomposition(nu2, tab20):
-    rep = variance(20, 4, 1, nu2, table=tab20, with_special=False)
+    rep = variance(20, 4, 1, nu2, table=tab20)
     assert rep.decomposition_rel_err < 1e-6
     assert rep.sigma1 == pair_count(20, 1, nu2, table=tab20)
     assert rep.var_direct >= 0.0
-    rep2 = variance(20, 4, 2, nu2, table=tab20, with_special=False)
+    rep2 = variance(20, 4, 2, nu2, table=tab20)
     assert rep2.var_direct <= rep.var_direct
     assert rep2.decomposition_rel_err < 1e-6
 
 
 def test_variance_K1_matches_plain_residual(nu2, tab20):
     # s_a(1) = 1, so the variance is the plain [N - sigma]^2 sum
-    rep = variance(20, 1, 1, nu2, table=tab20, with_special=False)
+    rep = variance(20, 1, 1, nu2, table=tab20)
     from cubesums.densities import density_table
     dtab = density_table(nu2)
     a = np.arange(-tab20.offset, tab20.offset + 1)
@@ -250,7 +250,7 @@ def test_variance_K1_matches_plain_residual(nu2, tab20):
 def test_variance_builds_one_density_table(tab20):
     # variance reads the table directly and through pure_l2_moment
     _density_table.cache_clear()
-    variance(20, 4, 2, nu_star(2.0), table=tab20, with_special=False)
+    variance(20, 4, 2, nu_star(2.0), table=tab20)
     info = _density_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1
@@ -258,7 +258,7 @@ def test_variance_builds_one_density_table(tab20):
 
 def test_variance_warns_outside_range(nu2):
     with pytest.warns(UserWarning):
-        variance(2, 4, 1, nu2, with_special=False)
+        variance(2, 4, 1, nu2)
 
 
 def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
@@ -271,12 +271,12 @@ def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
         return walk(X, weight, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "_iter_orbits", counted)
-    variance(20, 4, 1, nu2, table=tab20, with_special=True)
-    variance(20, 4, 2, nu2, table=tab20, with_special=True)
+    variance(20, 4, 1, nu2, table=tab20)
+    variance(20, 4, 2, nu2, table=tab20)
     assert walks == []
-    variance(20, 4, 1, nu2, with_special=True)
+    variance(20, 4, 1, nu2)
     assert walks == [20]
-    variance(20, 4, 2, nu2, with_special=True)
+    variance(20, 4, 2, nu2)
     assert walks == [20, 20]
 
 
@@ -289,7 +289,7 @@ def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
     monkeypatch.setattr(lattice, "_iter_orbits", no_walk)
     for call, msg in (
             (lambda: variance(30, 1, 49, nu2), "need 1 <= d <= 48, got d=49"),
-            (lambda: variance(30, 4, 49, nu2, with_special=False),
+            (lambda: variance(30, 4, 49, nu2),
              "need 1 <= d <= 48, got d=49"),
             (lambda: variance(30, 4, 0, nu2), "need K >= 1 and d >= 1")):
         with pytest.raises(ValueError, match=msg):
@@ -299,7 +299,7 @@ def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
 def test_table_at_another_X_is_rejected(nu2, tab20):
     hp = HypothesisParams(delta=0.1, hbar=0.045)
     calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
-             lambda: variance(30, 4, 2, nu2, table=tab20, with_special=False),
+             lambda: variance(30, 4, 2, nu2, table=tab20),
              lambda: sieved_variance(30, 4, hp, nu2, table=tab20),
              lambda: pair_count(30, 1, nu2, table=tab20),
              lambda: special_count(30, 1, nu2, table=tab20))
@@ -368,5 +368,5 @@ def test_pipeline_demo_never_calls_variance(nu2, tab20, monkeypatch):
     (row,) = pipeline_demo(R_list=(2.0,), X_list=(20,), j=2).rows
     monkeypatch.undo()
     # the window it already holds gives variance's var_direct, bit for bit
-    rep = variance(20, row.K, 1, nu2, table=tab20, with_special=False)
+    rep = variance(20, row.K, 1, nu2, table=tab20)
     assert row.var == rep.var_direct
