@@ -56,8 +56,10 @@ __all__ = [
     "weight_l2_norm_sq",
 ]
 
-# the slab integrals' inner rule in y1: this many Gauss panels of this order
+# the slab integrals' inner rule in y1: this many Gauss panels of this order,
+# and the relative tolerance of their outer 2-d rule
 _INNER_ORDER, _INNER_PANELS = 12, 4
+_SLAB_REL_TOL = 1e-4
 _S1_EDGE = 3.2  # table the surface density slightly past |b| = 3
 _S1_NODES, _S1_REL_TOL, _S1_SEED, _S1_VALIDATION_SEED = 385, 3e-7, 20, 20240917
 # what the S1 nodes depend on; a stored table must reproduce _S1_PROBES
@@ -139,16 +141,12 @@ def _s1_spline() -> tuple[CubicSpline, np.ndarray, float]:
     return spline, vals, worst
 
 
-def _r_nodes(R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights in r for int_1^R f(r) dr/r, ample for spline integrands
-    (log_panel_rule caches them)."""
-    panels = max(12, math.ceil(8 * math.log(R)))
-    return log_panel_rule(1.0, float(R), panels, 12)
-
-
 def _sigma_fast(atil: np.ndarray, R: float) -> np.ndarray:
     spline = _s1_spline()[0]
-    r, w = _r_nodes(R)
+    # nodes/weights in r for int_1^R f(r) dr/r, ample for spline integrands
+    # (log_panel_rule caches them)
+    panels = max(12, math.ceil(8 * math.log(R)))
+    r, w = log_panel_rule(1.0, float(R), panels, 12)
     arr = np.atleast_1d(np.asarray(atil, dtype=float))
     out = np.zeros_like(arr)
     w0v = bump("w0", arr)
@@ -246,10 +244,10 @@ def density_table(weight: Weight, grid_size: int = 512) -> DensityTable:
     """Sample sigma_inf on a grid of a-tilde in [-a_support, a_support].
 
     Interpolation is validated at 32 seeded random off-grid points against
-    non-interpolated sigma_inf; if the max relative error reaches 1e-3 the
-    grid is refined once, and a second failure raises ValueError naming the
-    worst offending a-tilde.  One table is built per weight object and grid
-    size, however the arguments are spelled at the call site.
+    non-interpolated sigma_inf; if the max relative error reaches 1e-3,
+    ValueError names the grid size, the error and the worst offending
+    a-tilde.  One table is built per weight object and grid size, however
+    the arguments are spelled at the call site.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -262,35 +260,30 @@ def density_table(weight: Weight, grid_size: int = 512) -> DensityTable:
 def _density_table(weight: Weight, grid_size: int) -> DensityTable:
     rng = np.random.default_rng(0)
     probes = rng.uniform(-weight.a_support, weight.a_support, size=32)
-    size = grid_size
+    grid = np.linspace(-weight.a_support, weight.a_support, grid_size)
+    values = _sigma_fast(grid, weight.R)
+    table = DensityTable(weight, grid, values, math.nan)
+    scale = max(float(values.max()), 1e-30)
     worst = worst_at = 0.0
-    for _ in range(2):
-        grid = np.linspace(-weight.a_support, weight.a_support, size)
-        values = _sigma_fast(grid, weight.R)
-        table = DensityTable(weight, grid, values, math.nan)
-        scale = max(float(values.max()), 1e-30)
-        worst = 0.0
-        for p in probes:
-            point = sigma_inf(p, 1.0, weight)
-            err = abs(table(p) - point) / max(abs(point), 1e-6 * scale)
-            if err > worst:
-                worst, worst_at = err, p
-        table.max_validation_error = worst
-        if worst < 1e-3:
-            return table
-        size *= 2
-    raise ValueError(
-        f"density table failed validation after refinement: relative error "
-        f"{worst:.3e} at a_tilde={float(worst_at)!r}"
-    )
+    for p in probes:
+        point = sigma_inf(p, 1.0, weight)
+        err = abs(table(p) - point) / max(abs(point), 1e-6 * scale)
+        if err > worst:
+            worst, worst_at = err, p
+    if worst >= 1e-3:
+        raise ValueError(
+            f"density table failed validation on {grid_size} points: "
+            f"relative error {worst:.3e} at a_tilde={float(worst_at)!r}")
+    table.max_validation_error = worst
+    return table
 
 
-def _slab_integral(weight: Weight, inner_fn, rel_tol: float) -> float:
+def _slab_integral(weight: Weight, inner_fn) -> float:
     """Integrate inner_fn(points) over the slab {|F0| <= a_support}.
 
-    Outer 2-d adaptive over (y2, y3) to rel_tol; inner composite Gauss over
-    the exact y1-interval, 4 equal panels of 12 nodes (a single Gauss rule
-    converges slowly through the interior onset bands of the weight).
+    Outer 2-d adaptive over (y2, y3) to _SLAB_REL_TOL; inner composite Gauss
+    over the exact y1-interval, 4 equal panels of 12 nodes (a single Gauss
+    rule converges slowly through the interior onset bands of the weight).
     inner_fn maps (M, 3) points to (M,) values, must vanish where the
     weight does, and must be even under z -> -z (the outer domain is halved
     accordingly).  nu_star vanishes for |y1| <= 1/2 (the first w2 band
@@ -320,7 +313,7 @@ def _slab_integral(weight: Weight, inner_fn, rel_tol: float) -> float:
         return total
 
     seed = max(16, min(64, round(B / 3)))
-    res = adaptive_integrate(outer, (0.0, -B), (B, B), rel_tol=rel_tol,
+    res = adaptive_integrate(outer, (0.0, -B), (B, B), rel_tol=_SLAB_REL_TOL,
                              seed=seed)
     return 2.0 * res.value
 
@@ -331,7 +324,7 @@ def pure_l2_moment(weight: Weight) -> float:
 
 
 @lru_cache(maxsize=None)
-def mixed_l1_moment(weight: Weight, rel_tol: float = 1e-5) -> float:
+def mixed_l1_moment(weight: Weight) -> float:
     """Integral of nu(z) * sigma_inf(F0(z)) over z (X-independent).
 
     Evaluates nu pointwise over its 3-d support; agreement with the pure
@@ -347,18 +340,18 @@ def mixed_l1_moment(weight: Weight, rel_tol: float = 1e-5) -> float:
             out[m] = vals[m] * table(f0(pts[m]))
         return out
 
-    return _slab_integral(weight, fn, rel_tol=rel_tol)
+    return _slab_integral(weight, fn)
 
 
 @lru_cache(maxsize=None)
-def weight_l2_norm_sq(weight: Weight, rel_tol: float = 3e-6) -> float:
+def weight_l2_norm_sq(weight: Weight) -> float:
     """Integral of nu(y)^2 over R^3."""
 
     def fn(pts: np.ndarray) -> np.ndarray:
         v = weight.evaluate(pts)
         return v * v
 
-    return _slab_integral(weight, fn, rel_tol=rel_tol)
+    return _slab_integral(weight, fn)
 
 
 @dataclass(frozen=True)

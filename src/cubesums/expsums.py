@@ -191,23 +191,20 @@ def configure_cache(directory: str | None) -> None:
     t_full.cache_clear()
 
 
-def _t_prime_power_compute(p: int, l: int) -> np.ndarray:
+@lru_cache(maxsize=512)
+def t_prime_power(p: int, l: int) -> np.ndarray:
+    """Vector of T_a(p^l) over a mod p^l; int64 whenever it fits."""
+    if l < 1:
+        raise ValueError("need l >= 1")
     # T = p^l D with D = N_a(p^l) - p^2 N_a(p^(l-1)) and N_a(p^0) = 1; both
     # terms of D lie in [0, m^3] and m^3 < 2^63, so D is exact in int64
     n_l = point_count_vector(p**l)
     n_prev = point_count_vector(p ** (l - 1)) if l > 1 else np.ones(1, np.int64)
     d = n_l - p * p * np.tile(n_prev, p)
     if p**l * max(-int(d.min()), int(d.max())) <= INT64_MAX:
-        return p**l * d
-    return p**l * d.astype(object)
-
-
-@lru_cache(maxsize=512)
-def t_prime_power(p: int, l: int) -> np.ndarray:
-    """Vector of T_a(p^l) over a mod p^l; int64 whenever it fits."""
-    if l < 1:
-        raise ValueError("need l >= 1")
-    arr = _t_prime_power_compute(p, l)
+        arr = p**l * d
+    else:
+        arr = p**l * d.astype(object)
     arr.flags.writeable = False
     return arr
 

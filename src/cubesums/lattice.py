@@ -15,7 +15,7 @@ F0(y) = a > 0 thus stands for exactly k = 6, 3 or 1 points at a and k points
 at -a, and nu is evaluated once for all 2k of them.  count_weighted is the
 only caller of this walk; its CountTable keeps the walk's rows (a, k, nu), so
 special_count and pair_count reduce a table instead of walking again, and
-table_at is the one place that decides whether a caller's table is reused.
+_table_at is the one place that decides whether a caller's table is reused.
 The plain walk over every support point (_iter_alive, with a choice of loop
 order) is the oracle behind pair_count_bruteforce and the tests.
 
@@ -60,7 +60,6 @@ __all__ = [
     "prime_demo",
     "r3_nonneg",
     "special_count",
-    "table_at",
 ]
 
 EXACT_SHIFT = 1100  # nu values have denominator at most 2^1074
@@ -302,8 +301,8 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     )
 
 
-def table_at(X: int, weight: Weight,
-             table: CountTable | None = None) -> CountTable:
+def _table_at(X: int, weight: Weight,
+              table: CountTable | None = None) -> CountTable:
     """The caller's table if given, else a float count_weighted(X, weight).
 
     A given table must be counted at X with this weight object (ValueError
@@ -330,7 +329,7 @@ def pair_count(X: int, d: int, weight: Weight,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
     _check_d(d)
-    a_vals, masses = table_at(X, weight, table).nonzero_items()
+    a_vals, masses = _table_at(X, weight, table).nonzero_items()
     keep = a_vals % d == 0
     return float(np.dot(masses[keep], masses[keep]))
 
@@ -392,11 +391,11 @@ def special_count(X: int, d: int, weight: Weight,
     Each unordered orbit member is one pair partner, so y contributes
     orb(y) * nu^2 with orb = 6, 3, 1 for distinct, one-repeated, all-equal
     coordinates; the 3!-formula pretends orb = 6 always.  A reduction over
-    the orbit rows of the table at X (table_at builds one if none is given):
+    the orbit rows of the table at X (_table_at builds one if none is given):
     orb is the row's k, and the 2k points of a row share one nu value.
     """
     _check_d(d)
-    table = table_at(X, weight, table)
+    table = _table_at(X, weight, table)
     keep = table.orbit_a % d == 0  # d | a exactly when d | -a
     k, nu = table.orbit_k[keep], table.orbit_nu[keep]
     diag_i = formula_i = corr_i = 0

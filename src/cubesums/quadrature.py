@@ -30,6 +30,7 @@ __all__ = [
 # Gauss-Legendre orders of the coarse and the fine rule, and the round cap
 _ORDER, _ORDER_HI, _MAX_ROUNDS = 8, 11, 60
 _ABS_FLOOR = 1e-14  # the error target never falls below this
+_MAX_EVALS = 80_000_000  # integrand evaluations allowed per integral
 # nodes per integrand call.  At 2^14 nodes each float64 coordinate row or
 # temporary of the integrand is 128 KB and stays in cache; a whole round
 # (about 48k nodes per rule for the S1 surface) leaves it
@@ -87,14 +88,13 @@ def _estimate(f, lows, highs, order):
     return (vals @ refw) * (widths[:, 0] * widths[:, 1])
 
 
-def adaptive_integrate(f, lo, hi, rel_tol: float, seed: int,
-                       max_evals: int = 80_000_000) -> QuadResult:
+def adaptive_integrate(f, lo, hi, rel_tol: float, seed: int) -> QuadResult:
     """Integrate f over the box [lo, hi] in R^2 to the given tolerance,
     starting from a grid of seed x seed cells.
 
     f(x, y) maps two contiguous (N,) coordinate arrays, N at most 2^14, to
     an (N,) array and must be pointwise: a node's value depends on that node
-    alone.  Raises RuntimeError rather than exceed max_evals evaluations or
+    alone.  Raises RuntimeError rather than exceed _MAX_EVALS evaluations or
     60 rounds of refinement before convergence.
     """
     lo = np.asarray(lo, dtype=float)
@@ -115,7 +115,7 @@ def adaptive_integrate(f, lo, hi, rel_tol: float, seed: int,
     where = ""
 
     for _ in range(_MAX_ROUNDS):
-        if n_evals + len(new_lo) * per_cell > max_evals:
+        if n_evals + len(new_lo) * per_cell > _MAX_EVALS:
             raise RuntimeError(f"quadrature exceeded eval budget{where}")
         n_evals += len(new_lo) * per_cell
         coarse = _estimate(f, new_lo, new_hi, _ORDER)

@@ -34,7 +34,8 @@ from .expsums import (
     singular_series_level_d,
     t_full,
 )
-from .lattice import CountTable, pair_count, special_count, table_at
+from .lattice import (CountTable, _check_d, count_weighted, pair_count,
+                      special_count)
 from .series import series_window
 from .weights import Weight, nu_star
 
@@ -101,13 +102,13 @@ def _window_vectors(table: CountTable, K: int, d: int, dtable):
     return a_vec, N, s, sig
 
 
-def variance(X: int, K: int, d: int, weight: Weight,
-             table: CountTable | None = None) -> VarianceReport:
+def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
     """K-approximate variance over the progression dZ, with decomposition."""
     if X < 1:
         raise ValueError("X must be a positive integer")
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
+    _check_d(d)
     if K > MAX_MODULUS:  # series_window's bound, checked before the walk
         raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
     if d > _SERIES_N_MAX:
@@ -116,7 +117,7 @@ def variance(X: int, K: int, d: int, weight: Weight,
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
     t0 = time.perf_counter()
-    table = table_at(X, weight, table)
+    table = count_weighted(X, weight, exact=False)
     dtab = density_table(weight)
     _a, N, s, sig = _window_vectors(table, K, d, dtab)
     ssig = s * sig
@@ -316,8 +317,7 @@ class SievedReport:
 
 
 def sieved_variance(X: int, K: int, hparams: HypothesisParams,
-                    weight: Weight,
-                    table: CountTable | None = None) -> SievedReport:
+                    weight: Weight) -> SievedReport:
     """Variance over a coprime to all primes below X^hbar (exact filter)."""
     if X < 2:  # the comparison term divides by log X
         raise ValueError("X must be an integer >= 2")
@@ -331,7 +331,7 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
         raise ValueError(f"X^hbar = {threshold:.2f} exceeds the filter cap 20")
     sieve_primes = [p for p in primes_below(21) if p < threshold]
     P = math.prod(sieve_primes) if sieve_primes else 1
-    table = table_at(X, weight, table)
+    table = count_weighted(X, weight, exact=False)
     dtab = density_table(weight)
     a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
     diff = N - s * sig
@@ -341,7 +341,7 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
     for p in sieve_primes:
         mask &= a_vec % p != 0
     filtered = float(np.sum(sq[mask]))
-    comparison = (float(X) ** 3 * weight_l2_norm_sq(weight, rel_tol=1e-4)
+    comparison = (float(X) ** 3 * weight_l2_norm_sq(weight)
                   / math.log(X))
     # every p | dd with dd < X^hbar is itself below the threshold
     H = Fraction(0)
@@ -407,7 +407,7 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
         for R in R_list:
             eta = math.log(R) ** (-10.0 / j)
             nu = nu_star(R)
-            table = table_at(X, nu)
+            table = count_weighted(X, nu, exact=False)
             dtab = density_table(nu)
             a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
             diff = N - s * sig  # Var(X, K; 1) as variance forms it

@@ -164,14 +164,20 @@ def test_validation_errors(capsys):
         rc, out = run(["scan-exceptional", "--A", "50", "--K", "4", "--eta",
                        "0.1"] + flags, capsys)
         assert rc == 1 and message in out.err, flags
-    # a grid too coarse to pass validation after one refinement; in process,
-    # because a fresh interpreter would rebuild the S1 spline
+    # a grid too coarse to pass validation; in process, because a fresh
+    # interpreter would rebuild the S1 spline
     for grid in ("64", "96", "128"):
         rc, out = run(["density", "--grid", grid], capsys)
         assert rc == 1, grid
-        assert "density table failed validation after refinement" in out.err
+        assert "density table failed validation" in out.err
         assert "Traceback" not in out.err
         assert "np.float64" not in out.err  # a plain float, not a numpy repr
+    # the grid asked for is the grid validated: 300 points fail, and no
+    # finer table is printed in their place
+    rc, out = run(["density", "--grid", "300"], capsys)
+    assert rc == 1 and out.out == ""
+    assert out.err.startswith(
+        "cubesums: density table failed validation on 300 points: ")
     # sizes that would reach an allocation of many GiB are refused first
     for argv, message in (
             (["series", "--K", "1", "--a-hi", "3000000000"],
@@ -193,7 +199,7 @@ def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before K was checked")
 
-    monkeypatch.setattr(lattice, "count_weighted", unreachable)
+    monkeypatch.setattr(lattice, "_iter_orbits", unreachable)
     monkeypatch.setattr(densities, "_s1_spline", unreachable)
     for K in ("0", "-3"):
         rc, out = run(["sieved", "--X", "20", "--K", K, "--hbar", "0.045"],

@@ -12,8 +12,8 @@ variance and sieved print: its JSON value and its CSV column (the last, as
 columns are in sorted key order) are masked on both sides.
 
 density, variance and sieved need the S1 surface table, and sieved needs
-weight_l2_norm_sq(nu_star(2), 1e-4); inside the suite both are already in
-their lru caches, so the record adds a few seconds.  Run alone, this module
+weight_l2_norm_sq(nu_star(2)); inside the suite both are already in their
+lru caches, so the record adds a few seconds.  Run alone, this module
 builds S1 in its first density run, which took 15.6 s, and sieved pays
 7.2 s for the norm (one fresh process, 2-core Xeon, Python 3.11.7,
 numpy 2.4.6).

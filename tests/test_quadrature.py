@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cubesums import quadrature
 from cubesums.quadrature import (
     adaptive_integrate,
     gauss_rule,
@@ -76,15 +77,16 @@ def test_adaptive_zero_function_terminates():
     assert res.n_evals == 16**2 * (8**2 + 11**2)
 
 
-def test_adaptive_budget_exhaustion():
+def test_adaptive_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(5)
 
     def noisy(x, y):
         return rng.standard_normal(len(x))
 
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 20000)
     with pytest.raises(RuntimeError, match="eval budget"):
         adaptive_integrate(noisy, (0.0, 0.0), (1.0, 1.0), rel_tol=1e-14,
-                           seed=2, max_evals=20000)
+                           seed=2)
 
 
 def test_adaptive_rejects_a_box_not_in_the_plane():
@@ -130,7 +132,7 @@ def test_adaptive_2d_gaussian_frozen_bits():
     assert res.value.hex() == "0x1.c54af0f0a106bp-5"
 
 
-def test_adaptive_budget_is_exact():
+def test_adaptive_budget_is_exact(monkeypatch):
     # a run given its own eval count as the budget still converges, and no
     # run evaluates more points than its budget
     def f(x, y):
@@ -139,8 +141,8 @@ def test_adaptive_budget_is_exact():
     box = (0.0, 0.0), (1.0, 1.0)
     res = adaptive_integrate(f, *box, rel_tol=1e-12, seed=2)
     assert res.value.hex() == "0x1.6f5425f80309cp-8"
-    assert adaptive_integrate(f, *box, rel_tol=1e-12, seed=2,
-                              max_evals=res.n_evals) == res
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", res.n_evals)
+    assert adaptive_integrate(f, *box, rel_tol=1e-12, seed=2) == res
     for budget in (500, 1000, 2000, 5000, res.n_evals - 1):
         calls = []
 
@@ -148,9 +150,9 @@ def test_adaptive_budget_is_exact():
             calls.append(len(x))
             return f(x, y)
 
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", budget)
         with pytest.raises(RuntimeError, match="eval budget"):
-            adaptive_integrate(counted, *box, rel_tol=1e-12, seed=2,
-                               max_evals=budget)
+            adaptive_integrate(counted, *box, rel_tol=1e-12, seed=2)
         assert sum(calls) <= budget
 
 

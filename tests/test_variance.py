@@ -227,18 +227,19 @@ def test_moment_check_guards():
 
 
 def test_variance_decomposition(nu2, tab20):
-    rep = variance(20, 4, 1, nu2, table=tab20)
+    rep = variance(20, 4, 1, nu2)
     assert rep.decomposition_rel_err < 1e-6
     assert rep.sigma1 == pair_count(20, 1, nu2, table=tab20)
     assert rep.var_direct >= 0.0
-    rep2 = variance(20, 4, 2, nu2, table=tab20)
+    rep2 = variance(20, 4, 2, nu2)
     assert rep2.var_direct <= rep.var_direct
     assert rep2.decomposition_rel_err < 1e-6
+    assert variance(20, 4, np.int64(2), nu2).var_direct == rep2.var_direct
 
 
 def test_variance_K1_matches_plain_residual(nu2, tab20):
     # s_a(1) = 1, so the variance is the plain [N - sigma]^2 sum
-    rep = variance(20, 1, 1, nu2, table=tab20)
+    rep = variance(20, 1, 1, nu2)
     from cubesums.densities import density_table
     dtab = density_table(nu2)
     a = np.arange(-tab20.offset, tab20.offset + 1)
@@ -247,10 +248,10 @@ def test_variance_K1_matches_plain_residual(nu2, tab20):
     assert rep.var_direct == pytest.approx(float(direct), rel=1e-12)
 
 
-def test_variance_builds_one_density_table(tab20):
+def test_variance_builds_one_density_table():
     # variance reads the table directly and through pure_l2_moment
     _density_table.cache_clear()
-    variance(20, 4, 2, nu_star(2.0), table=tab20)
+    variance(20, 4, 2, nu_star(2.0))
     info = _density_table.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits >= 1
@@ -261,7 +262,7 @@ def test_variance_warns_outside_range(nu2):
         variance(2, 4, 1, nu2)
 
 
-def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
+def test_one_lattice_walk_per_X(nu2, monkeypatch):
     # the special term reduces the count table: no second walk
     walks = []
     walk = lattice._iter_orbits
@@ -271,9 +272,6 @@ def test_one_lattice_walk_per_X(nu2, tab20, monkeypatch):
         return walk(X, weight, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "_iter_orbits", counted)
-    variance(20, 4, 1, nu2, table=tab20)
-    variance(20, 4, 2, nu2, table=tab20)
-    assert walks == []
     variance(20, 4, 1, nu2)
     assert walks == [20]
     variance(20, 4, 2, nu2)
@@ -291,17 +289,16 @@ def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
             (lambda: variance(30, 1, 49, nu2), "need 1 <= d <= 48, got d=49"),
             (lambda: variance(30, 4, 49, nu2),
              "need 1 <= d <= 48, got d=49"),
-            (lambda: variance(30, 4, 0, nu2), "need K >= 1 and d >= 1")):
+            (lambda: variance(30, 4, 0, nu2), "need K >= 1 and d >= 1"),
+            # d slices the window a in dZ, so it must be an integer
+            (lambda: variance(8, 2, 1.5, nu2),
+             "d must be a positive integer")):
         with pytest.raises(ValueError, match=msg):
             call()
 
 
 def test_table_at_another_X_is_rejected(nu2, tab20):
-    hp = HypothesisParams(delta=0.1, hbar=0.045)
-    calls = (lambda: variance(30, 4, 1, nu2, table=tab20),
-             lambda: variance(30, 4, 2, nu2, table=tab20),
-             lambda: sieved_variance(30, 4, hp, nu2, table=tab20),
-             lambda: pair_count(30, 1, nu2, table=tab20),
+    calls = (lambda: pair_count(30, 1, nu2, table=tab20),
              lambda: special_count(30, 1, nu2, table=tab20))
     for call in calls:
         with pytest.raises(ValueError, match="counted at X = 20, not X = 30"):
@@ -326,25 +323,25 @@ def test_singular_series_positive():
     assert low > 0.0
 
 
-def test_sieved_variance_filter(nu2, tab20):
+def test_sieved_variance_filter(nu2):
     # X^hbar = 6: primes {2,3,5}, H = 1 + 1 + 1/2 + 1/4 exactly
     hp = HypothesisParams(delta=1.4,
                           hbar=math.log(6.0) / math.log(20.0) * 0.9999)
-    sv = sieved_variance(20, 4, hp, nu2, table=tab20)
+    sv = sieved_variance(20, 4, hp, nu2)
     assert sv.P == 30
     assert sv.filtered <= sv.unfiltered
     assert sv.H == Fraction(11, 4)
     # X^hbar = 10 adds d = 6, 7: + 1/2 + 55/288
     hp10 = HypothesisParams(delta=1.8,
                             hbar=math.log(10.0) / math.log(20.0) * 0.9999)
-    sv10 = sieved_variance(20, 4, hp10, nu2, table=tab20)
+    sv10 = sieved_variance(20, 4, hp10, nu2)
     assert sv10.H == Fraction(991, 288)
     assert sv10.filtered <= sv.filtered  # more primes removed
 
 
-def test_sieved_variance_trivial_filter(nu2, tab20):
+def test_sieved_variance_trivial_filter(nu2):
     hp = HypothesisParams(delta=0.1, hbar=0.02)  # X^hbar < 2
-    sv = sieved_variance(20, 4, hp, nu2, table=tab20)
+    sv = sieved_variance(20, 4, hp, nu2)
     assert sv.P == 1
     assert sv.filtered == sv.unfiltered
 
@@ -360,7 +357,7 @@ def test_pipeline_demo_small(nu2):
         pipeline_demo(R_list=(2.0,), X_list=(200,), j=2)
 
 
-def test_pipeline_demo_never_calls_variance(nu2, tab20, monkeypatch):
+def test_pipeline_demo_never_calls_variance(nu2, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("pipeline_demo called variance")
 
@@ -368,5 +365,5 @@ def test_pipeline_demo_never_calls_variance(nu2, tab20, monkeypatch):
     (row,) = pipeline_demo(R_list=(2.0,), X_list=(20,), j=2).rows
     monkeypatch.undo()
     # the window it already holds gives variance's var_direct, bit for bit
-    rep = variance(20, row.K, 1, nu2, table=tab20)
+    rep = variance(20, row.K, 1, nu2)
     assert row.var == rep.var_direct
