@@ -5,10 +5,13 @@ SHA-256 of the key and of the payload, then the payload: the node values and
 the worst validation error as little-endian float64.  A file whose size,
 header, key, checksum or probed nodes do not match reads as missing; writes
 go through a temp file and ``os.replace`` and are skipped when they fail.
+
+``hashlib`` is imported on the first read or write of the store, not with
+this module, so a process that never touches the store does not load
+OpenSSL's libcrypto.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import tempfile
@@ -35,6 +38,8 @@ def s1_path() -> Path | None:
 
 
 def _header(key: bytes, payload: bytes) -> bytes:
+    import hashlib  # loads OpenSSL's libcrypto, so only when the store is used
+
     return _HEADER.pack(MAGIC, VERSION, hashlib.sha256(key).digest(),
                         hashlib.sha256(payload).digest())
 

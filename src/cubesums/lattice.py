@@ -250,6 +250,15 @@ class CountTable:
         return idx - self.offset, self.bins[idx]
 
 
+def _check_positive_int(name: str, value) -> None:
+    """ValueError "<name> must be a positive integer" unless value is an int
+    or numpy integer >= 1.  A float would run on: d = 1.5 passes a % d == 0
+    on the multiples of 3, and X = 8.5 counts at a scale no CLI run asks for.
+    """
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
 def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     """Weighted count N_{a,nu}(X) = sum over y in Z^3 of nu(y/X), per a.
 
@@ -260,8 +269,7 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     ledger (faster at large X).  The table keeps the walk's rows, which
     special_count reduces.
     """
-    if X < 1:
-        raise ValueError("X must be a positive integer")
+    _check_positive_int("X", X)
     if weight.B * X > _ENUM_BOUND:
         # B = ceil(11 R) may have hundreds of digits; print three significant
         raise ValueError(f"enumeration bound exceeded: "
@@ -318,17 +326,10 @@ def _table_at(X: int, weight: Weight,
     return table
 
 
-def _check_d(d) -> None:
-    # a float d would pass a % d == 0 on another progression: for d = 1.5,
-    # on the multiples of 3
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError("d must be a positive integer")
-
-
 def pair_count(X: int, d: int, weight: Weight,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
-    _check_d(d)
+    _check_positive_int("d", d)
     a_vals, masses = _table_at(X, weight, table).nonzero_items()
     keep = a_vals % d == 0
     return float(np.dot(masses[keep], masses[keep]))
@@ -336,7 +337,7 @@ def pair_count(X: int, d: int, weight: Weight,
 
 def pair_count_exact(table: CountTable, d: int) -> int:
     """Exact pair count as an integer at scale 2^-(2*EXACT_SHIFT)."""
-    _check_d(d)
+    _check_positive_int("d", d)
     if not table.exact:
         raise ValueError("table was built with exact=False")
     return sum(n * n for a, n in table.exact.items() if a % d == 0)
@@ -351,7 +352,7 @@ def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
     square of the fiber's sum (all cross-fiber terms vanish).  Returns the
     exact integer at scale 2^-(2*EXACT_SHIFT).
     """
-    _check_d(d)
+    _check_positive_int("d", d)
     return sum(sum(vals) ** 2 for a, vals in _brute_fibers(X, weight).items()
                if a % d == 0)
 
@@ -394,7 +395,7 @@ def special_count(X: int, d: int, weight: Weight,
     the orbit rows of the table at X (_table_at builds one if none is given):
     orb is the row's k, and the 2k points of a row share one nu value.
     """
-    _check_d(d)
+    _check_positive_int("d", d)
     table = _table_at(X, weight, table)
     keep = table.orbit_a % d == 0  # d | a exactly when d | -a
     k, nu = table.orbit_k[keep], table.orbit_nu[keep]

@@ -34,8 +34,8 @@ from .expsums import (
     singular_series_level_d,
     t_full,
 )
-from .lattice import (CountTable, _check_d, count_weighted, pair_count,
-                      special_count)
+from .lattice import (CountTable, _check_positive_int, count_weighted,
+                      pair_count, special_count)
 from .series import series_window
 from .weights import Weight, nu_star
 
@@ -104,11 +104,11 @@ def _window_vectors(table: CountTable, K: int, d: int, dtable):
 
 def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
     """K-approximate variance over the progression dZ, with decomposition."""
-    if X < 1:
-        raise ValueError("X must be a positive integer")
+    _check_positive_int("X", X)
     if K < 1 or d < 1:
         raise ValueError("need K >= 1 and d >= 1")
-    _check_d(d)
+    _check_positive_int("K", K)
+    _check_positive_int("d", d)
     if K > MAX_MODULUS:  # series_window's bound, checked before the walk
         raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
     if d > _SERIES_N_MAX:
@@ -323,6 +323,7 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
         raise ValueError("X must be an integer >= 2")
     if K < 1:
         raise ValueError("need K >= 1")
+    _check_positive_int("K", K)
     if K > MAX_MODULUS:
         raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
     t0 = time.perf_counter()

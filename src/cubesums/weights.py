@@ -54,6 +54,13 @@ _R_MAX = sys.float_info.max / 11
 # the (form, rise) bands of the w2 product in the order its factors are
 # multiplied: form k's rise band t < 1, then its fall band t > 10
 _BANDS = tuple((k, rise) for k in range(6) for rise in (True, False))
+# the r-rule's probe: candidates per block, which is also the number of live
+# rows it validates on, and the most candidates it takes before refusing R
+_PROBE_ROWS = 512
+_PROBE_CAP = 1 << 20
+# the R_4 additive recurrence: alpha_j = g^-(j+1) for g the real root of
+# x^5 = x + 1, whose points spread evenly over the unit 4-cube
+_PROBE_ALPHA = 1.1673039782614187 ** -np.arange(1.0, 5.0)
 
 
 def f0(y: np.ndarray) -> np.ndarray:
@@ -292,19 +299,27 @@ def _r_range(y: np.ndarray, R: float):
 
 @lru_cache(maxsize=None)
 def _r_rule_params(R: float) -> int:
-    """Panel count for the r-integral, validated by panel doubling on a
-    deterministic probe set (target 1e-9 absolute-ish agreement).
+    """Panel count for the r-integral, validated by panel doubling (target
+    1e-9 absolute-ish agreement) on at least _PROBE_ROWS live rows of the
+    deterministic probe, taken _PROBE_ROWS candidates at a time.
 
-    Raises ValueError when the probe draw refuses R (above about 4.07e101),
-    when no probe point is live, or when no count up to 64 panels agrees
-    with its double.
+    Raises ValueError when the probe refuses R (above about 4.07e101), when
+    _PROBE_CAP candidates hold fewer live rows, or when no count up to 64
+    panels agrees with its double.
     """
-    forms, lo, hi, live = _r_range(
-        sample_support_candidates(R, 512, seed=1234), R)
-    if not live.any():
-        raise ValueError(f"no live probe point to validate the r-rule at "
-                         f"R={R}")
-    forms, lo, hi = forms[live], lo[live], hi[live]
+    parts, n_live = [], 0
+    for start in range(0, _PROBE_CAP, _PROBE_ROWS):
+        forms, lo, hi, live = _r_range(
+            _probe_points(R, start, _PROBE_ROWS), R)
+        parts.append((forms[live], lo[live], hi[live]))
+        n_live += np.count_nonzero(live)
+        if n_live >= _PROBE_ROWS:
+            break
+    else:
+        raise ValueError(f"no live probe point set to validate the r-rule "
+                         f"at R={R}: {n_live} of {_PROBE_ROWS} rows live in "
+                         f"{_PROBE_CAP} candidates")
+    forms, lo, hi = map(np.concatenate, zip(*parts))
     panels = 8
     coarse = _r_integral_fixed(forms, lo, hi, panels)
     while panels <= 64:
@@ -313,6 +328,25 @@ def _r_rule_params(R: float) -> int:
             return panels
         coarse, panels = fine, 2 * panels
     raise ValueError(f"no r-rule up to 64 panels converged at R={R}")
+
+
+def _probe_points(R: float, start: int, n: int) -> np.ndarray:
+    """Points start .. start + n - 1 of the r-rule's probe, laid out as
+    sample_support_candidates lays out its draws, with no random numbers.
+
+    Point k takes u = frac(0.5 + k alpha) of the R_4 recurrence: u_0 and
+    u_1 give |y2| and |y3| log-uniformly on [1/2, 11R], y2 is negative iff
+    u_2 < 1/2 and y3 iff frac(2 u_2) < 1/2, and u_3 places y1 across the
+    exact interval where |F0| < 3.  Refuses R as the sampler does.
+    """
+    top = _support_top(R)
+    k = np.arange(start, start + n, dtype=float)
+    u = (0.5 + k[:, None] * _PROBE_ALPHA) % 1.0
+    log_lo = math.log(0.5)
+    yz = np.exp(log_lo + (math.log(top) - log_lo) * u[:, :2])
+    yz[u[:, 2] < 0.5, 0] *= -1.0
+    yz[(2.0 * u[:, 2]) % 1.0 < 0.5, 1] *= -1.0
+    return _with_y1(yz, u[:, 3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +416,16 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     overflows a float, that is for R above cbrt(max float / 2) / 11, about
     4.07e101.
     """
+    top = _support_top(R)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(math.log(0.5), math.log(top), size=(n, 2))
+    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
+    return _with_y1(yz, rng.uniform(0.0, 1.0, size=n))
+
+
+def _support_top(R: float) -> float:
+    """11 R as a float, the largest |y_l| on the support; ValueError naming
+    R when R is not a positive number or 2 (11R)^3 is not a finite float."""
     try:
         top = 11.0 * float(R)  # Python floats overflow to inf, no warning
     except OverflowError:  # an int past the float range
@@ -390,10 +434,12 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError(f"R={R} is not a positive number")
     if not math.isfinite(2.0 * top * top * top):
         raise ValueError(f"R={R} puts 2 (11R)^3 past the largest float")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(math.log(0.5), math.log(top), size=(n, 2))
-    yz = np.exp(u) * rng.choice([-1.0, 1.0], size=(n, 2))
+    return top
+
+
+def _with_y1(yz: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Points (y1, y2, y3) for the rows (y2, y3) of yz, with y1 at fraction
+    u in [0, 1) of the exact interval where |F0| < 3."""
     s = yz[:, 0] ** 3 + yz[:, 1] ** 3
     lo, hi = np.cbrt(-3.0 - s), np.cbrt(3.0 - s)
-    y1 = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=n)
-    return np.column_stack([y1, yz])
+    return np.column_stack([lo + (hi - lo) * u, yz])

@@ -350,6 +350,31 @@ def test_cli_leaves_scipy_unloaded(code):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_nu_loads_neither_numpy_random_nor_openssl():
+    # importing numpy.random pulls in secrets -> hmac -> _hashlib, and so
+    # OpenSSL's libcrypto (about 6 MB of RSS); a count, which draws no
+    # random number and reads no store, loads neither, and the store loads
+    # hashlib on its first use.  A fresh interpreter, since the suite has
+    # loaded both long before.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from cubesums import cache\n"
+        "from cubesums.lattice import count_weighted\n"
+        "from cubesums.weights import nu_star\n"
+        "count_weighted(8, nu_star(2))\n"
+        "pts = np.array([[14.49, -12.6, -10.14], [4.81, -6.82, 5.91],\n"
+        "                [-12.88, -11.29, 15.29]])\n"
+        "assert nu_star(3.0).evaluate(pts).min() > 0.0\n"
+        "print(sorted({'numpy.random', '_hashlib', 'hashlib'}"
+        " & set(sys.modules)))\n"
+        "cache.encode(b'key', np.zeros(2), 0.0)\n"
+        "print('hashlib' in sys.modules)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue\n"
+
+
 # 1e308 is finite, but the support bound 11 * R is not
 @pytest.mark.parametrize("R", ["inf", "nan", "1e308"])
 @pytest.mark.parametrize("argv", [

@@ -297,6 +297,35 @@ def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
             call()
 
 
+def test_non_integer_X_or_K_rejected_before_the_walk(nu2, monkeypatch):
+    # X = 8.5 once printed a report at a scale no CLI run can ask for, and
+    # K = 2.5 walked the lattice before failing in the series window
+    class Walked(Exception):
+        pass
+
+    def no_walk(*args, **kwargs):
+        raise Walked
+
+    monkeypatch.setattr(lattice, "_iter_orbits", no_walk)
+    hp = HypothesisParams(delta=0.1, hbar=0.045)
+    for call, msg in (
+            (lambda: variance(8.5, 2, 1, nu2), "X must be a positive integer"),
+            (lambda: sieved_variance(8.5, 2, hp, nu2),
+             "X must be a positive integer"),
+            (lambda: count_weighted(8.5, nu2), "X must be a positive integer"),
+            (lambda: variance(8, 2.5, 1, nu2), "K must be a positive integer"),
+            (lambda: sieved_variance(8, 2.5, hp, nu2),
+             "K must be a positive integer")):
+        with pytest.raises(ValueError, match=msg):
+            call()
+    # a numpy integer is an integer: these reach the walk
+    for call in (lambda: variance(np.int64(8), np.int64(2), 1, nu2),
+                 lambda: sieved_variance(np.int64(8), np.int64(2), hp, nu2),
+                 lambda: count_weighted(np.int64(8), nu2)):
+        with pytest.raises(Walked):
+            call()
+
+
 def test_table_at_another_X_is_rejected(nu2, tab20):
     calls = (lambda: pair_count(30, 1, nu2, table=tab20),
              lambda: special_count(30, 1, nu2, table=tab20))

@@ -162,11 +162,72 @@ def test_r_rule_refuses_what_it_cannot_validate(monkeypatch):
                                                               1.0 / panels))
     with pytest.raises(ValueError, match="up to 64 panels .* R=3.0"):
         _r_rule_params.__wrapped__(3.0)  # past any memo of R = 3
-    # and so is a probe set with no live point
-    monkeypatch.setattr(weights, "sample_support_candidates",
-                        lambda R, n, seed: np.zeros((n, 3)))
+    # and so is a probe with too few live rows: with no live row, the probe
+    # takes candidates up to its cap (made small here) and refuses R
+    blocks = []
+
+    def dead(R, start, n):
+        blocks.append(start)
+        return np.zeros((n, 3))
+
+    monkeypatch.setattr(weights, "_probe_points", dead)
+    monkeypatch.setattr(weights, "_PROBE_CAP", 4 * weights._PROBE_ROWS)
     with pytest.raises(ValueError, match=r"no live probe point .* R=3.0"):
         _r_rule_params.__wrapped__(3.0)
+    assert blocks == [0, 512, 1024, 1536]
+
+
+# the panel count at every R that the probe was checked at: R = 2 needs 32
+# panels, and from R = 2.25 on 64, since a row's r-range spans at most a
+# factor of 22
+_R_RULE_FROZEN = ((2.0, 32), (2.25, 64), (2.5, 64), (3.0, 64), (3.5, 64),
+                  (4.0, 64), (5.0, 64), (7.5, 64), (8.0, 64), (16.0, 64),
+                  (22.0, 64), (1e3, 64), (1e10, 64), (1e50, 64), (1e100, 64),
+                  (4e101, 64))
+
+
+def test_r_rule_frozen_panel_counts():
+    for R, panels in _R_RULE_FROZEN:
+        assert _r_rule_params(R) == panels, R
+
+
+def test_r_rule_validates_on_512_live_rows(monkeypatch):
+    # at R = 1e100 about 1 candidate in 250 is live, so the probe takes
+    # blocks until 512 rows are, and every level integrates all of them
+    rows = []
+    integral = weights._r_integral_fixed
+
+    def sized(forms, lo, hi, panels):
+        rows.append(len(forms))
+        return integral(forms, lo, hi, panels)
+
+    monkeypatch.setattr(weights, "_r_integral_fixed", sized)
+    for R in (1e100, 4e101):
+        rows.clear()
+        assert _r_rule_params.__wrapped__(R) == 64
+        assert len(set(rows)) == 1 and rows[0] >= 512
+        forms, lo, hi, live = weights._r_range(
+            weights._probe_points(R, 0, 512), R)
+        assert 0 < np.count_nonzero(live) < 16  # one block would not do
+
+
+def test_probe_points_lie_where_the_sampler_draws():
+    # blocks are slices of one sequence, points are finite with |F0| < 3 and
+    # |y2|, |y3| in [1/2, 11R], and each sign quadrant of (y2, y3) is hit
+    # about equally
+    R = 2.0
+    whole = weights._probe_points(R, 0, 2048)
+    assert np.array_equal(weights._probe_points(R, 512, 1024),
+                          whole[512:1536])
+    assert np.isfinite(whole).all() and np.all(np.abs(f0(whole)) < 3.0)
+    yz = np.abs(whole[:, 1:])
+    assert yz.min() >= 0.5 and yz.max() <= 11.0 * R
+    quadrants = np.unique(np.sign(whole[:, 1:]), axis=0, return_counts=True)
+    assert len(quadrants[1]) == 4 and quadrants[1].min() > 400
+    with pytest.raises(ValueError, match=r"R=1e\+300 puts 2 \(11R\)\^3"):
+        weights._probe_points(1e300, 0, 512)
+    with pytest.raises(ValueError, match="R=0.0 is not a positive"):
+        weights._probe_points(0.0, 0, 512)
 
 
 def test_nu_star_evaluate_is_row_pure():
