@@ -302,8 +302,8 @@ def test_bad_value_exits_one_before_any_work(command, name, value,
 
 
 def test_negative_seed_is_refused_by_name(capsys):
-    # verify would hand a negative seed to numpy, which names neither flag
-    # nor value
+    # random.Random takes abs(seed), so -1 would silently repeat seed 1's
+    # draws
     rc, out = run(["verify", "--suite", "moments", "--seed", "-1"], capsys)
     assert rc == 1 and out.out == ""
     assert out.err == "cubesums: --seed must be >= 0, got -1\n"
@@ -373,6 +373,33 @@ def test_nu_loads_neither_numpy_random_nor_openssl():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\nTrue\n"
+
+
+# one golden command line of every subcommand that draws nothing at random;
+# density, variance and sieved print their validation draws
+_DRAWLESS = ("count", "expsum", "gamma", "moments", "scan-exceptional",
+             "scan-primes", "series", "splus")
+
+
+def test_drawless_commands_load_neither_numpy_random_nor_openssl():
+    golden = Path(__file__).parent / "golden"
+    argvs = [shlex.split(path.read_text().split("\n", 1)[0])[2:]
+             for path in sorted(golden.glob("*-csv.txt"))
+             if path.stem.rsplit("-", 1)[0] in _DRAWLESS]
+    assert {argv[0] for argv in argvs} == set(_DRAWLESS)
+    argvs.append(["verify", "--suite", "all", "--max-modulus", "12",
+                  "--seed", "3"])
+    code = (
+        "import contextlib, io, sys\n"
+        "from cubesums.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted({'numpy.random', '_hashlib', 'hashlib'}"
+        " & set(sys.modules)))\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # 1e308 is finite, but the support bound 11 * R is not
@@ -610,6 +637,51 @@ def test_scan_exceptional_csv_header(capsys):
                    "--eta", "0.2", "--format", "csv"], capsys)
     assert rc == 0
     assert out.out.splitlines()[0] == "s_lo,s_hi,count"
+
+
+_T_SINGLE = expsums.t_single
+
+
+def _spot_checks(monkeypatch, capsys, max_modulus, seed, broken=None):
+    """Run verify --suite local, recording every t_single call; t_single
+    of the modulus `broken` is off by one."""
+    calls = []
+
+    def spy(a, n):
+        calls.append((a, n))
+        return _T_SINGLE(a, n) + (n == broken)
+
+    monkeypatch.setattr(expsums, "t_single", spy)
+    rc, out = run(["verify", "--suite", "local", "--max-modulus",
+                   str(max_modulus), "--seed", str(seed)], capsys)
+    return rc, out, calls
+
+
+def test_multiplicativity_line_only_when_a_pair_ran(monkeypatch, capsys):
+    # below 8 both factors are drawn from [2, 3), so every pair is (2, 2)
+    rc, out, calls = _spot_checks(monkeypatch, capsys, 6, 3)
+    assert rc == 0 and calls == []
+    assert "multiplicativity" not in out.out
+    assert out.out.endswith("verify local: 7 checks passed\n")
+    rc, out, calls = _spot_checks(monkeypatch, capsys, 8, 3)
+    assert rc == 0 and calls
+    assert "ok multiplicativity spot checks\n" in out.out
+    assert out.out.endswith("verify local: 10 checks passed\n")
+
+
+def test_spot_check_draws_repeat_for_a_seed(monkeypatch, capsys):
+    draws = [_spot_checks(monkeypatch, capsys, 40, seed)[2]
+             for seed in (1, 1, 2)]
+    assert draws[0] and draws[0] == draws[1] != draws[2]
+
+
+def test_spot_checks_catch_a_non_multiplicative_t(monkeypatch, capsys):
+    _rc, _out, calls = _spot_checks(monkeypatch, capsys, 40, 3)
+    (_a, n), *_ = calls  # the first call is T_a(n1 * n2)
+    rc, out, _calls = _spot_checks(monkeypatch, capsys, 40, 3, broken=n)
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("cubesums: FAIL T_")
+    assert out.err.endswith(" not multiplicative\n")
 
 
 _BROKEN_COUNTS = """
