@@ -356,27 +356,13 @@ def g_density(n: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class SingularSeriesValue:
-    """Truncated level-d singular series with an Euler-product cross check."""
-
-    d: int
-    n_max: int
-    series: Fraction
-    series_float: float
-    tail_heuristic: float
-    euler: float
-    p_max: int
-
-
 def _sigma_p_of_d(p: int, e: int) -> float:
     """Local 6-variable density sum_j p^{-6j} S+_0(p^j; p^e).
 
     Truncated at the modulus cap or after two consecutive terms below 1e-12
     of the running total (single zero terms are common: T_a(3) = 0 kills
     j = 1 at p = 3 while j = 2 contributes 0.74).  A geometric truncation
-    tail of order the last term remains; the exact series value is the
-    primary output elsewhere.
+    tail of order the last term remains.
     """
     total = 0.0
     j = e
@@ -397,20 +383,13 @@ def _sigma_p_of_d(p: int, e: int) -> float:
     return total
 
 
-def singular_series_level_d(d: int, n_max: int) -> SingularSeriesValue:
-    """Level-d singular series S(d) = sum_{d | n} n^{-6} S+_0(n; d), truncated
-    at n <= n_max, plus the Euler-product form over p <= p_max = 100."""
+def singular_series_euler(d: int) -> float:
+    """Level-d singular series S(d) = sum_{d | n} n^{-6} S+_0(n; d) as its
+    Euler product over p <= p_max = 100."""
     p_max = 100
-    if d < 1 or n_max < d:
-        raise ValueError("need 1 <= d <= n_max")
-    series = Fraction(0)
-    band = Fraction(0)
-    for n in range(d, n_max + 1, d):
-        term = Fraction(s_plus_zero(n, d), n**6)
-        series += term
-        if n > n_max // 2:
-            band += abs(term)
+    if d < 1:
+        raise ValueError("need d >= 1")
     euler = 1.0
     for p in primes_below(p_max + 1):
         euler *= _sigma_p_of_d(p, v_p(d, p) if d % p == 0 else 0)
-    return SingularSeriesValue(d, n_max, series, float(series), float(band), euler, p_max)
+    return euler

@@ -3,8 +3,8 @@
 Var(X, K; d) = sum over a in dZ of [N_{a,nu}(X) - s_a(K) sigma_inf(a, X)]^2.
 Expanding the square gives Sigma1 - 2 Sigma2 + Sigma3, where Sigma1 is the
 pair count, Sigma2 the cross term over represented a, and Sigma3 the full
-window scan; all three come from the same CountTable / SeriesWindow /
-DensityTable, so the identity is assertable numerically.
+window scan; all three come from the same CountTable, partial sums s_a(K)
+and DensityTable, so the identity is assertable numerically.
 
 nonarch_moment_check verifies, in exact rational arithmetic, that the
 truncated pure and mixed moments of the normalized complete sums T_b regroup
@@ -31,12 +31,12 @@ from .expsums import (
     g_density,
     point_count_vector,
     s_plus_zero,
-    singular_series_level_d,
+    singular_series_euler,
     t_full,
 )
-from .lattice import (CountTable, _check_positive_int, count_weighted,
-                      pair_count, special_count)
-from .series import series_window
+from .lattice import (_check_positive_int, count_weighted, pair_count,
+                      special_count)
+from .series import _partial_sums
 from .weights import Weight, nu_star
 
 __all__ = [
@@ -85,21 +85,25 @@ class VarianceReport:
     wall_time: float
 
 
-# the level-d singular series of the main term is truncated at n <= 48, so
-# it has a term only for d <= 48
-_SERIES_N_MAX = 48
+# S(d) is the Euler product over p <= 100 with local factors cut at
+# LOCAL_MODULUS_CAP, so it accounts for d only if every p^e dividing d lies
+# within both; d <= 48 does
+_D_MAX = 48
 
 
-def _window_vectors(table: CountTable, K: int, d: int, dtable):
-    """Aligned (a, N, s, sigma) vectors over a in dZ, |a| <= table.offset."""
+def _window_vectors(X: int, K: int, d: int, weight: Weight):
+    """The count table at X and its aligned (a, N, s, sigma) vectors over a
+    in dZ, |a| <= table.offset: N_a, s_a(K) and sigma_inf(a, X)."""
+    table = count_weighted(X, weight, exact=False)
+    dtable = density_table(weight)
     a_cap = table.offset
     i0 = a_cap % d  # a = -a_cap + i is divisible by d iff i = a_cap mod d
-    win = series_window(K, -a_cap, a_cap)
+    for _n, s, _m in _partial_sums(K, -a_cap, 2 * a_cap + 1, mollified=False):
+        pass  # s holds s_a(K) after the last term
     N = table.bins[i0::d]
     a_vec = -a_cap + i0 + d * np.arange(len(N), dtype=np.int64)
-    s = win.s[i0::d]
-    sig = dtable(a_vec / float(table.X) ** 3)
-    return a_vec, N, s, sig
+    sig = dtable(a_vec / float(X) ** 3)
+    return table, a_vec, N, s[i0::d], sig
 
 
 def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
@@ -109,17 +113,15 @@ def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
         raise ValueError("need K >= 1 and d >= 1")
     _check_positive_int("K", K)
     _check_positive_int("d", d)
-    if K > MAX_MODULUS:  # series_window's bound, checked before the walk
+    if K > MAX_MODULUS:  # the series window's bound, checked before the walk
         raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
-    if d > _SERIES_N_MAX:
-        raise ValueError(f"need 1 <= d <= {_SERIES_N_MAX}, got d={d}")
+    if d > _D_MAX:
+        raise ValueError(f"need 1 <= d <= {_D_MAX}, got d={d}")
     if K * d > X ** 0.9:
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
     t0 = time.perf_counter()
-    table = count_weighted(X, weight, exact=False)
-    dtab = density_table(weight)
-    _a, N, s, sig = _window_vectors(table, K, d, dtab)
+    table, _a, N, s, sig = _window_vectors(X, K, d, weight)
     ssig = s * sig
     diff = N - ssig
     var_direct = float(np.dot(diff, diff))
@@ -129,8 +131,7 @@ def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
     sigma3 = float(np.dot(ssig, ssig))
     decomposed = sigma1 - 2.0 * sigma2 + sigma3
     rel = abs(var_direct - decomposed) / max(var_direct, 1e-300)
-    series = singular_series_level_d(d, n_max=_SERIES_N_MAX)
-    main_term = series.euler * pure_l2_moment(weight) * float(X) ** 3
+    main_term = singular_series_euler(d) * pure_l2_moment(weight) * float(X) ** 3
     special = special_count(X, d, weight, table=table).diag
     return VarianceReport(
         X=X, K=K, d=d, R=weight.R, var_direct=var_direct, sigma1=sigma1,
@@ -331,10 +332,8 @@ def sieved_variance(X: int, K: int, hparams: HypothesisParams,
     if threshold > 20.0:
         raise ValueError(f"X^hbar = {threshold:.2f} exceeds the filter cap 20")
     sieve_primes = [p for p in primes_below(21) if p < threshold]
-    P = math.prod(sieve_primes) if sieve_primes else 1
-    table = count_weighted(X, weight, exact=False)
-    dtab = density_table(weight)
-    a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
+    P = math.prod(sieve_primes)
+    _table, a_vec, N, s, sig = _window_vectors(X, K, 1, weight)
     diff = N - s * sig
     sq = diff * diff
     unfiltered = float(np.sum(sq))
@@ -408,9 +407,7 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
         for R in R_list:
             eta = math.log(R) ** (-10.0 / j)
             nu = nu_star(R)
-            table = count_weighted(X, nu, exact=False)
-            dtab = density_table(nu)
-            a_vec, N, s, sig = _window_vectors(table, K, 1, dtab)
+            _table, a_vec, N, s, sig = _window_vectors(X, K, 1, nu)
             diff = N - s * sig  # Var(X, K; 1) as variance forms it
             var = float(np.dot(diff, diff))
             window = np.abs(a_vec) <= A

@@ -669,6 +669,15 @@ def test_multiplicativity_line_only_when_a_pair_ran(monkeypatch, capsys):
     assert out.out.endswith("verify local: 10 checks passed\n")
 
 
+def test_vanishing_line_names_only_the_moduli_checked(capsys):
+    rc, out = run(["verify", "--max-modulus", "1"], capsys)
+    assert rc == 0 and "vanishing" not in out.out
+    assert out.out.endswith("ok modulus 1\nverify local: 1 checks passed\n")
+    rc, out = run(["verify", "--max-modulus", "2"], capsys)
+    assert rc == 0
+    assert out.out.endswith("ok vanishing at 2\nverify local: 3 checks passed\n")
+
+
 def test_spot_check_draws_repeat_for_a_seed(monkeypatch, capsys):
     draws = [_spot_checks(monkeypatch, capsys, 40, seed)[2]
              for seed in (1, 1, 2)]

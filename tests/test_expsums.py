@@ -354,21 +354,14 @@ def test_hasse_consistency():
         assert (n0 - p * p) ** 2 * p <= 9 * p**4, p
 
 
-def test_singular_series_frozen():
-    v = E.singular_series_level_d(2, 4)
-    assert v.series == Fraction(17, 32)
-    assert v.series_float == 0.53125
-
-
-def test_singular_series_reports():
-    v = E.singular_series_level_d(1, 64)
-    assert v.tail_heuristic >= 0
-    assert 0 < v.euler < 20
-    assert float(v.series) == v.series_float
-    with pytest.raises(ValueError):
-        E.singular_series_level_d(0, 10)
-    with pytest.raises(ValueError):
-        E.singular_series_level_d(8, 4)
+def test_singular_series_euler_frozen():
+    # the main term's constant S(d), bit for bit
+    frozen = {1: "0x1.a52752c4c031dp+1", 2: "0x1.cde6c370bf080p+0",
+              3: "0x1.408fde4a30cc0p+0", 4: "0x1.62e98bd9c8a66p+0"}
+    for d, value in frozen.items():
+        assert E.singular_series_euler(d).hex() == value, d
+    with pytest.raises(ValueError, match="need d >= 1"):
+        E.singular_series_euler(0)
 
 
 # ------------------------------------------------- int64 route of T_a(p^l)

@@ -1,18 +1,21 @@
 """Variance decomposition, exact moment regrouping, sieve filter, pipeline."""
 
+import dataclasses
+import json
 import math
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubesums import CheckFailed, lattice
+from cubesums import CheckFailed, expsums, lattice, series
 from cubesums import variance as variance_module
 from cubesums.cli import main
 from cubesums.densities import _density_table
-from cubesums.expsums import point_count_vector, singular_series_level_d, t_full
+from cubesums.expsums import point_count_vector, singular_series_euler, t_full
 from cubesums.lattice import count_weighted, pair_count, special_count
 from cubesums.variance import (
     HypothesisParams,
@@ -347,9 +350,28 @@ def test_table_of_another_weight_is_rejected(nu2):
 
 def test_singular_series_positive():
     # the level-d singular series is positive for every d <= 50
-    low = min(singular_series_level_d(d, n_max=max(24, d)).euler
-              for d in range(1, 51))
+    low = min(singular_series_euler(d) for d in range(1, 51))
     assert low > 0.0
+
+
+def test_variance_reads_neither_s_plus_nor_the_series_window(nu2,
+                                                            monkeypatch):
+    # S(d) is the Euler product alone and the window builds no M_a(K): the
+    # golden report comes back with both routes stubbed to raise
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"reached with {args}")
+
+    for module in (expsums, variance_module):
+        monkeypatch.setattr(module, "s_plus_zero", unreachable)
+    monkeypatch.setattr(series, "series_window", unreachable)
+    golden = Path(__file__).parent / "golden" / "variance-json.txt"
+    command, text = golden.read_text().split("\n", 1)
+    assert command == "$ cubesums variance --X 20 --K 4 --d 2"
+    expected = json.loads(text)
+    got = dataclasses.asdict(variance(20, 4, 2, nu2))
+    for fields in (expected, got):
+        del fields["wall_time"]
+    assert got == expected
 
 
 def test_sieved_variance_filter(nu2):
