@@ -25,6 +25,17 @@ MAX_N = (1 << 63) - 1  # factorable range contract; also the int64 range
 _TRIAL_LIMIT = 1 << 21
 
 
+def _check_positive_int(name: str, value) -> None:
+    """ValueError "<name> must be a positive integer, got <name>=<value>"
+    unless value is an int or numpy integer >= 1.  A float would run on:
+    d = 1.5 passes a % d == 0 on the multiples of 3, X = 8.5 counts at a
+    scale no CLI run asks for, and int(7.5) would serve the modulus-7 vector.
+    """
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, "
+                         f"got {name}={value!r}")
+
+
 def _grow_sieve(limit: int) -> None:
     global _sieve_primes, _SIEVE_LIMIT
     if _sieve_primes and limit <= _SIEVE_LIMIT:

@@ -15,6 +15,11 @@ Two routes compute it:
   quadrature of chi) and kept in the disk store of cache.py; every sigma
   for every R is then a cheap 1-d rule.
 
+S1 and the density tables are interpolated by _Spline, a not-a-knot cubic
+spline in numpy and Python floats that repeats scipy's CubicSpline operation
+for operation, so its values are scipy's to the bit (the tests compare
+them) and the package needs no scipy.
+
 Integrals over the full 3-d support (mixed moment, L^2 norm) decompose as an
 outer 2-d adaptive integral over (y2, y3) and an inner Gauss rule over the
 exact y1-interval on which |F0| stays below a_support = 3, less the dead
@@ -27,20 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import cache
+from .arith import _check_positive_int
 from .quadrature import (adaptive_integrate, gauss_rule, log_panel_rule,
                          scaled_gauss_nodes)
 from .weights import Weight, bump, f0, _six_forms, _w2_product
-
-if TYPE_CHECKING:
-    # importing scipy.interpolate costs more time and memory than the rest of
-    # the package; it is imported where a spline is built, so paths that
-    # never build one skip it
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "DensityTable",
@@ -70,6 +69,77 @@ _S1_PROBES = (96, 288)
 
 def _cube(t: np.ndarray) -> np.ndarray:
     return t * t * t
+
+
+class _Spline:
+    """Not-a-knot cubic spline through n >= 4 strictly increasing float
+    knots, equal bit for bit to scipy's CubicSpline(x, y), the tests' oracle.
+
+    It repeats scipy 1.17.1's operations in order: the not-a-knot system for
+    the knot slopes, solved as LAPACK dgtsv solves it (_gtsv); the four
+    coefficient expressions; PPoly's evaluation on the interval of the knot
+    at or left of v (the end intervals past the ends), summing 0.0 + c3 +
+    c2 s + c1 s^2 + c0 s^3, with s = v - x[i] and its powers by products.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
+        lower = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+        upper = np.concatenate([[x[2] - x[0]], dx[:-1]])
+        rhs = np.empty(len(x))
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        w = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2 * w) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / w
+        w = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+        s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
+                           rhs.tolist()))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._x = x
+        # c3 takes the sum's leading 0.0 +, which turns -0.0 into 0.0
+        self._c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], 0.0 + y[:-1])
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self._x, v, "right") - 1, 0,
+                    len(self._x) - 2)
+        c0, c1, c2, c3 = (c[i] for c in self._c)
+        s = v - self._x[i]
+        s2 = s * s
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve the tridiagonal system (sub-diagonal dl, diagonal d,
+    super-diagonal du) for one right-hand side b, as LAPACK dgtsv does:
+    Gaussian elimination with partial pivoting, then back-substitution, in
+    Python floats and in dgtsv's order.  Overwrites its lists; returns b.
+    A row swap fills dl[i] with the second super-diagonal."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            f = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - f * du[i]
+            b[i + 1] = b[i + 1] - f * b[i]
+            dl[i] = 0.0
+        else:
+            f = d[i] / dl[i]
+            d[i], tmp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - f * tmp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -f * dl[i]
+            du[i] = tmp
+            b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 def _chi_integrand(b: float, z2: np.ndarray, z3: np.ndarray) -> np.ndarray:
@@ -116,19 +186,17 @@ def _s1_probe(half: np.ndarray, vals: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _s1_spline() -> tuple[CubicSpline, np.ndarray, float]:
+def _s1_spline() -> tuple[_Spline, np.ndarray, float]:
     """Cubic spline of S1 on [-_S1_EDGE, _S1_EDGE], its node values on
     [0, _S1_EDGE] and its off-grid validation error against direct quadrature
     of chi at 16 random points; values and error come from the disk store if
     it holds a table that passes _s1_probe, and a build is written there."""
-    from scipy.interpolate import CubicSpline
-
     half = np.linspace(0.0, _S1_EDGE, _S1_NODES)
     path = cache.s1_path()
     stored = cache.load(path, _S1_KEY, _S1_NODES, partial(_s1_probe, half))
     vals, worst = stored or (np.array([chi_surface(b) for b in half]), None)
-    spline = CubicSpline(np.concatenate([-half[:0:-1], half]),
-                         np.concatenate([vals[:0:-1], vals]))
+    spline = _Spline(np.concatenate([-half[:0:-1], half]),
+                     np.concatenate([vals[:0:-1], vals]))
     if worst is None:
         rng = np.random.default_rng(_S1_VALIDATION_SEED)
         worst = 0.0
@@ -209,12 +277,10 @@ class DensityTable:
     grid: np.ndarray
     values: np.ndarray
     max_validation_error: float
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _spline: _Spline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(self.grid, self.values)
+        self._spline = _Spline(self.grid, self.values)
 
     def __call__(self, atil):
         arr = np.atleast_1d(np.asarray(atil, dtype=float))
@@ -249,6 +315,7 @@ def density_table(weight: Weight, grid_size: int = 512) -> DensityTable:
     a-tilde.  One table is built per weight object and grid size, however
     the arguments are spelled at the call site.
     """
+    _check_positive_int("grid_size", grid_size)
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     if grid_size > 1 << 16:  # _sigma_fast holds a grid x r-nodes matrix

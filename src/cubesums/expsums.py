@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed, cache
-from .arith import (MAX_N as INT64_MAX, divisors, factor, is_prime,
-                    primes_below, v_p)
+from .arith import (MAX_N as INT64_MAX, _check_positive_int, divisors,
+                    factor, is_prime, primes_below, v_p)
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
 # kept at 4096 because the Euler products that variance prints depend on this
@@ -44,10 +44,10 @@ MAX_MODULUS = (1 << 21) - 1
 
 
 def _check_modulus(m: int) -> int:
-    m = int(m)
-    if m < 1 or m > MAX_MODULUS:
+    _check_positive_int("modulus", m)
+    if m > MAX_MODULUS:
         raise ValueError(f"modulus {m} outside [1, {MAX_MODULUS}]")
-    return m
+    return int(m)
 
 
 @lru_cache(maxsize=1024)
@@ -272,8 +272,8 @@ def s_plus_zero(n: int, d: int) -> int:
     with x = (y, z) and F(x) = F0(y) - F0(z).  Vanishes unless d | n;
     multiplicative across coprime (n, d) blocks; always an integer.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n, d >= 1")
+    _check_positive_int("n", n)
+    _check_positive_int("d", d)
     if n % d != 0:
         return 0
     fac = factor(n).factors
@@ -385,11 +385,22 @@ def _sigma_p_of_d(p: int, e: int) -> float:
 
 def singular_series_euler(d: int) -> float:
     """Level-d singular series S(d) = sum_{d | n} n^{-6} S+_0(n; d) as its
-    Euler product over p <= p_max = 100."""
+    Euler product over p <= p_max = 100.
+
+    ValueError names a d that the product cannot represent: one with a prime
+    factor above p_max, which no factor sees, or with a prime power above
+    LOCAL_MODULUS_CAP, whose factor _sigma_p_of_d would cut to 0.
+    """
     p_max = 100
     if d < 1:
         raise ValueError("need d >= 1")
-    euler = 1.0
-    for p in primes_below(p_max + 1):
-        euler *= _sigma_p_of_d(p, v_p(d, p) if d % p == 0 else 0)
-    return euler
+    _check_positive_int("d", d)
+    exps = {p: v_p(d, p) for p in primes_below(p_max + 1)}
+    if math.prod(p**e for p, e in exps.items()) != d:
+        raise ValueError(f"d={d} has a prime factor above {p_max}, "
+                         "past the Euler product")
+    for p, e in exps.items():
+        if p**e > LOCAL_MODULUS_CAP:
+            raise ValueError(f"d={d} has the prime power {p}^{e} > "
+                             f"LOCAL_MODULUS_CAP = {LOCAL_MODULUS_CAP}")
+    return math.prod(_sigma_p_of_d(p, e) for p, e in exps.items())

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed
-from .arith import admissible, primes_below
+from .arith import _check_positive_int, admissible, primes_below
 from .weights import Weight
 
 __all__ = [
@@ -248,15 +248,6 @@ class CountTable:
     def nonzero_items(self):
         idx = np.nonzero(self.bins)[0]
         return idx - self.offset, self.bins[idx]
-
-
-def _check_positive_int(name: str, value) -> None:
-    """ValueError "<name> must be a positive integer" unless value is an int
-    or numpy integer >= 1.  A float would run on: d = 1.5 passes a % d == 0
-    on the multiples of 3, and X = 8.5 counts at a scale no CLI run asks for.
-    """
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
 
 
 def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import admissible, factor, mobius, primes_below
+from .arith import (_check_positive_int, admissible, factor, mobius,
+                    primes_below)
 from .densities import density_table, pure_l2_moment, sigma_inf, weight_l2_norm_sq
 from .expsums import (
     MAX_MODULUS,
@@ -34,8 +35,7 @@ from .expsums import (
     singular_series_euler,
     t_full,
 )
-from .lattice import (_check_positive_int, count_weighted, pair_count,
-                      special_count)
+from .lattice import count_weighted, pair_count, special_count
 from .series import _partial_sums
 from .weights import Weight, nu_star
 

@@ -6,7 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from cubesums import arith
+from cubesums import arith, expsums
+from cubesums.densities import density_table
+from cubesums.weights import nu_star
 
 
 def test_factor_examples():
@@ -123,3 +125,20 @@ def test_is_prime_matches_sympy():
     # 4398046511093 is the largest prime below 2^42
     for n in [*range(-5, 3 * 10**5), 2097143, 4398046511093]:
         assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+# non-integers that once ran on: int(7.5) gave the modulus-7 vector, cached
+# under 7.5; s_plus_zero returned 0 for both; density_table raised
+# TypeError from deep inside
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: expsums.point_count_vector(7.5), "modulus", "7.5"),
+    (lambda: expsums.s_plus_zero(4.5, 2), "n", "4.5"),
+    (lambda: expsums.s_plus_zero(4, 2.5), "d", "2.5"),
+    (lambda: density_table(nu_star(2.0), 512.5), "grid_size", "512.5"),
+], ids=["point_count_vector", "s_plus_zero-n", "s_plus_zero-d",
+        "density_table"])
+def test_non_integer_arguments_refused_by_the_one_check(call, name, value):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a positive integer, "
+                             f"got {name}={value}$"):
+        call()

@@ -339,14 +339,46 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.fixture(scope="module")
+def s1_store(tmp_path_factory):
+    """A store directory that holds the suite's in-process S1 table."""
+    from cubesums import densities
+
+    _spline, vals, worst = densities._s1_spline()
+    directory = tmp_path_factory.mktemp("s1_store")
+    cache.configure(directory)
+    assert cache.save(cache.s1_path(), densities._S1_KEY, vals, worst)
+    cache.configure(None)
+    return directory
+
+
+# every import of scipy raises; the spline commands print their golden bytes,
+# less wall_time, from the store sys.argv[1]
+_SCIPY_BLOCKED = (
+    "import contextlib, io, re, shlex, sys\n"
+    "sys.modules['scipy'] = None\n"
+    "from cubesums.cli import main\n"
+    "mask = lambda text: re.sub(r'(\"wall_time\": )\\S+', r'\\1-', text)\n"
+    "for path in sys.argv[2:]:\n"
+    "    line, want = open(path).read().split('\\n', 1)\n"
+    "    argv = shlex.split(line)[2:] + ['--cache-dir', sys.argv[1]]\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        assert main(argv) == 0, argv\n"
+    "    assert mask(out.getvalue()) == mask(want), path\n")
+
+
 @pytest.mark.parametrize("code", [
     "import cubesums.cli, sys; sys.exit('scipy' in sys.modules)",
     "import sys; from cubesums.cli import main; "
     "sys.exit(main(['gamma', '--a', '2', '--p', '7']) or 'scipy' in sys.modules)",
+    pytest.param(_SCIPY_BLOCKED, id="spline-commands-with-scipy-blocked"),
 ])
-def test_cli_leaves_scipy_unloaded(code):
-    # scipy is imported only where a spline is built (densities)
-    proc = _python("-c", code)
+def test_cli_leaves_scipy_unloaded(code, s1_store):
+    # the package needs numpy alone; scipy is the tests' spline oracle
+    golden = Path(__file__).parent / "golden"
+    proc = _python("-c", code, str(s1_store), str(golden / "density-json.txt"),
+                   str(golden / "variance-json.txt"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -585,8 +617,8 @@ def test_unusable_cache_dir_keeps_output(tmp_path, capsys):
 
 
 def test_variance_rejects_x_zero_before_warning(capsys):
-    # d = 49 is past the singular series' truncation n <= 48, and K*d would
-    # warn; both are refused before any table is built
+    # d = 49 is past variance's bound d <= 48, and K*d would warn; both are
+    # refused before any table is built
     for argv, message in (
             (["--X", "0", "--K", "1", "--d", "1"], "X must be a positive integer"),
             (["--X", "30", "--K", "1", "--d", "49"], "need 1 <= d <= 48, got d=49")):

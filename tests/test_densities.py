@@ -7,10 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from test_weights import sobolev_estimate
 
 from cubesums import densities
 from cubesums.densities import (
+    _S1_EDGE,
+    _S1_NODES,
+    _Spline,
     _chi_integrand,
     _s1_spline,
     chi_surface,
@@ -58,6 +62,46 @@ def test_s1_table_frozen_digest():
     assert hashlib.sha256(vals.tobytes()).hexdigest() == (
         "672471044b565720d313fcce8c0ff8a84681ea64e8cce51aa38d1e57d4c465d4")
     assert float(worst).hex() == "0x1.fc73929b8c6aap-21"
+
+
+def _assert_scipy_bits(spline, x, y, points):
+    """spline has scipy CubicSpline(x, y)'s coefficients, and its values at
+    points to the bit (signed zeros included), in the shape of points."""
+    ref = CubicSpline(x, y)
+    for got, want in zip(spline._c, ref.c):
+        assert np.array_equal(got, want)
+    got, want = spline(points), ref(points)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_spline_is_scipys_bit_for_bit_on_random_knots():
+    # a platform whose dgtsv fuses a - f*b into one FMA fails here; the
+    # uneven sets make the elimination swap rows
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(4, 400))
+        if trial % 3:
+            x = np.cumsum(10.0 ** rng.uniform(-3, 2, n)) - rng.uniform(0, 50)
+        else:
+            x = np.linspace(-rng.uniform(0, 5), rng.uniform(0.1, 5), n)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+        span = x[-1] - x[0]
+        points = np.concatenate([
+            x, rng.uniform(x[0] - span, x[-1] + span, 4000 - n)])
+        _assert_scipy_bits(_Spline(x, y), x, y, points.reshape(-1, 50))
+
+
+def test_spline_is_scipys_bit_for_bit_on_the_tables(table2):
+    half = np.linspace(0.0, _S1_EDGE, _S1_NODES)
+    vals = _s1_spline()[1]
+    x = np.concatenate([-half[:0:-1], half])
+    y = np.concatenate([vals[:0:-1], vals])
+    rng = np.random.default_rng(8)
+    _assert_scipy_bits(_s1_spline()[0], x, y,
+                       rng.uniform(-2 * _S1_EDGE, 2 * _S1_EDGE, 200_000))
+    edge = table2.grid[-1]
+    _assert_scipy_bits(table2._spline, table2.grid, table2.values,
+                       rng.uniform(-2 * edge, 2 * edge, 200_000))
 
 
 def _chi_integrand_unskipped(b, pts):
@@ -234,13 +278,14 @@ def derivative_probe(weight, k):
     """Max |d^k/d a-tilde^k sigma| from the density table, compared with the
     sampled Sobolev norm times B^(10+4k); report only."""
     table = density_table(weight)
+    spline = CubicSpline(table.grid, table.values)
     dense = np.linspace(table.grid[0], table.grid[-1], 4097)
-    deriv = table._spline.derivative(k)(dense) if k else table(dense)
+    deriv = spline.derivative(k)(dense) if k else table(dense)
     max_abs = float(np.max(np.abs(deriv)))
     sob = sobolev_estimate(weight, k)
     bound_scale = sob * float(weight.B) ** (10 + 4 * k)
     # consistency of two first-derivative estimators at the steepest point
-    d1 = table._spline.derivative(1)(dense)
+    d1 = spline.derivative(1)(dense)
     i = int(np.argmax(np.abs(d1)))
     x0 = float(np.clip(dense[i], table.grid[0] + 0.1, table.grid[-1] - 0.1))
     h = 2e-3

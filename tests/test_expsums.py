@@ -362,6 +362,15 @@ def test_singular_series_euler_frozen():
         assert E.singular_series_euler(d).hex() == value, d
     with pytest.raises(ValueError, match="need d >= 1"):
         E.singular_series_euler(0)
+    # the d the product cannot represent: no Euler factor sees a prime
+    # above 100, and _sigma_p_of_d cuts a prime power past
+    # LOCAL_MODULUS_CAP to 0; both once returned a number
+    for d, msg in ((2.5, "d must be a positive integer, got d=2.5"),
+                   (101, "d=101 has a prime factor above 100"),
+                   (8192, r"d=8192 has the prime power 2\^13 > LOCAL_MODULUS"),
+                   (10**6, r"d=1000000 has the prime power 5\^6 > LOCAL")):
+        with pytest.raises(ValueError, match=msg):
+            E.singular_series_euler(d)
 
 
 # ------------------------------------------------- int64 route of T_a(p^l)

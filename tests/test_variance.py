@@ -282,8 +282,9 @@ def test_one_lattice_walk_per_X(nu2, monkeypatch):
 
 
 def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
-    # the main term's singular series is truncated at n <= 48; the level is
-    # checked before the lattice is walked
+    # the main term's S(d) is an Euler product over p <= 100 with factors
+    # cut at LOCAL_MODULUS_CAP, which d <= 48 respects; the level is checked
+    # before the lattice is walked
     def no_walk(*args, **kwargs):
         raise AssertionError("walked the lattice")
 
