@@ -5,7 +5,8 @@ is the only primality test.  The sieve starts at 2^16 and grows, at most to
 2^21, only when a cofactor outlasts its primes; a cofactor left below 2^42
 is then prime.  Every modulus the package factors lies below 2^21 or is a
 product of such prime powers, so the one uncertified case, a cofactor at or
-above 2^42, is refused with ValueError.
+above 2^42, is refused with ValueError.  _check_int is the package's one
+test of an integer argument's domain, made before any work.
 """
 from __future__ import annotations
 
@@ -25,15 +26,26 @@ MAX_N = (1 << 63) - 1  # factorable range contract; also the int64 range
 _TRIAL_LIMIT = 1 << 21
 
 
-def _check_positive_int(name: str, value) -> None:
-    """ValueError "<name> must be a positive integer, got <name>=<value>"
-    unless value is an int or numpy integer >= 1.  A float would run on:
-    d = 1.5 passes a % d == 0 on the multiples of 3, X = 8.5 counts at a
-    scale no CLI run asks for, and int(7.5) would serve the modulus-7 vector.
+def _check_int(name: str, value, lo: int | None = 1,
+               hi: int | None = None) -> None:
+    """ValueError unless value is an int or numpy integer in [lo, hi] (None:
+    no bound on that side), naming the argument and its value: "<name> must
+    be a positive integer, got <name>=<value>" for a non-integer ("an
+    integer" when lo is None or below 1) and, when lo = 1 and hi is None,
+    for a value below 1; else "need lo <= <name> <= hi, got <name>=<value>".
+    A float would run on: d = 1.5 passes a % d == 0 on the multiples of 3,
+    and int(7.5) would serve the modulus-7 vector.
     """
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, "
+    is_int = isinstance(value, (int, np.integer))
+    if is_int and (lo is None or value >= lo) and (hi is None or value <= hi):
+        return
+    if not is_int or (lo == 1 and hi is None):
+        kind = "a positive" if lo is not None and lo >= 1 else "an"
+        raise ValueError(f"{name} must be {kind} integer, "
                          f"got {name}={value!r}")
+    bound = (f"{name} >= {lo}" if hi is None else
+             f"{name} <= {hi}" if lo is None else f"{lo} <= {name} <= {hi}")
+    raise ValueError(f"need {bound}, got {name}={value!r}")
 
 
 def _grow_sieve(limit: int) -> None:
@@ -79,11 +91,8 @@ def factor(n: int) -> Factored:
     primes up to 2^21 is 2^42 or more: trial division certifies no such
     cofactor.  The answer does not depend on how far the sieve has grown.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"factor expects an integer, got {type(n).__name__}")
+    _check_int("n", n, 1, MAX_N)
     n = int(n)
-    if n < 1 or n > MAX_N:
-        raise ValueError(f"factor argument {n} outside [1, 2^63 - 1]")
     _grow_sieve(_SIEVE_LIMIT)
     m = n
     fac: dict[int, int] = {}
@@ -120,8 +129,7 @@ def v_p(n: int, p: int) -> int:
     """p-adic valuation of n != 0 at p >= 2."""
     if n == 0:
         raise ValueError("v_p undefined at 0")
-    if p < 2:
-        raise ValueError(f"v_p needs p >= 2, got p={p}")
+    _check_int("p", p, 2)
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -155,8 +163,7 @@ class PartDecomposition:
 
 
 def sq_cub_parts(n: int) -> PartDecomposition:
-    if n < 1:
-        raise ValueError(f"sq_cub_parts expects n >= 1, got {n}")
+    _check_int("n", n)
     sq = cub = 1
     for p, e in factor(n).factors:
         if e >= 2:

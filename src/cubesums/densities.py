@@ -36,7 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import cache
-from .arith import _check_positive_int
+from .arith import _check_int
 from .quadrature import (adaptive_integrate, gauss_rule, log_panel_rule,
                          scaled_gauss_nodes)
 from .weights import Weight, bump, f0, _six_forms, _w2_product
@@ -260,6 +260,8 @@ def sigma_inf(a: float, X: float, weight: Weight,
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and rel_tol is not None:
         raise ValueError("rel_tol applies to method='direct' only")
+    if rel_tol is not None and not 0 < rel_tol < 1:  # NaN included
+        raise ValueError(f"rel_tol must lie in (0, 1), got rel_tol={rel_tol!r}")
     atil = float(a) / float(X) ** 3
     if abs(atil) > weight.a_support:
         return 0.0
@@ -315,11 +317,8 @@ def density_table(weight: Weight, grid_size: int = 512) -> DensityTable:
     a-tilde.  One table is built per weight object and grid size, however
     the arguments are spelled at the call site.
     """
-    _check_positive_int("grid_size", grid_size)
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    if grid_size > 1 << 16:  # _sigma_fast holds a grid x r-nodes matrix
-        raise ValueError(f"grid_size must be <= {1 << 16}")
+    # the cap: _sigma_fast holds a grid x r-nodes matrix
+    _check_int("grid_size", grid_size, 64, 1 << 16)
     return _density_table(weight, grid_size)
 
 
@@ -440,8 +439,9 @@ class PoissonTrend:
 def poisson_check(weight: Weight, X: int, N: int, b: int) -> PoissonReport:
     """Compare sum of sigma^2 over a = b mod N, |a| <= a_support*X^3 with
     X^3/N times the integral of sigma^2 (both from the same table)."""
-    if X < 1 or N < 1:
-        raise ValueError("X and N must be integers >= 1")
+    _check_int("X", X)
+    _check_int("N", N)
+    _check_int("b", b, None)
     table = density_table(weight)
     bound = int(math.floor(weight.a_support * X**3))
     start = -bound + ((b - (-bound)) % N)

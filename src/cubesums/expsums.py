@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed, cache
-from .arith import (MAX_N as INT64_MAX, _check_positive_int, divisors,
-                    factor, is_prime, primes_below, v_p)
+from .arith import (MAX_N as INT64_MAX, _check_int, divisors, factor,
+                    is_prime, primes_below, v_p)
 
 # prime powers above this are left out of the Euler factors of _sigma_p_of_d;
 # kept at 4096 because the Euler products that variance prints depend on this
@@ -44,10 +44,16 @@ MAX_MODULUS = (1 << 21) - 1
 
 
 def _check_modulus(m: int) -> int:
-    _check_positive_int("modulus", m)
-    if m > MAX_MODULUS:
-        raise ValueError(f"modulus {m} outside [1, {MAX_MODULUS}]")
+    _check_int("modulus", m, 1, MAX_MODULUS)
     return int(m)
+
+
+def _check_prime(p: int) -> None:
+    """ValueError unless p is a prime; above MAX_MODULUS, where no p-power
+    vector exists, p is refused before it is factored."""
+    _check_int("p", p, None, MAX_MODULUS)
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got p={p}")
 
 
 @lru_cache(maxsize=1024)
@@ -174,9 +180,7 @@ def _cube_sum_histogram(n: int) -> np.ndarray:
 
 def point_counts_bruteforce(m: int) -> np.ndarray:
     """Independent O(m^2) enumeration of N_a(m); only for small m."""
-    m = _check_modulus(m)
-    if m > 256:
-        raise ValueError("brute-force point counts limited to m <= 256")
+    _check_int("m", m, 1, 256)
     return _cube_sum_histogram(m)
 
 
@@ -194,8 +198,8 @@ def configure_cache(directory: str | None) -> None:
 @lru_cache(maxsize=512)
 def t_prime_power(p: int, l: int) -> np.ndarray:
     """Vector of T_a(p^l) over a mod p^l; int64 whenever it fits."""
-    if l < 1:
-        raise ValueError("need l >= 1")
+    _check_prime(p)
+    _check_int("l", l)
     # T = p^l D with D = N_a(p^l) - p^2 N_a(p^(l-1)) and N_a(p^0) = 1; both
     # terms of D lie in [0, m^3] and m^3 < 2^63, so D is exact in int64
     n_l = point_count_vector(p**l)
@@ -222,6 +226,7 @@ def t_full(n: int) -> np.ndarray:
 
 def t_single(a: int, n: int):
     """T_a(n) for one residue; int."""
+    _check_int("a", a, None)
     return int(t_full(n)[a % n])
 
 
@@ -232,9 +237,7 @@ def t_direct(n: int) -> np.ndarray:
     convolution) and sums unit characters in complex doubles.  Intended as an
     independent oracle for small n; error grows like n^3 * eps.
     """
-    n = _check_modulus(n)
-    if n > 128:
-        raise ValueError("direct evaluation limited to n <= 128")
+    _check_int("n", n, 1, 128)
     hist = _cube_sum_histogram(n).astype(float)
     units = np.array([u for u in range(n) if math.gcd(u, n) == 1]) if n > 1 else np.array([0])
     root = np.exp(2j * np.pi / n)
@@ -272,8 +275,8 @@ def s_plus_zero(n: int, d: int) -> int:
     with x = (y, z) and F(x) = F0(y) - F0(z).  Vanishes unless d | n;
     multiplicative across coprime (n, d) blocks; always an integer.
     """
-    _check_positive_int("n", n)
-    _check_positive_int("d", d)
+    _check_int("n", n)
+    _check_int("d", d)
     if n % d != 0:
         return 0
     fac = factor(n).factors
@@ -289,6 +292,8 @@ def s_plus_zero_bruteforce(n: int, d: int) -> tuple[int, float]:
     over m with lcm(m, d) = n and units u.  Returns (rounded value, rounding
     residual).  Guarded to n * d <= 200.
     """
+    _check_int("n", n)
+    _check_int("d", d)
     if n % d != 0:
         return 0, 0.0
     if n * d > 200:
@@ -332,12 +337,10 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
     past that level every solution lifts (the higher twisted sums vanish), so
     that level certifies the limit.
     """
+    _check_int("a", a, None)
     if a == 0:
         raise ValueError("sigma_p_a needs a != 0")
-    # past MAX_MODULUS the level check below refuses p, prime or not, so
-    # primality is only asked inside factor's range
-    if p <= MAX_MODULUS and not is_prime(p):
-        raise ValueError(f"p must be a prime, got p={p}")
+    _check_prime(p)
     level = v_p(3 * a, p) + 1
     if p**level > MAX_MODULUS:
         raise ValueError(f"level {level} at p={p} puts p^{level} above {MAX_MODULUS}")
@@ -347,8 +350,7 @@ def sigma_p_a(p: int, a: int) -> LocalDensity:
 
 def g_density(n: int) -> Fraction:
     """g(n) = n^{-3} N_0(n); multiplicative."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_int("n", n)
     out = Fraction(1)
     for p, e in factor(n).factors:
         q = p**e
@@ -392,9 +394,7 @@ def singular_series_euler(d: int) -> float:
     LOCAL_MODULUS_CAP, whose factor _sigma_p_of_d would cut to 0.
     """
     p_max = 100
-    if d < 1:
-        raise ValueError("need d >= 1")
-    _check_positive_int("d", d)
+    _check_int("d", d)
     exps = {p: v_p(d, p) for p in primes_below(p_max + 1)}
     if math.prod(p**e for p, e in exps.items()) != d:
         raise ValueError(f"d={d} has a prime factor above {p_max}, "

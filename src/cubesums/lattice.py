@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed
-from .arith import _check_positive_int, admissible, primes_below
+from .arith import _check_int, admissible, primes_below
 from .weights import Weight
 
 __all__ = [
@@ -260,7 +260,7 @@ def count_weighted(X: int, weight: Weight, exact: bool = True) -> CountTable:
     ledger (faster at large X).  The table keeps the walk's rows, which
     special_count reduces.
     """
-    _check_positive_int("X", X)
+    _check_int("X", X)
     if weight.B * X > _ENUM_BOUND:
         # B = ceil(11 R) may have hundreds of digits; print three significant
         raise ValueError(f"enumeration bound exceeded: "
@@ -320,7 +320,7 @@ def _table_at(X: int, weight: Weight,
 def pair_count(X: int, d: int, weight: Weight,
                table: CountTable | None = None) -> float:
     """N_{nu x nu}(X; d) = sum over d | a of N_{a,nu}(X)^2."""
-    _check_positive_int("d", d)
+    _check_int("d", d)
     a_vals, masses = _table_at(X, weight, table).nonzero_items()
     keep = a_vals % d == 0
     return float(np.dot(masses[keep], masses[keep]))
@@ -328,7 +328,7 @@ def pair_count(X: int, d: int, weight: Weight,
 
 def pair_count_exact(table: CountTable, d: int) -> int:
     """Exact pair count as an integer at scale 2^-(2*EXACT_SHIFT)."""
-    _check_positive_int("d", d)
+    _check_int("d", d)
     if not table.exact:
         raise ValueError("table was built with exact=False")
     return sum(n * n for a, n in table.exact.items() if a % d == 0)
@@ -343,7 +343,8 @@ def pair_count_bruteforce(X: int, d: int, weight: Weight) -> int:
     square of the fiber's sum (all cross-fiber terms vanish).  Returns the
     exact integer at scale 2^-(2*EXACT_SHIFT).
     """
-    _check_positive_int("d", d)
+    _check_int("X", X)
+    _check_int("d", d)
     return sum(sum(vals) ** 2 for a, vals in _brute_fibers(X, weight).items()
                if a % d == 0)
 
@@ -386,7 +387,7 @@ def special_count(X: int, d: int, weight: Weight,
     the orbit rows of the table at X (_table_at builds one if none is given):
     orb is the row's k, and the 2k points of a row share one nu value.
     """
-    _check_positive_int("d", d)
+    _check_int("d", d)
     table = _table_at(X, weight, table)
     keep = table.orbit_a % d == 0  # d | a exactly when d | -a
     k, nu = table.orbit_k[keep], table.orbit_nu[keep]
@@ -420,8 +421,7 @@ def r3_nonneg(a: int) -> int:
     """Ordered representations a = x^3 + y^3 + z^3 with x, y, z >= 0; the
     oracle of prime_demo, sharing none of its code.  One pair table serves
     every a below the same power of two."""
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    _check_int("a", a, 0)
     pairs = _pair_sums(1 << a.bit_length())
     total = 0
     z = 0
@@ -443,8 +443,7 @@ class PrimeDemo:
 
 def prime_demo(A: int) -> PrimeDemo:
     """Exact sum of r3(p) over primes p <= A (nonnegative cubes)."""
-    if not 2 <= A <= 10**6:
-        raise ValueError("require 2 <= A <= 10^6")
+    _check_int("A", A, 2, 10**6)
     top = int(round(A ** (1.0 / 3.0))) + 1
     cubes = np.arange(top + 1, dtype=np.int64) ** 3
     sums = (cubes[:, None] + cubes[None, :]).ravel()

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import admissible, factor, mobius, primes_below, rad, sq_cub_parts
+from .arith import (_check_int, admissible, factor, mobius, primes_below,
+                    rad, sq_cub_parts)
 from .expsums import MAX_MODULUS, _crt_product, sigma_p_a, t_full, t_single
 
 
@@ -56,8 +57,7 @@ _MAX_WIDTH = 1 << 27  # variance's widest: lattice's table has 2^27 bins
 
 def _check_window(K: int, width: int) -> None:
     # every term n <= K reads the T-vector of modulus n
-    if K > MAX_MODULUS:
-        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
+    _check_int("K", K, 1, MAX_MODULUS)
     if width > _MAX_WIDTH:
         raise ValueError(f"window of {width} values exceeds the limit {_MAX_WIDTH}")
 
@@ -96,8 +96,8 @@ def _partial_sums(K: int, a_lo: int, width: int, mollified: bool = True,
 
 
 def series_window(K: int, a_lo: int, a_hi: int, mode: str = "double") -> SeriesWindow:
-    if K < 1 or a_hi < a_lo:
-        raise ValueError("need K >= 1 and a_lo <= a_hi")
+    _check_int("a_lo", a_lo, None)
+    _check_int("a_hi", a_hi, a_lo)
     if mode not in ("double", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     width = a_hi - a_lo + 1
@@ -112,10 +112,12 @@ def series_window(K: int, a_lo: int, a_hi: int, mode: str = "double") -> SeriesW
 
 def s_value(a: int, K: int) -> Fraction:
     """Exact s_a(K) for a single a."""
+    _check_int("K", K, 1, MAX_MODULUS)  # t_single checks a at n = 1
     return sum((Fraction(t_single(a, n), n**3) for n in range(1, K + 1)), Fraction(0))
 
 
 def m_value(a: int, K: int) -> Fraction:
+    _check_int("K", K, 1, MAX_MODULUS)  # t_single checks a at n = 1
     out = Fraction(0)
     for n in range(1, K + 1):
         mu = mobius(n)
@@ -132,8 +134,8 @@ def m_value(a: int, K: int) -> Fraction:
 def c_coeff(a: int, n: int) -> Fraction:
     """c_a(n) = n^{-3} sum_{n1 n2 = n, (n2,30)=1} T_a(n1) mu(n2) T_a(n2),
     evaluated through its prime-power factorization."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_int("a", a, None)
+    _check_int("n", n)
     out = Fraction(1)
     for p, e in factor(n).factors:
         q = p**e
@@ -148,6 +150,7 @@ def c_coeff(a: int, n: int) -> Fraction:
 
 def c_coeff_definitional(a: int, n: int) -> Fraction:
     """Direct divisor-sum evaluation of c_a(n); oracle for c_coeff."""
+    _check_int("n", n)  # t_single checks a at n2 = 1
     total = Fraction(0)
     for n2 in range(1, n + 1):
         if n % n2:
@@ -194,10 +197,10 @@ class GammaProduct:
 def gamma_product(a: int, p_max: int = 1000) -> GammaProduct:
     """prod_{p <= p_max} gamma_p(a), with the halved-range partial product
     reported as a stabilization diagnostic."""
+    _check_int("a", a, None)
     if a == 0:
         raise ValueError("gamma product needs a != 0")
-    if not 2 <= p_max <= MAX_MODULUS:
-        raise ValueError(f"p_max must lie in [2, {MAX_MODULUS}], got {p_max}")
+    _check_int("p_max", p_max, 2, MAX_MODULUS)
     value = 1.0
     half = 1.0
     factors: dict[int, float] = {}
@@ -286,8 +289,7 @@ class ExceptionalScan:
 
 
 def exceptional_scan(A: int, K: int, eta: float, bin_width: float = 0.25) -> ExceptionalScan:
-    if A < 0 or K < 1:
-        raise ValueError("need A >= 0, K >= 1")
+    _check_int("A", A, 0)
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be a finite number >= 0, got {eta}")
     if not (math.isfinite(bin_width) and bin_width > 0):
@@ -357,6 +359,8 @@ def moment_report(p_list: list[int], l_caps: int | dict[int, int] = 2, r: int = 
     implied constant.  The signed average is also computed exactly: it must
     vanish whenever M is not square-full.
     """
+    _check_int("r", r, 1, 2)
+    _check_int("product_cap", product_cap)
     caps = l_caps if isinstance(l_caps, dict) else {p: l_caps for p in p_list}
     grids: list[tuple[int, ...]] = []
     for p in p_list:
@@ -373,8 +377,6 @@ def moment_report(p_list: list[int], l_caps: int | dict[int, int] = 2, r: int = 
                 mods = a + b
                 if math.gcd(math.prod(a), math.prod(b)) == 1 and math.prod(mods) <= product_cap:
                     grids.append(mods)
-    elif r != 1:
-        raise ValueError("r must be 1 or 2")
     rows = []
     best: tuple[float, tuple[int, ...]] = (0.0, ())
     for mods in grids:

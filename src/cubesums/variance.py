@@ -24,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import CheckFailed
-from .arith import (_check_positive_int, admissible, factor, mobius,
-                    primes_below)
+from .arith import _check_int, admissible, factor, mobius, primes_below
 from .densities import density_table, pure_l2_moment, sigma_inf, weight_l2_norm_sq
 from .expsums import (
     MAX_MODULUS,
@@ -85,12 +84,6 @@ class VarianceReport:
     wall_time: float
 
 
-# S(d) is the Euler product over p <= 100 with local factors cut at
-# LOCAL_MODULUS_CAP, so it accounts for d only if every p^e dividing d lies
-# within both; d <= 48 does
-_D_MAX = 48
-
-
 def _window_vectors(X: int, K: int, d: int, weight: Weight):
     """The count table at X and its aligned (a, N, s, sigma) vectors over a
     in dZ, |a| <= table.offset: N_a, s_a(K) and sigma_inf(a, X)."""
@@ -108,19 +101,15 @@ def _window_vectors(X: int, K: int, d: int, weight: Weight):
 
 def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
     """K-approximate variance over the progression dZ, with decomposition."""
-    _check_positive_int("X", X)
-    if K < 1 or d < 1:
-        raise ValueError("need K >= 1 and d >= 1")
-    _check_positive_int("K", K)
-    _check_positive_int("d", d)
-    if K > MAX_MODULUS:  # the series window's bound, checked before the walk
-        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
-    if d > _D_MAX:
-        raise ValueError(f"need 1 <= d <= {_D_MAX}, got d={d}")
+    _check_int("X", X)
+    _check_int("K", K, 1, MAX_MODULUS)  # the series window's bound
+    _check_int("d", d)
+    t0 = time.perf_counter()
+    # refuses, before the walk, a d that the Euler product cannot represent
+    series_d = singular_series_euler(d)
     if K * d > X ** 0.9:
         warnings.warn(f"K*d = {K * d} exceeds X^(9/10) = {X ** 0.9:.1f}; "
                       "the variance asymptotic is not expected to apply")
-    t0 = time.perf_counter()
     table, _a, N, s, sig = _window_vectors(X, K, d, weight)
     ssig = s * sig
     diff = N - ssig
@@ -131,7 +120,7 @@ def variance(X: int, K: int, d: int, weight: Weight) -> VarianceReport:
     sigma3 = float(np.dot(ssig, ssig))
     decomposed = sigma1 - 2.0 * sigma2 + sigma3
     rel = abs(var_direct - decomposed) / max(var_direct, 1e-300)
-    main_term = singular_series_euler(d) * pure_l2_moment(weight) * float(X) ** 3
+    main_term = series_d * pure_l2_moment(weight) * float(X) ** 3
     special = special_count(X, d, weight, table=table).diag
     return VarianceReport(
         X=X, K=K, d=d, R=weight.R, var_direct=var_direct, sigma1=sigma1,
@@ -192,10 +181,12 @@ def moment_check_levels(levels, d: int):
     and fails with the message that a call at K alone would give.
     """
     levels = list(levels)
-    if not (levels and all(1 <= K <= 48 for K in levels) and 1 <= d <= 8):
-        raise ValueError("need 1 <= K <= 48 and 1 <= d <= 8")
-    if levels != sorted(set(levels)):
-        raise ValueError(f"levels must increase, got {levels}")
+    for K in levels:
+        _check_int("K", K, 1, 48)
+    _check_int("d", d, 1, 8)
+    if not levels or levels != sorted(set(levels)):
+        raise ValueError("levels must be nonempty and increasing, "
+                         f"got {levels}")
     K_max = levels[-1]
     t_vecs = {n: t_full(n) for n in range(1, K_max + 1)}
     reps = [np.tile(t_vecs[n][d * np.arange(n) % n], K_max)
@@ -320,13 +311,8 @@ class SievedReport:
 def sieved_variance(X: int, K: int, hparams: HypothesisParams,
                     weight: Weight) -> SievedReport:
     """Variance over a coprime to all primes below X^hbar (exact filter)."""
-    if X < 2:  # the comparison term divides by log X
-        raise ValueError("X must be an integer >= 2")
-    if K < 1:
-        raise ValueError("need K >= 1")
-    _check_positive_int("K", K)
-    if K > MAX_MODULUS:
-        raise ValueError(f"need K <= {MAX_MODULUS}, got K={K}")
+    _check_int("X", X, 2)  # the comparison term divides by log X
+    _check_int("K", K, 1, MAX_MODULUS)
     t0 = time.perf_counter()
     threshold = float(X) ** hparams.hbar
     if threshold > 20.0:
@@ -397,8 +383,11 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
     The Chebyshev inequality n_exc * (eta * sigma_min)^2 <= Var(X, K; 1)
     is exact given the computed quantities and is asserted.
     """
-    if max(X_list) > 100 or max(R_list) > 8:
-        raise ValueError("pipeline demo limited to X <= 100, R <= 8")
+    _check_int("j", j)
+    for X in X_list:
+        _check_int("X", X, 1, 100)
+    if max(R_list) > 8:
+        raise ValueError("pipeline demo limited to R <= 8")
     c_cal = sigma_inf(0.0, 1.0, nu_star(2.0)) / math.log(2.0)
     rows = []
     for X in X_list:

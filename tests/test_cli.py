@@ -135,16 +135,18 @@ def test_validation_errors(capsys):
     assert run(["nonsense"], capsys)[0] == 1  # unknown subcommand
     assert run([], capsys)[0] == 1  # no subcommand
     assert run(["moments", "--K", "49"], capsys)[0] == 1  # out of range
-    for flags in (["--K", "0"], ["--K", "4", "--d", "0"]):
+    for flags, message in ((["--K", "0"], "need 1 <= K <= 48, got K=0"),
+                           (["--K", "4", "--d", "0"],
+                            "need 1 <= d <= 8, got d=0")):
         rc, out = run(["moments"] + flags, capsys)
         assert rc == 1, flags
-        assert "need 1 <= K <= 48 and 1 <= d <= 8" in out.err, flags
+        assert message in out.err, flags
     # an empty product below 2; hours of work above the modulus limit
     for p_max in ("0", "1", "-5", str(expsums.MAX_MODULUS + 1)):
         rc, out = run(["gamma", "--a", "2", "--p-max", p_max], capsys)
         assert rc == 1, p_max
-        assert out.err == (f"cubesums: p_max must lie in "
-                           f"[2, {expsums.MAX_MODULUS}], got {p_max}\n")
+        assert out.err == (f"cubesums: need 2 <= p_max <= "
+                           f"{expsums.MAX_MODULUS}, got p_max={p_max}\n")
     assert run(["expsum", "--modulus", "7", "--threads", "0"], capsys)[0] == 1
     for p in ("0", "4", "-7"):
         rc, out = run(["gamma", "--a", "2", "--p", p], capsys)
@@ -184,7 +186,8 @@ def test_validation_errors(capsys):
              "window of 3000000001 values exceeds the limit 134217728"),
             (["scan-exceptional", "--A", "2000000000", "--K", "1", "--eta",
               "0.1"], "window of 4000000001 values exceeds the limit"),
-            (["density", "--grid", "100000000"], "grid_size must be <= 65536")):
+            (["density", "--grid", "100000000"],
+             "need 64 <= grid_size <= 65536, got grid_size=100000000")):
         rc, out = run(argv, capsys)
         assert rc == 1 and message in out.err, argv
     # sigma_p_a refuses p = 1 before v_p, which raises for every p < 2
@@ -205,7 +208,8 @@ def test_sieved_checks_K_before_any_work(monkeypatch, capsys):
         rc, out = run(["sieved", "--X", "20", "--K", K, "--hbar", "0.045"],
                       capsys)
         assert rc == 1 and out.out == ""
-        assert out.err == "cubesums: need K >= 1\n"
+        assert out.err == (f"cubesums: need 1 <= K <= "
+                           f"{expsums.MAX_MODULUS}, got K={K}\n")
 
 
 # each valued flag of every subcommand, with a value out of range (where one
@@ -242,7 +246,7 @@ _BAD_VALUES = {
     "density": {"R": _BAD_R, "grid": ("63", "65537", "x")},
     "count": {"X": ("0", "5000", "x"), "R": _BAD_R},
     "variance": {"X": ("0", "x"), "K": ("0", _PAST_MODULI, "x"),
-                 "d": ("0", "49", "x"), "R": _BAD_R},
+                 "d": ("0", "101", "x"), "R": _BAD_R},
     "sieved": {"X": ("1", "x"), "K": ("0", _PAST_MODULI, "x"),
                "hbar": ("0", "0.5", "x"), "delta": ("0", "x"), "R": _BAD_R},
 }
@@ -617,11 +621,12 @@ def test_unusable_cache_dir_keeps_output(tmp_path, capsys):
 
 
 def test_variance_rejects_x_zero_before_warning(capsys):
-    # d = 49 is past variance's bound d <= 48, and K*d would warn; both are
-    # refused before any table is built
+    # d = 101 has a prime past the Euler product of S(d), and K*d would
+    # warn; both are refused before any table is built
     for argv, message in (
             (["--X", "0", "--K", "1", "--d", "1"], "X must be a positive integer"),
-            (["--X", "30", "--K", "1", "--d", "49"], "need 1 <= d <= 48, got d=49")):
+            (["--X", "30", "--K", "1", "--d", "101"],
+             "d=101 has a prime factor above 100")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc, out = run(["variance"] + argv, capsys)
@@ -636,7 +641,7 @@ def test_sieved_rejects_x_below_two(X, capsys):
     # table is built
     rc, out = run(["sieved", "--X", X, "--K", "1", "--hbar", "0.045"], capsys)
     assert rc == 1
-    assert out.err == "cubesums: X must be an integer >= 2\n"
+    assert out.err == f"cubesums: need X >= 2, got X={X}\n"
 
 
 def test_deterministic_output(tmp_path, capsys):

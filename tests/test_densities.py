@@ -230,6 +230,22 @@ def test_sigma_inf_tolerances_reach_direct_only(nu2, monkeypatch):
     assert seen == [1e-6, 1e-3]
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, 0.0, 1.0, 2.0, math.inf])
+def test_sigma_direct_refuses_rel_tol_outside_unit_interval(rel_tol, nu2,
+                                                            monkeypatch):
+    # NaN once ended in numpy's "cannot reshape array of size 0", -1 and 0
+    # ran for 41 s down to the quadrature's floor, and inf and 2 returned
+    # the seed-grid value, 0.41 % off; a is in the support and past it
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrated before rel_tol was checked")
+
+    monkeypatch.setattr(densities, "adaptive_integrate", no_quadrature)
+    for a in (0.5, 1e6):
+        with pytest.raises(ValueError, match=r"^rel_tol must lie in \(0, 1\), "
+                           f"got rel_tol={rel_tol!r}$"):
+            sigma_inf(a, 1.0, nu2, rel_tol=rel_tol, method="direct")
+
+
 def test_pure_equals_mixed_moment(nu2):
     pure = pure_l2_moment(nu2)
     mixed = mixed_l1_moment(nu2)

@@ -138,3 +138,13 @@ def test_every_default_is_set_outside_tests():
             if not any(_sets(c, param, index) for c in calls.get(fn, [])):
                 unset.append(f"{path.stem}.{fn}({param})")
     assert unset == []
+
+
+def test_no_assert_in_src():
+    # python -O strips assert, so a guard of a result raises a real
+    # exception instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "cubesums").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

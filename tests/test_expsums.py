@@ -327,6 +327,18 @@ def test_sigma_p_a_rejects_zero():
         E.sigma_p_a(5, 0)
 
 
+# t_prime_power once ran at any p: t_prime_power(8, 1) gave [384, 0, -128,
+# ...] against t_full(8)'s [256, 0, 0, ...] and cached it,
+# t_prime_power(49, 1)[0] was 28812 against 14406, and t_prime_power(1, 3)
+# gave [0] though T_a(1) = 1
+@pytest.mark.parametrize("p", [8, 49, 1, 4, 0, -7])
+def test_prime_power_functions_refuse_a_non_prime(p):
+    for call in (lambda: E.t_prime_power(p, 1), lambda: E.t_prime_power(p, 3),
+                 lambda: E.sigma_p_a(p, 1)):
+        with pytest.raises(ValueError, match=f"^p must be a prime, got p={p}$"):
+            call()
+
+
 def test_sigma_p_zero_level_sequence():
     # the a = 0 level values p^{-2l} N_0(p^l); no limit is claimed for them
     seq = [(l, Fraction(int(E.point_count_vector(2**l)[0]), 2 ** (2 * l)))
@@ -360,7 +372,8 @@ def test_singular_series_euler_frozen():
               3: "0x1.408fde4a30cc0p+0", 4: "0x1.62e98bd9c8a66p+0"}
     for d, value in frozen.items():
         assert E.singular_series_euler(d).hex() == value, d
-    with pytest.raises(ValueError, match="need d >= 1"):
+    with pytest.raises(ValueError,
+                       match="d must be a positive integer, got d=0"):
         E.singular_series_euler(0)
     # the d the product cannot represent: no Euler factor sees a prime
     # above 100, and _sigma_p_of_d cuts a prime power past

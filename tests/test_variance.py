@@ -223,9 +223,12 @@ def test_verify_moments_forms_each_block_once(monkeypatch, capsys):
 
 
 def test_moment_check_guards():
-    for K, d in ((49, 1), (4, 9), (0, 1), (4, 0), (-1, -1)):
-        with pytest.raises(ValueError,
-                           match="need 1 <= K <= 48 and 1 <= d <= 8"):
+    for K, d, msg in ((49, 1, "need 1 <= K <= 48, got K=49"),
+                      (4, 9, "need 1 <= d <= 8, got d=9"),
+                      (0, 1, "need 1 <= K <= 48, got K=0"),
+                      (4, 0, "need 1 <= d <= 8, got d=0"),
+                      (-1, -1, "need 1 <= K <= 48, got K=-1")):
+        with pytest.raises(ValueError, match=msg):
             nonarch_moment_check(K, d)
 
 
@@ -283,22 +286,31 @@ def test_one_lattice_walk_per_X(nu2, monkeypatch):
 
 def test_level_past_series_truncation_rejected_first(nu2, monkeypatch):
     # the main term's S(d) is an Euler product over p <= 100 with factors
-    # cut at LOCAL_MODULUS_CAP, which d <= 48 respects; the level is checked
-    # before the lattice is walked
+    # cut at LOCAL_MODULUS_CAP; a d it cannot represent is refused before
+    # the lattice is walked
     def no_walk(*args, **kwargs):
         raise AssertionError("walked the lattice")
 
     monkeypatch.setattr(lattice, "_iter_orbits", no_walk)
     for call, msg in (
-            (lambda: variance(30, 1, 49, nu2), "need 1 <= d <= 48, got d=49"),
-            (lambda: variance(30, 4, 49, nu2),
-             "need 1 <= d <= 48, got d=49"),
-            (lambda: variance(30, 4, 0, nu2), "need K >= 1 and d >= 1"),
+            (lambda: variance(30, 1, 101, nu2),
+             "d=101 has a prime factor above 100"),
+            (lambda: variance(30, 4, 101, nu2),
+             "d=101 has a prime factor above 100"),
+            (lambda: variance(30, 4, 0, nu2),
+             "d must be a positive integer, got d=0"),
             # d slices the window a in dZ, so it must be an integer
             (lambda: variance(8, 2, 1.5, nu2),
              "d must be a positive integer")):
         with pytest.raises(ValueError, match=msg):
             call()
+    # S(d) is the one bound on d: 49 = 7^2 and 96 = 2^5 3 lie inside the
+    # product, so the walk starts (d <= 48 once refused them), after the
+    # warning that K*d exceeds X^(9/10)
+    for d in (49, 96):
+        with pytest.warns(UserWarning, match="K\\*d"), \
+                pytest.raises(AssertionError, match="walked the lattice"):
+            variance(30, 1, d, nu2)
 
 
 def test_non_integer_X_or_K_rejected_before_the_walk(nu2, monkeypatch):
