@@ -11,12 +11,12 @@ range), 2 when a verify check failed (any CheckFailed).
 Each subcommand is declared once, in _COMMANDS: handler, formats (default
 first), help, and flags as (name, type or choices, default or REQUIRED).
 _GLOBAL_FLAGS holds the flags that every subcommand takes, before or after
-its name.  One resolver gives each flag its value: the command line, else the
-key=value file named by --config, else the default.  CUBESUMS_CACHE_DIR
-overrides any cache-dir setting.  Output is deterministic, except the
-wall_time field of variance and sieved, which is the run's own timing.
-verify prints text and every other subcommand CSV or JSON: CSV carries a
-header row and 17-significant-digit floats, JSON is emitted with sorted keys.
+its name.  Argparse reads both tables: each flag takes its value from the
+command line, else its table default.  CUBESUMS_CACHE_DIR overrides
+--cache-dir.  Output is deterministic, except the wall_time field of
+variance and sieved, which is the run's own timing.  verify prints text and
+every other subcommand CSV or JSON: CSV carries a header row and
+17-significant-digit floats, JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import CheckFailed, cache, expsums, lattice, series, variance
+from .arith import _check_int
 from .densities import density_table
 from .weights import nu_star
 
@@ -126,29 +127,7 @@ def _write(text: str, output: str | None) -> None:
 
 
 # --------------------------------------------------------------------------
-# configuration
-
-
-def load_config(path: str) -> dict[str, str]:
-    """key=value per line; blank lines and # comments ignored."""
-    cfg: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CLIError(f"bad config line (expected key=value): {line!r}")
-                key, val = line.split("=", 1)
-                cfg[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
-        raise CLIError(f"cannot read config file: {exc}") from exc
-    return cfg
-
-
-# --------------------------------------------------------------------------
-# subcommand handlers; each takes the resolved flags and the format and
+# subcommand handlers; each takes the parsed flags and the format and
 # returns the output text
 
 
@@ -316,10 +295,8 @@ def _verify_lattice() -> list[str]:
 
 
 def _cmd_verify(args, fmt):
-    if not 1 <= args.max_modulus <= expsums.MAX_MODULUS:
-        raise CLIError(f"--max-modulus must be >= 1 and <= {expsums.MAX_MODULUS}")
-    if args.seed < 0:
-        raise CLIError(f"--seed must be >= 0, got {args.seed}")
+    _check_int("--max-modulus", args.max_modulus, 1, expsums.MAX_MODULUS)
+    _check_int("--seed", args.seed, 0)
     lines: list[str] = []
     if args.suite in ("local", "all"):
         lines += _verify_local(args.max_modulus, args.seed)
@@ -338,7 +315,6 @@ REQUIRED = object()  # the default of a flag that must be given
 
 # a flag is (name, type, default) or (name, choices, default)
 _GLOBAL_FLAGS = (  # with their help text
-    ("config", str, None, "key=value config file; flags win"),
     ("cache_dir", str, None, "directory that keeps the S1 surface table "
                              "between runs (CUBESUMS_CACHE_DIR overrides)"),
     ("output", str, None, "output path, default stdout"),
@@ -390,11 +366,12 @@ _COMMANDS = {
 }
 
 
-def _add_flag(parser, name, kind, default=None, help=None):
-    if isinstance(kind, tuple):
-        opts = {"choices": kind, "default": default}
+def _add_flag(parser, name, kind, default, help=None):
+    opts = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+    if default is REQUIRED:
+        opts["required"] = True
     else:
-        opts = {"type": kind, "default": default}
+        opts["default"] = default
     parser.add_argument("--" + name.replace("_", "-"), dest=name, help=help,
                         **opts)
 
@@ -409,52 +386,34 @@ def _build_parser() -> _Parser:
         _add_flag(common, name, kind, argparse.SUPPRESS, help_text)
     ap = _Parser(prog="cubesums", parents=[common],
                  description="local and global statistics of x^3+y^3+z^3 = a")
-    sub = ap.add_subparsers(dest="subcommand")
+    sub = ap.add_subparsers(dest="subcommand", required=True)
     for command, (_handler, _formats, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_text)
-        for name, kind, _default in flags:
-            _add_flag(p, name, kind)
+        for name, kind, default in flags:
+            _add_flag(p, name, kind, default)
     return ap
 
 
-def _resolve(args, cfg, flags) -> None:
-    """Give each flag its value: the command line, else the config file,
-    else the default."""
-    for name, kind, default, *_help in flags:
-        v = getattr(args, name, None)  # SUPPRESS leaves unset globals absent
-        if v is None and name in cfg:
-            raw = cfg[name]
-            try:  # tuple.index raises ValueError for a value not a choice
-                v = kind[kind.index(raw)] if isinstance(kind, tuple) else kind(raw)
-            except ValueError as exc:
-                raise CLIError(f"bad config value for {name}: {raw!r}") from exc
-        if v is None:
-            if default is REQUIRED:
-                raise CLIError(
-                    f"missing required parameter --{name.replace('_', '-')}")
-            v = default
-        setattr(args, name, v)
+def _parse(argv) -> argparse.Namespace:
+    """Every flag's value: the command line, else its table default."""
+    args = _build_parser().parse_args(argv)
+    for name, _kind, default, _help in _GLOBAL_FLAGS:
+        vars(args).setdefault(name, default)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise CLIError("a subcommand is required")
-        cfg = load_config(args.config) if getattr(args, "config", None) else {}
-        _resolve(args, cfg, _GLOBAL_FLAGS)
+        args = _parse(argv)
         cache_dir = os.environ.get("CUBESUMS_CACHE_DIR") or args.cache_dir
         if cache_dir is not None:
             cache.configure(cache_dir)
-        if args.threads < 1:
-            raise CLIError("--threads must be >= 1")
-        handler, formats, _help, flags = _COMMANDS[args.subcommand]
+        _check_int("--threads", args.threads)
+        handler, formats, _help, _flags = _COMMANDS[args.subcommand]
         fmt = args.format or formats[0]
         if fmt not in formats:
             raise CLIError(f"{args.subcommand} prints "
                            f"{' or '.join(formats)}, not {fmt!r}")
-        _resolve(args, cfg, flags)
         _check_output(args.output)
         _write(handler(args, fmt), args.output)
     except (CLIError, ValueError) as exc:

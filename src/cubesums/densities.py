@@ -252,8 +252,13 @@ def sigma_inf(a: float, X: float, weight: Weight,
     only weight.R and takes no tolerance; "direct" is the literal 2-d
     quadrature, its oracle, to rel_tol (default 1e-6).
     """
-    if not X > 0:  # NaN included
-        raise ValueError("X must be positive")
+    try:  # a float cube overflows with OverflowError, underflows to 0.0
+        X3 = float(X) ** 3
+    except OverflowError:
+        X3 = math.inf
+    if not 0 < X3 < math.inf:  # NaN included
+        raise ValueError(f"X must be positive and its cube a positive "
+                         f"finite float, got X={X!r}")
     if math.isnan(a):
         raise ValueError("a must be a number, got nan")
     if method not in ("auto", "direct"):
@@ -262,7 +267,7 @@ def sigma_inf(a: float, X: float, weight: Weight,
         raise ValueError("rel_tol applies to method='direct' only")
     if rel_tol is not None and not 0 < rel_tol < 1:  # NaN included
         raise ValueError(f"rel_tol must lie in (0, 1), got rel_tol={rel_tol!r}")
-    atil = float(a) / float(X) ** 3
+    atil = float(a) / X3
     if abs(atil) > weight.a_support:
         return 0.0
     if method == "direct":

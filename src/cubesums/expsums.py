@@ -199,7 +199,10 @@ def configure_cache(directory: str | None) -> None:
 def t_prime_power(p: int, l: int) -> np.ndarray:
     """Vector of T_a(p^l) over a mod p^l; int64 whenever it fits."""
     _check_prime(p)
-    _check_int("l", l)
+    # the largest l with p^l <= MAX_MODULUS = 2^21 - 1, so below 21
+    hi = max(k for k in range(1, MAX_MODULUS.bit_length())
+             if p**k <= MAX_MODULUS)
+    _check_int("l", l, 1, hi)
     # T = p^l D with D = N_a(p^l) - p^2 N_a(p^(l-1)) and N_a(p^0) = 1; both
     # terms of D lie in [0, m^3] and m^3 < 2^63, so D is exact in int64
     n_l = point_count_vector(p**l)

@@ -153,8 +153,8 @@ def log_panel_rule(lo: float, hi: float, panels: int, order: int):
 
     Composite Gauss-Legendre in u = log r with `panels` equal panels.
     """
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:  # NaN included
+        raise ValueError(f"need 0 < lo < hi < inf, got lo={lo!r}, hi={hi!r}")
     x, w = gauss_rule(order)
     u_edges = np.linspace(math.log(lo), math.log(hi), panels + 1)
     du = u_edges[1] - u_edges[0]

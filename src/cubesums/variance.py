@@ -386,6 +386,8 @@ def pipeline_demo(R_list=(2.0, 4.0), X_list=(60,), j: int = 2) -> PipelineReport
     _check_int("j", j)
     for X in X_list:
         _check_int("X", X, 1, 100)
+    if not R_list:
+        raise ValueError(f"R_list must name an R, got R_list={R_list!r}")
     if max(R_list) > 8:
         raise ValueError("pipeline demo limited to R <= 8")
     c_cal = sigma_inf(0.0, 1.0, nu_star(2.0)) / math.log(2.0)

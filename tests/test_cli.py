@@ -1,4 +1,4 @@
-"""CLI plumbing: exit codes, formats, config merge, cache dir, determinism."""
+"""CLI plumbing: exit codes, formats, flag defaults, cache dir, determinism."""
 
 import json
 import os
@@ -12,8 +12,7 @@ import pytest
 
 import cubesums
 from cubesums import cache, expsums, lattice
-from cubesums.cli import (_COMMANDS, _GLOBAL_FLAGS, _build_parser, _resolve,
-                          load_config, main)
+from cubesums.cli import _COMMANDS, _GLOBAL_FLAGS, REQUIRED, _parse, main
 from cubesums.densities import density_table
 from cubesums.weights import nu_star
 
@@ -21,6 +20,11 @@ from cubesums.weights import nu_star
 def run(argv, capsys):
     rc = main(argv)
     return rc, capsys.readouterr()
+
+
+def _argv(command, values):
+    return [command] + [x for k, v in values.items()
+                        for x in ("--" + k.replace("_", "-"), v)]
 
 
 def test_expsum_all_csv(capsys):
@@ -124,9 +128,7 @@ def test_readme_examples_parse():
     shown = set()
     for line in _readme_examples():
         _program, *argv = shlex.split(line, comments=True)
-        args = _build_parser().parse_args(argv)
-        _resolve(args, {}, _COMMANDS[args.subcommand][3])
-        shown.add(args.subcommand)
+        shown.add(_parse(argv).subcommand)
     assert shown == set(_COMMANDS)
 
 
@@ -147,13 +149,18 @@ def test_validation_errors(capsys):
         assert rc == 1, p_max
         assert out.err == (f"cubesums: need 2 <= p_max <= "
                            f"{expsums.MAX_MODULUS}, got p_max={p_max}\n")
-    assert run(["expsum", "--modulus", "7", "--threads", "0"], capsys)[0] == 1
+    rc, out = run(["expsum", "--modulus", "7", "--threads", "0"], capsys)
+    assert rc == 1
+    assert out.err == ("cubesums: --threads must be a positive integer, "
+                       "got --threads=0\n")
     for p in ("0", "4", "-7"):
         rc, out = run(["gamma", "--a", "2", "--p", p], capsys)
         assert rc == 1 and "p must be a prime" in out.err
     for m in ("0", "-2"):  # no modulus to check
         rc, out = run(["verify", "--max-modulus", m], capsys)
-        assert rc == 1 and "--max-modulus must be >= 1" in out.err
+        assert rc == 1
+        assert out.err == (f"cubesums: need 1 <= --max-modulus <= "
+                           f"{expsums.MAX_MODULUS}, got --max-modulus={m}\n")
     for flags, message in (
             (["--eta", "nan"], "eta must be a finite number >= 0"),
             (["--eta", "inf"], "eta must be a finite number >= 0"),
@@ -254,7 +261,6 @@ _BAD_VALUES = {
 # cache_dir is usable, since one that cannot be written only costs the
 # S1 rebuild (test_unusable_cache_dir_keeps_output)
 _BAD_GLOBAL_VALUES = {
-    "config": (os.path.join(os.devnull, "x.cfg"),),
     "output": (os.path.join(os.devnull, "x.csv"), os.curdir),
     "format": ("text", "xml"),
     "threads": ("0", "x"),
@@ -295,9 +301,7 @@ def test_bad_value_exits_one_before_any_work(command, name, value,
         for module in (expsums, series, variance):
             monkeypatch.setattr(module, "t_full", unreachable)
     flags = dict(_BAD_VALUE_BASE[command], **{name: value})
-    argv = [command] + [x for k, v in flags.items()
-                        for x in ("--" + k.replace("_", "-"), v)]
-    rc, out = run(argv, capsys)
+    rc, out = run(_argv(command, flags), capsys)
     assert rc == 1 and out.out == ""
     # the message is all of stderr: one line, no argparse usage above it
     lines = out.err.splitlines()
@@ -310,7 +314,7 @@ def test_negative_seed_is_refused_by_name(capsys):
     # draws
     rc, out = run(["verify", "--suite", "moments", "--seed", "-1"], capsys)
     assert rc == 1 and out.out == ""
-    assert out.err == "cubesums: --seed must be >= 0, got -1\n"
+    assert out.err == "cubesums: need --seed >= 0, got --seed=-1\n"
     # no other command reads a seed, so none takes one
     for argv in (["expsum", "--modulus", "7", "--seed", "1"],
                  ["--seed", "1", "verify", "--suite", "moments"]):
@@ -459,38 +463,23 @@ def test_count_bound_message_is_short(capsys):
     assert len(out.err.strip()) < 120
 
 
-def test_config_merge(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults\nmodulus = 7\nformat = json\n")
-    rc, out = run(["--config", str(cfg), "expsum"], capsys)
-    assert rc == 0
-    assert json.loads(out.out)["T"]["0"] == 42
-    # explicit flags override the file
-    rc, out = run(["--config", str(cfg), "expsum", "--modulus", "2",
-                   "--format", "csv"], capsys)
-    assert rc == 0
-    assert out.out.splitlines() == ["a,T", "0,0", "1,0"]
-
-
-def test_format_must_be_one_the_command_prints(tmp_path, capsys):
-    cfg = tmp_path / "text.cfg"
-    cfg.write_text("format = text\n")
+def test_format_must_be_one_the_command_prints(capsys):
     for argv, formats in ((["expsum", "--modulus", "7"], "csv or json"),
                           (["splus", "--n", "4"], "json or csv")):
-        rc, out = run(["--config", str(cfg)] + argv, capsys)
+        rc, out = run(["--format", "text"] + argv, capsys)
         assert rc == 1 and out.out == "", argv
         assert out.err == f"cubesums: {argv[0]} prints {formats}, not 'text'\n"
     rc, out = run(["verify", "--max-modulus", "2", "--format", "json"],
                   capsys)
     assert rc == 1 and out.out == ""
     assert out.err == "cubesums: verify prints text, not 'json'\n"
-    rc, out = run(["--config", str(cfg), "verify", "--max-modulus", "2"],
+    rc, out = run(["--format", "text", "verify", "--max-modulus", "2"],
                   capsys)
     assert rc == 0 and "checks passed" in out.out
 
 
-# one run of each fast subcommand, every valued flag set; the resolver test
-# moves one flag at a time into a config file
+# one run of each fast subcommand, every valued flag set; each flag of a case
+# is one id of the run test
 _FLAG_CASES = (
     ("expsum", {"modulus": "7", "a": "3", "format": "json"}),
     ("splus", {"n": "4", "d": "2", "format": "csv"}),
@@ -515,47 +504,45 @@ def test_flag_cases_cover_the_table():
                 command
 
 
-_CONFIG_CASES = [(command, flags, name) for command, flags in _FLAG_CASES
-                 for name in flags]
+_FLAG_RUNS = [(command, flags, name) for command, flags in _FLAG_CASES
+              for name in flags]
 
 
-@pytest.mark.parametrize("command, flags, name", _CONFIG_CASES,
-                         ids=[f"{c}-{name}" for c, _, name in _CONFIG_CASES])
-def test_config_value_matches_flag(command, flags, name, tmp_path, capsys):
-    def argv(values):
-        return [command] + [x for k, v in values.items()
-                            for x in ("--" + k.replace("_", "-"), v)]
-
-    rc, by_flag = run(argv(flags), capsys)
-    assert rc == 0, by_flag.err
-    cfg = tmp_path / "one.cfg"
-    cfg.write_text(f"{name} = {flags[name]}\n")
-    rest = {k: v for k, v in flags.items() if k != name}
-    rc, by_config = run(["--config", str(cfg)] + argv(rest), capsys)
-    assert rc == 0, by_config.err
-    assert by_config.out == by_flag.out
+@pytest.mark.parametrize("command, flags, name", _FLAG_RUNS,
+                         ids=[f"{c}-{name}" for c, _, name in _FLAG_RUNS])
+def test_flag_cases_run(command, flags, name, capsys):
+    # the flag reads the value given, in its table type, and the case runs
+    kind = {n: k for n, k, *_ in _COMMANDS[command][3] + _GLOBAL_FLAGS}[name]
+    want = flags[name] if isinstance(kind, tuple) else kind(flags[name])
+    assert getattr(_parse(_argv(command, flags)), name) == want
+    rc, out = run(_argv(command, flags), capsys)
+    assert rc == 0, out.err
 
 
-@pytest.mark.parametrize("line, argv", [
-    ("mode = bogus", ["series", "--K", "4", "--a-hi", "3"]),
-    ("suite = nope", ["verify", "--max-modulus", "2"]),
-    ("K = four", ["moments"]),
-])
-def test_bad_config_value_names_key(line, argv, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    rc, out = run(["--config", str(cfg)] + argv, capsys)
-    key, value = (t.strip() for t in line.split("="))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_flag_defaults_come_from_the_table(command, capsys):
+    flags = _COMMANDS[command][3]
+    required = {name: "1" for name, _kind, default in flags
+                if default is REQUIRED}
+    args = _parse(_argv(command, required))
+    for name, _kind, default, *_help in flags + _GLOBAL_FLAGS:
+        if default is not REQUIRED:
+            assert getattr(args, name) == default, name
+    # argparse refuses a missing required flag, naming it, in one line
+    for name in required:
+        rest = {k: v for k, v in required.items() if k != name}
+        rc, out = run(_argv(command, rest), capsys)
+        flag = "--" + name.replace("_", "-")
+        assert rc == 1 and out.out == "", name
+        assert out.err == ("cubesums: the following arguments are required: "
+                           f"{flag}\n"), name
+    # no flag names a file of flag values, before or after the subcommand
+    given = _argv(command, required)
+    rc, out = run(given + ["--config", os.devnull], capsys)
     assert rc == 1 and out.out == ""
-    assert out.err == f"cubesums: bad config value for {key}: {value!r}\n"
-
-
-def test_config_bad_line(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just words\n")
-    with pytest.raises(Exception):
-        load_config(str(cfg))
-    assert main(["--config", str(cfg), "expsum", "--modulus", "7"]) == 1
+    assert out.err == ("cubesums: unrecognized arguments: "
+                       f"--config {os.devnull}\n")
+    assert run(["--config", os.devnull] + given, capsys)[0] == 1
 
 
 def test_global_flags_after_subcommand(tmp_path, capsys):
@@ -598,14 +585,6 @@ def test_cache_dir_flag_used_without_env(tmp_path, capsys):
     assert cache.s1_path() == flag_dir / "s1_table.bin"
     # T-vectors are recomputed, never written
     assert not flag_dir.exists()
-
-
-def test_cache_dir_from_config(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"cache_dir = {tmp_path / 'cfg_cache'}\n")
-    rc, _ = run(["expsum", "--modulus", "7", "--config", str(cfg)], capsys)
-    assert rc == 0
-    assert cache.s1_path() == tmp_path / "cfg_cache" / "s1_table.bin"
 
 
 def test_unusable_cache_dir_keeps_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The integer domain of the public API: every int parameter refuses a value
-outside its domain with a ValueError that names it, before any work."""
+"""The domain of the public API: every int parameter, and each float or
+sequence argument that once slipped through, refuses a value outside its
+domain with a ValueError that names it, before any work."""
 
 import importlib
 import inspect
@@ -8,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubesums import densities, expsums, lattice
+from cubesums import densities, expsums, lattice, quadrature, variance
 from cubesums.expsums import MAX_MODULUS
 from cubesums.variance import HypothesisParams
 from cubesums.weights import nu_star
@@ -22,7 +23,7 @@ TABLE = {
     ("expsums", "point_count_vector"): ({}, {"m": (7, 1, MAX_MODULUS)}),
     ("expsums", "point_counts_bruteforce"): ({}, {"m": (7, 1, 256)}),
     ("expsums", "t_prime_power"): ({}, {"p": (7, 2, MAX_MODULUS),
-                                        "l": (2, 1, None)}),
+                                        "l": (2, 1, 7)}),
     ("expsums", "t_full"): ({}, {"n": (7, 1, MAX_MODULUS)}),
     ("expsums", "t_single"): ({}, {"a": (2, None, None),
                                    "n": (7, 1, MAX_MODULUS)}),
@@ -137,6 +138,27 @@ def test_int_parameter_refuses_values_outside_its_domain(module, fn, param,
             if inspect.isgenerator(result):  # moment_check_levels
                 next(result)
     assert f"{name}={value!r}" in str(info.value)
+
+
+# arguments that pass a plain comparison but break the work: an infinite X
+# (sigma at a~ = 0), an X whose float cube overflows or underflows, an
+# infinite hi (NaN nodes) and an empty R_list (max of nothing)
+@pytest.mark.parametrize("call, named", [
+    (lambda: densities.sigma_inf(1.0, math.inf, W), "X=inf"),
+    (lambda: densities.sigma_inf(1.0, 1e200, W), "X=1e+200"),
+    (lambda: densities.sigma_inf(1.0, 1e-300, W), "X=1e-300"),
+    (lambda: quadrature.log_panel_rule(1.0, math.inf, 4, 4), "hi=inf"),
+    (lambda: variance.pipeline_demo(R_list=()), "R_list=()"),
+], ids=["sigma_inf-X-inf", "sigma_inf-X-cube-overflows",
+        "sigma_inf-X-cube-underflows", "log_panel_rule-hi-inf",
+        "pipeline_demo-R_list-empty"])
+def test_argument_refused_by_name(call, named, monkeypatch):
+    for target, attr in ((densities, "_sigma_fast"), (quadrature, "gauss_rule"),
+                         (variance, "sigma_inf"), (lattice, "_iter_orbits")):
+        monkeypatch.setattr(target, attr, _no_work)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert named in str(info.value)
 
 
 def _public_functions(module):
