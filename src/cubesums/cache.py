@@ -1,33 +1,30 @@
 """Disk store for the S1 surface table, the one artifact worth persisting.
 
-One file, ``s1_table.bin``: magic ``CBS1``, a uint32 format version, the
-SHA-256 of the key and of the payload, then the payload: the node values and
+One file, ``s1_table.bin``: magic ``CBS1``, a uint32 format version, a
+uint32 CRC-32 of the key and payload, then the payload: the node values and
 the worst validation error as little-endian float64.  A file whose size,
 header, key, checksum or probed nodes do not match reads as missing; writes
 go through a temp file and ``os.replace`` and are skipped when they fail.
-
-``hashlib`` is imported on the first read or write of the store, not with
-this module, so a process that never touches the store does not load
-OpenSSL's libcrypto.
 """
 from __future__ import annotations
 
 import os
 import struct
 import tempfile
+import zlib
 from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 
-MAGIC, VERSION = b"CBS1", 1
-_HEADER = struct.Struct("<4sI32s32s")
+MAGIC, VERSION = b"CBS1", 2
+_HEADER = struct.Struct("<4sII")
 
-_directory = os.environ.get("CUBESUMS_CACHE_DIR") or None
+_directory = None
 
 
 def configure(directory: str | os.PathLike | None) -> None:
-    """Point the store at a directory (None disables it)."""
+    """Point the store at a directory (None, the default, disables it)."""
     global _directory
     _directory = directory or None
 
@@ -38,10 +35,7 @@ def s1_path() -> Path | None:
 
 
 def _header(key: bytes, payload: bytes) -> bytes:
-    import hashlib  # loads OpenSSL's libcrypto, so only when the store is used
-
-    return _HEADER.pack(MAGIC, VERSION, hashlib.sha256(key).digest(),
-                        hashlib.sha256(payload).digest())
+    return _HEADER.pack(MAGIC, VERSION, zlib.crc32(key + payload))
 
 
 def encode(key: bytes, values: np.ndarray, worst: float) -> bytes:

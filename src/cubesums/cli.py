@@ -12,11 +12,11 @@ Each subcommand is declared once, in _COMMANDS: handler, formats (default
 first), help, and flags as (name, type or choices, default or REQUIRED).
 _GLOBAL_FLAGS holds the flags that every subcommand takes, before or after
 its name.  Argparse reads both tables: each flag takes its value from the
-command line, else its table default.  CUBESUMS_CACHE_DIR overrides
---cache-dir.  Output is deterministic, except the wall_time field of
-variance and sieved, which is the run's own timing.  verify prints text and
-every other subcommand CSV or JSON: CSV carries a header row and
-17-significant-digit floats, JSON is emitted with sorted keys.
+command line, else its table default; --cache-dir alone names the S1 store.
+Output is deterministic, except the wall_time field of variance and sieved,
+which is the run's own timing.  verify prints text and every other
+subcommand CSV or JSON: CSV carries a header row and 17-significant-digit
+floats, JSON is emitted with sorted keys.
 """
 
 from __future__ import annotations
@@ -315,8 +315,7 @@ REQUIRED = object()  # the default of a flag that must be given
 
 # a flag is (name, type, default) or (name, choices, default)
 _GLOBAL_FLAGS = (  # with their help text
-    ("cache_dir", str, None, "directory that keeps the S1 surface table "
-                             "between runs (CUBESUMS_CACHE_DIR overrides)"),
+    ("cache_dir", str, None, "directory that keeps the S1 table between runs"),
     ("output", str, None, "output path, default stdout"),
     ("format", ("csv", "json", "text"), None,
      "text for verify, csv or json for the rest"),
@@ -405,9 +404,8 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        cache_dir = os.environ.get("CUBESUMS_CACHE_DIR") or args.cache_dir
-        if cache_dir is not None:
-            cache.configure(cache_dir)
+        if args.cache_dir is not None:
+            cache.configure(args.cache_dir)
         _check_int("--threads", args.threads)
         handler, formats, _help, _flags = _COMMANDS[args.subcommand]
         fmt = args.format or formats[0]

@@ -172,8 +172,11 @@ def chi_surface(b: float) -> float:
 
     chi is even and supported in 1/2 <= |y_l| <= 11, so the domain is
     [-11, 11]^2, and _chi_integrand forms only the points where all six
-    forms lie inside the w2 support.  S1 is even in b.
+    forms lie inside the w2 support.  S1 is even in b.  A NaN b, which
+    would read every node as dead, raises ValueError.
     """
+    if math.isnan(b):
+        raise ValueError(f"b must be a number, got b={b!r}")
     res = adaptive_integrate(partial(_chi_integrand, b), (-11.0, -11.0),
                              (11.0, 11.0), rel_tol=_S1_REL_TOL, seed=_S1_SEED)
     return res.value

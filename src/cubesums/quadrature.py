@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import _check_int
+
 __all__ = [
     "QuadResult",
     "adaptive_integrate",
@@ -31,6 +33,8 @@ __all__ = [
 _ORDER, _ORDER_HI, _MAX_ROUNDS = 8, 11, 60
 _ABS_FLOOR = 1e-14  # the error target never falls below this
 _MAX_EVALS = 80_000_000  # integrand evaluations allowed per integral
+# the largest seed grid that one round of the eval budget covers
+_MAX_SEED = math.isqrt(_MAX_EVALS // (_ORDER**2 + _ORDER_HI**2))
 # nodes per integrand call.  At 2^14 nodes each float64 coordinate row or
 # temporary of the integrand is 128 KB and stays in cache; a whole round
 # (about 48k nodes per rule for the S1 surface) leaves it
@@ -40,6 +44,7 @@ _BLOCK_NODES = 1 << 14
 @lru_cache(maxsize=None)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], read-only arrays."""
+    _check_int("order", order)
     x, w = np.polynomial.legendre.leggauss(order)
     x = (x + 1.0) / 2.0
     w = w / 2.0
@@ -95,8 +100,12 @@ def adaptive_integrate(f, lo, hi, rel_tol: float, seed: int) -> QuadResult:
     f(x, y) maps two contiguous (N,) coordinate arrays, N at most 2^14, to
     an (N,) array and must be pointwise: a node's value depends on that node
     alone.  Raises RuntimeError rather than exceed _MAX_EVALS evaluations or
-    60 rounds of refinement before convergence.
+    60 rounds of refinement before convergence, and ValueError unless
+    1 <= seed <= _MAX_SEED (657) and rel_tol >= 0.
     """
+    _check_int("seed", seed, 1, _MAX_SEED)
+    if not rel_tol >= 0:  # NaN included
+        raise ValueError(f"need rel_tol >= 0, got rel_tol={rel_tol!r}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape != (2,) or hi.shape != (2,):
@@ -153,6 +162,7 @@ def log_panel_rule(lo: float, hi: float, panels: int, order: int):
 
     Composite Gauss-Legendre in u = log r with `panels` equal panels.
     """
+    _check_int("panels", panels)
     if not 0 < lo < hi < math.inf:  # NaN included
         raise ValueError(f"need 0 < lo < hi < inf, got lo={lo!r}, hi={hi!r}")
     x, w = gauss_rule(order)

@@ -25,6 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .arith import _check_int
 from .quadrature import gauss_rule
 
 __all__ = [
@@ -414,8 +415,10 @@ def sample_support_candidates(R: float, n: int, seed: int = 0) -> np.ndarray:
     then drawn uniformly from the exact interval making |F0| < 3.  Raises
     ValueError naming R when R is not a positive number, and when 2 (11R)^3
     overflows a float, that is for R above cbrt(max float / 2) / 11, about
-    4.07e101.
+    4.07e101; naming n or seed when it is not an integer >= 0.
     """
+    _check_int("n", n, 0)
+    _check_int("seed", seed, 0)
     top = _support_top(R)
     rng = np.random.default_rng(seed)
     u = rng.uniform(math.log(0.5), math.log(top), size=(n, 2))

@@ -8,10 +8,9 @@ from cubesums import cache
 
 
 @pytest.fixture(autouse=True)
-def _isolate_cache(monkeypatch):
-    # no test reads or writes a store that CUBESUMS_CACHE_DIR or an earlier
-    # test pointed at; a test that wants a store configures its own
-    monkeypatch.delenv("CUBESUMS_CACHE_DIR", raising=False)
+def _isolate_cache():
+    # no test reads or writes a store that an earlier test pointed at; a
+    # test that wants a store configures its own
     cache.configure(None)
     yield
     cache.configure(None)

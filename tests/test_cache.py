@@ -4,6 +4,8 @@ Every test reuses the S1 table that the process has already built (the
 acceptance criteria build it first); none builds it a second time.
 """
 
+import hashlib
+import struct
 from functools import partial
 
 import numpy as np
@@ -22,6 +24,13 @@ def s1():
     return vals, worst
 
 
+def _version_1(key, payload):
+    """The store file as format version 1 wrote it: a SHA-256 header."""
+    return struct.pack("<4sI32s32s", cache.MAGIC, 1,
+                       hashlib.sha256(key).digest(),
+                       hashlib.sha256(payload).digest()) + payload
+
+
 def _load(path):
     return cache.load(path, _S1_KEY, _S1_NODES, partial(_s1_probe, HALF))
 
@@ -31,7 +40,7 @@ def test_s1_store_roundtrip(s1, tmp_path):
     path = tmp_path / "store" / "s1_table.bin"
     assert cache.save(path, _S1_KEY, vals, worst)
     raw = path.read_bytes()
-    assert raw[:4] == cache.MAGIC and len(raw) == 72 + 8 * (_S1_NODES + 1)
+    assert raw[:4] == cache.MAGIC and len(raw) == 12 + 8 * (_S1_NODES + 1)
     assert list(path.parent.iterdir()) == [path]  # no temp file left
     got, got_worst = _load(path)
     assert got.tobytes() == vals.tobytes() and got_worst == worst
@@ -51,7 +60,8 @@ def test_s1_store_rejects_bad_files(s1, tmp_path):
         "wrong key": cache.encode(_S1_KEY + b"!", vals, worst),
         "probed value changed, checksum recomputed":
             cache.encode(_S1_KEY, moved, worst),
-        "other format version": good[:4] + b"\x02" + good[5:],
+        "other format version": good[:4] + b"\x03" + good[5:],
+        "version-1 file": _version_1(_S1_KEY, good[cache._HEADER.size:]),
     }
     for name, raw in files.items():
         path = tmp_path / "s1_table.bin"

@@ -108,7 +108,6 @@ def _python(*args, timeout=120):
     src = str(Path(cubesums.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("CUBESUMS_CACHE_DIR", None)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
@@ -393,8 +392,8 @@ def test_cli_leaves_scipy_unloaded(code, s1_store):
 def test_nu_loads_neither_numpy_random_nor_openssl():
     # importing numpy.random pulls in secrets -> hmac -> _hashlib, and so
     # OpenSSL's libcrypto (about 6 MB of RSS); a count, which draws no
-    # random number and reads no store, loads neither, and the store loads
-    # hashlib on its first use.  A fresh interpreter, since the suite has
+    # random number, loads neither, and nor does writing the store, whose
+    # header is a zlib CRC-32.  A fresh interpreter, since the suite has
     # loaded both long before.
     code = (
         "import sys\n"
@@ -412,7 +411,7 @@ def test_nu_loads_neither_numpy_random_nor_openssl():
         "print('hashlib' in sys.modules)\n")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue\n"
+    assert proc.stdout == "[]\nFalse\n"
 
 
 # one golden command line of every subcommand that draws nothing at random;
@@ -567,14 +566,21 @@ def test_parser_built_once_per_process(capsys):
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_cache_dir_env_beats_flag(tmp_path, monkeypatch, capsys):
-    env_dir = tmp_path / "env_cache"
-    flag_dir = tmp_path / "flag_cache"
-    monkeypatch.setenv("CUBESUMS_CACHE_DIR", str(env_dir))
-    rc, _ = run(["expsum", "--modulus", "11", "--cache-dir", str(flag_dir)],
-                capsys)
-    assert rc == 0
-    assert cache.s1_path() == env_dir / "s1_table.bin"
+def test_cache_dir_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # --cache-dir alone names the store; a fresh interpreter, so that a
+    # read of the variable at import would show
+    code = (
+        "import contextlib, io\n"
+        "from cubesums import cache\n"
+        "from cubesums.cli import main\n"
+        "print(cache.s1_path())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['expsum', '--modulus', '11'])\n"
+        "print(rc, cache.s1_path())\n")
+    monkeypatch.setenv("CUBESUMS_CACHE_DIR", str(tmp_path))
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n0 None\n"
 
 
 def test_cache_dir_flag_used_without_env(tmp_path, capsys):

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,16 @@ from cubesums.variance import HypothesisParams
 from cubesums.weights import nu_star
 
 W = nu_star(2.0)
+
+
+class Worked(Exception):
+    """Work started before the argument was checked."""
+
+
+def _no_work(*args, **kwargs):
+    raise Worked
+
+
 # (module, function) -> (the other arguments of a valid call, and per int
 # parameter (a valid value, lo, hi)): the function refuses any value outside
 # [lo, hi], None meaning no bound on that side.  A p is a prime in [lo, hi].
@@ -84,6 +95,19 @@ TABLE = {
                                       {"X": (20, 2, None),
                                        "K": (4, 1, MAX_MODULUS)}),
     ("variance", "pipeline_demo"): ({"X_list": (20,)}, {"j": (2, 1, None)}),
+    ("quadrature", "gauss_rule"): ({}, {"order": (4, 1, None)}),
+    ("quadrature", "log_panel_rule"): ({"lo": 1.0, "hi": 2.0},
+                                       {"panels": (4, 1, None),
+                                        "order": (4, 1, None)}),
+    ("quadrature", "scaled_gauss_nodes"): ({"lo": np.zeros(1),
+                                            "hi": np.ones(1)},
+                                           {"order": (4, 1, None)}),
+    ("quadrature", "adaptive_integrate"): ({"f": _no_work, "lo": (0, 0),
+                                            "hi": (1, 1), "rel_tol": 1e-3},
+                                           {"seed": (4, 1, 657)}),
+    ("weights", "sample_support_candidates"): ({"R": 2.0},
+                                               {"n": (5, 0, None),
+                                                "seed": (0, 0, None)}),
 }
 # the vector functions read their argument as a modulus and name it so
 SPELLED = {("cube_counts", "m"): "modulus",
@@ -91,14 +115,6 @@ SPELLED = {("cube_counts", "m"): "modulus",
            ("t_full", "n"): "modulus", ("t_single", "n"): "modulus"}
 CASES = [(module, fn, param) for (module, fn), (_, params) in TABLE.items()
          for param in params]
-
-
-class Worked(Exception):
-    """Work started before the argument was checked."""
-
-
-def _no_work(*args, **kwargs):
-    raise Worked
 
 
 def _bad_values(lo, hi):
@@ -149,12 +165,17 @@ def test_int_parameter_refuses_values_outside_its_domain(module, fn, param,
     (lambda: densities.sigma_inf(1.0, 1e-300, W), "X=1e-300"),
     (lambda: quadrature.log_panel_rule(1.0, math.inf, 4, 4), "hi=inf"),
     (lambda: variance.pipeline_demo(R_list=()), "R_list=()"),
+    (lambda: quadrature.adaptive_integrate(_no_work, (0, 0), (1, 1), math.nan,
+                                           4), "rel_tol=nan"),
+    (lambda: densities.chi_surface(math.nan), "b=nan"),
 ], ids=["sigma_inf-X-inf", "sigma_inf-X-cube-overflows",
         "sigma_inf-X-cube-underflows", "log_panel_rule-hi-inf",
-        "pipeline_demo-R_list-empty"])
+        "pipeline_demo-R_list-empty", "adaptive_integrate-rel_tol-nan",
+        "chi_surface-b-nan"])
 def test_argument_refused_by_name(call, named, monkeypatch):
     for target, attr in ((densities, "_sigma_fast"), (quadrature, "gauss_rule"),
-                         (variance, "sigma_inf"), (lattice, "_iter_orbits")):
+                         (variance, "sigma_inf"), (lattice, "_iter_orbits"),
+                         (densities, "adaptive_integrate")):
         monkeypatch.setattr(target, attr, _no_work)
     with pytest.raises(ValueError) as info:
         call()
@@ -176,7 +197,8 @@ def test_table_names_every_int_parameter():
     # every int-annotated parameter of a public function has its domain in
     # TABLE; none is left out
     want = set()
-    for module in ("expsums", "series", "lattice", "densities", "variance"):
+    for module in ("expsums", "series", "lattice", "densities", "variance",
+                   "quadrature", "weights"):
         mod = importlib.import_module(f"cubesums.{module}")
         for fn, obj in _public_functions(mod):
             want |= {(module, fn, p.name)

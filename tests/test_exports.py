@@ -148,3 +148,15 @@ def test_no_assert_in_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_environment_read_in_src():
+    # a flag or an argument names every setting; no module reads the
+    # environment
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "cubesums").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if {"environ", "getenv"} & {getattr(node, "id", None),
+                                         getattr(node, "attr", None),
+                                         getattr(node, "name", None)}]
+    assert found == []

@@ -111,7 +111,6 @@ def test_point_counts_at_max_modulus():
     src = str(Path(E.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("CUBESUMS_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
